@@ -5,8 +5,11 @@ and comparison summaries emitted as CSV.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -17,8 +20,6 @@ from .model import (
     PROTOCOL_BASELINE,
     PROTOCOL_PROPOSED,
     PROTOCOLS,
-    EnergyParams,
-    Position,
     ScenarioConfig,
 )
 from .engine import MetricsRow, SimulationResult, run_simulation
@@ -44,88 +45,79 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-def _parse_protocol(text: str) -> str:
-    value = text.strip().lower()
-    if value not in PROTOCOLS:
-        raise ValueError(f"expected one of {'/'.join(PROTOCOLS)}, got {text!r}")
-    return value
+# One row per config key, in echo order: (key, ScenarioConfig field path,
+# value parser). Parsing, the CSV header echo, command-line flag overrides
+# (each flag is named like its key) and error naming all derive from it.
+_SCHEMA: tuple[tuple[str, str, Callable[[str], object]], ...] = (
+    ("protocol", "protocol", str.lower),
+    ("clustering", "clustering", str.lower),
+    ("k", "cluster_count", int),
+    ("nodes", "n_nodes", int),
+    ("rounds", "rounds", int),
+    ("p", "ch_probability", float),
+    ("field_width", "field_width", float),
+    ("field_height", "field_height", float),
+    ("fc_x", "fc_position.x", float),
+    ("fc_y", "fc_position.y", float),
+    ("advanced_fraction", "advanced_fraction", float),
+    ("advanced_energy_factor", "advanced_energy_factor", float),
+    ("initial_energy", "energy.initial_energy", float),
+    ("e_tx", "energy.e_tx", float),
+    ("e_aggregation", "energy.e_aggregation", float),
+    ("e_rx", "energy.e_rx", float),
+    ("e_fs", "energy.e_fs", float),
+    ("e_mp", "energy.e_mp", float),
+    ("e_elec", "energy.e_elec", float),
+    ("e_prop", "energy.e_prop", float),
+    ("path_loss", "energy.path_loss", float),
+    ("seed", "rng_seed", int),
+)
 
+_ROWS = {key: (path, parser) for key, path, parser in _SCHEMA}
 
-def _parse_clustering(text: str) -> str:
-    value = text.strip().lower()
-    if value not in CLUSTERING_MODES:
-        raise ValueError(f"expected one of {'/'.join(CLUSTERING_MODES)}, got {text!r}")
-    return value
+# The seed is echoed on the ``seeds`` line, which lists every seed a run used.
+_ECHOED = tuple((key, attrgetter(path)) for key, path, _ in _SCHEMA if key != "seed")
 
-
-# config-file key -> (destination attribute, value parser)
-_KEY_SPECS: dict[str, tuple[str, object]] = {
-    "nodes": ("n_nodes", int),
-    "rounds": ("rounds", int),
-    "p": ("ch_probability", float),
-    "seed": ("rng_seed", int),
-    "protocol": ("protocol", _parse_protocol),
-    "clustering": ("clustering", _parse_clustering),
-    "k": ("cluster_count", int),
-    "field_width": ("field_width", float),
-    "field_height": ("field_height", float),
-    "fc_x": ("fc_x", float),
-    "fc_y": ("fc_y", float),
-    "advanced_fraction": ("advanced_fraction", float),
-    "advanced_energy_factor": ("advanced_energy_factor", float),
-    "initial_energy": ("energy.initial_energy", float),
-    "e_tx": ("energy.e_tx", float),
-    "e_aggregation": ("energy.e_aggregation", float),
-    "e_rx": ("energy.e_rx", float),
-    "e_fs": ("energy.e_fs", float),
-    "e_mp": ("energy.e_mp", float),
-    "e_elec": ("energy.e_elec", float),
-    "e_prop": ("energy.e_prop", float),
-    "path_loss": ("energy.path_loss", float),
+# Validation messages start with the field they reject: its path, or its name
+# inside a nested dataclass (``e_tx`` for ``energy.e_tx``).
+_FIELD_TO_KEY = {
+    name: key for key, path, _ in _SCHEMA for name in (path, path.rpartition(".")[2])
 }
 
-_ATTR_TO_KEY = {attr.split(".")[-1]: key for key, (attr, _) in _KEY_SPECS.items()}
-_ATTR_TO_KEY["ch_probability"] = "p"
-_ATTR_TO_KEY["n_nodes"] = "nodes"
-_ATTR_TO_KEY["rng_seed"] = "seed"
-_ATTR_TO_KEY["cluster_count"] = "k"
+
+def _config_error(err: ValueError, lines: dict[str, int]) -> ConfigError:
+    """``err`` as a ConfigError naming the config key, and its line if known."""
+    if isinstance(err, ConfigError):
+        return err
+    message = str(err)
+    field = message.partition(" ")[0]
+    key = _FIELD_TO_KEY.get(field)
+    if key is None:
+        return ConfigError(message)
+    return ConfigError(key + message[len(field):], line=lines.get(key))
 
 
 def _build_config(values: dict[str, object], lines: dict[str, int]) -> ScenarioConfig:
-    scenario: dict[str, object] = {}
-    energy: dict[str, float] = {}
-    fc: dict[str, float] = {}
-    for key, value in values.items():
-        attr = _KEY_SPECS[key][0]
-        if attr.startswith("energy."):
-            energy[attr.split(".", 1)[1]] = value  # type: ignore[assignment]
-        elif attr in ("fc_x", "fc_y"):
-            fc[attr] = value  # type: ignore[assignment]
-        else:
-            scenario[attr] = value
-    try:
-        params = EnergyParams(**energy) if energy else EnergyParams()
-        default_fc = ScenarioConfig.__dataclass_fields__["fc_position"].default
-        position = Position(
-            fc.get("fc_x", default_fc.x), fc.get("fc_y", default_fc.y)
-        )
-        return ScenarioConfig(fc_position=position, energy=params, **scenario)
-    except ValueError as err:
-        message = str(err)
-        attr = message.split()[0]
-        key = _ATTR_TO_KEY.get(attr)
-        if key is not None:
-            message = key + message[len(attr):]
-            raise ConfigError(message, line=lines.get(key)) from err
-        raise ConfigError(message) from err
+    """The defaults with ``values`` (config key -> value) applied in one step.
 
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse flat ``key = value`` text; ``#`` starts a comment.
-
-    Unknown or duplicate keys and out-of-range values are rejected with the
-    offending line number; omitted keys keep their defaults.
+    A nested field is replaced inside its parent first, so the scenario is
+    validated once, as a whole.
     """
+    default = ScenarioConfig()
+    changes: dict[str, object] = {}
+    try:
+        for key, value in values.items():
+            name, _, leaf = _ROWS[key][0].partition(".")
+            if leaf:
+                value = replace(changes.get(name, getattr(default, name)), **{leaf: value})
+            changes[name] = value
+        return replace(default, **changes)
+    except ValueError as err:
+        raise _config_error(err, lines) from err
+
+
+def _read_config(text: str) -> tuple[dict[str, object], dict[str, int]]:
+    """Parse flat ``key = value`` text into key -> value and key -> line."""
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,17 +132,25 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value_text = stripped.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _KEY_SPECS:
+        if key not in _ROWS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        parser = _KEY_SPECS[key][1]
         try:
-            values[key] = parser(value_text)  # type: ignore[operator]
+            values[key] = _ROWS[key][1](value_text)
         except ValueError as err:
             raise ConfigError(f"invalid value for {key!r}: {err}", line=lineno) from err
         lines[key] = lineno
-    return _build_config(values, lines)
+    return values, lines
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse flat ``key = value`` text; ``#`` starts a comment.
+
+    Unknown or duplicate keys and out-of-range values are rejected with the
+    offending line number; omitted keys keep their defaults.
+    """
+    return _build_config(*_read_config(text))
 
 
 def _fmt(value: float) -> str:
@@ -160,47 +160,23 @@ def _fmt(value: float) -> str:
 
 def config_echo_lines(config: ScenarioConfig, seeds: list[int]) -> list[str]:
     """Comment lines restating every effective parameter, config-file syntax."""
-    e = config.energy
-    pairs = [
-        ("protocol", config.protocol),
-        ("clustering", config.clustering),
-        ("k", config.cluster_count),
-        ("nodes", config.n_nodes),
-        ("rounds", config.rounds),
-        ("p", repr(config.ch_probability)),
-        ("field_width", repr(config.field_width)),
-        ("field_height", repr(config.field_height)),
-        ("fc_x", repr(config.fc_position.x)),
-        ("fc_y", repr(config.fc_position.y)),
-        ("advanced_fraction", repr(config.advanced_fraction)),
-        ("advanced_energy_factor", repr(config.advanced_energy_factor)),
-        ("initial_energy", repr(e.initial_energy)),
-        ("e_tx", repr(e.e_tx)),
-        ("e_aggregation", repr(e.e_aggregation)),
-        ("e_rx", repr(e.e_rx)),
-        ("e_fs", repr(e.e_fs)),
-        ("e_mp", repr(e.e_mp)),
-        ("e_elec", repr(e.e_elec)),
-        ("e_prop", repr(e.e_prop)),
-        ("path_loss", repr(e.path_loss)),
-    ]
-    out = [f"# {key} = {value}" for key, value in pairs]
+    out = [f"# {key} = {get(config)}" for key, get in _ECHOED]
     out.append(f"# seeds = {','.join(str(s) for s in seeds)}")
     return out
 
 
 def render_run_csv(config: ScenarioConfig, seeds: list[int]) -> tuple[str, list[SimulationResult]]:
     """Run every seed and render the per-round CSV (rows grouped by seed)."""
+    configs = [replace(config, rng_seed=seed) for seed in seeds]  # all valid before any run
+    results = [run_simulation(seed_config) for seed_config in configs]
     chunks = config_echo_lines(config, seeds)
     chunks.append(CSV_HEADER)
-    results = []
-    for seed in seeds:
-        result = run_simulation(replace(config, rng_seed=seed))
-        results.append(result)
+    for result in results:
         for row in result.metrics:
             chunks.append(
-                f"{row.round_number},{config.protocol},{config.clustering},{seed},"
-                f"{_fmt(row.total_residual)},{row.alive},{row.ch_count}"
+                f"{row.round_number},{config.protocol},{config.clustering},"
+                f"{result.config.rng_seed},{_fmt(row.total_residual)},"
+                f"{row.alive},{row.ch_count}"
             )
     return "\n".join(chunks) + "\n", results
 
@@ -273,13 +249,16 @@ def summarize_variants(
     Runs that never lose a node contribute ``rounds + 1`` to the mean
     first-death round (right-censored).
     """
+    runs = {  # every variant and seed is valid before the first run starts
+        name: [replace(config, protocol=protocol, clustering=clustering, rng_seed=seed)
+               for seed in seeds]
+        for name, protocol, clustering in _COMPARE_VARIANTS
+    }
     summary: dict[str, dict[str, float]] = {}
-    for name, protocol, clustering in _COMPARE_VARIANTS:
+    for name, configs in runs.items():
         finals, alives, deaths = [], [], []
-        for seed in seeds:
-            result = run_simulation(
-                replace(config, protocol=protocol, clustering=clustering, rng_seed=seed)
-            )
+        for run_config in configs:
+            result = run_simulation(run_config)
             finals.append(result.final_residual)
             alives.append(float(result.final_alive))
             fd = result.first_death_round
@@ -291,6 +270,11 @@ def summarize_variants(
             "mean_first_death_round": float(np.mean(deaths)),
         }
     return summary
+
+
+def _ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``; nan when the denominator is 0 (no data)."""
+    return numerator / denominator if denominator else math.nan
 
 
 def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
@@ -309,15 +293,15 @@ def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     ratios = [
         (
             "ratio_residual_proposed_uniform_over_baseline",
-            uniform["mean_final_residual_j"] / baseline["mean_final_residual_j"],
+            _ratio(uniform["mean_final_residual_j"], baseline["mean_final_residual_j"]),
         ),
         (
             "ratio_residual_proposed_uniform_over_proposed_nonuniform",
-            uniform["mean_final_residual_j"] / nonuniform["mean_final_residual_j"],
+            _ratio(uniform["mean_final_residual_j"], nonuniform["mean_final_residual_j"]),
         ),
         (
             "ratio_alive_proposed_uniform_over_baseline",
-            uniform["mean_final_alive"] / baseline["mean_final_alive"],
+            _ratio(uniform["mean_final_alive"], baseline["mean_final_alive"]),
         ),
     ]
     for name, value in ratios:
@@ -325,54 +309,41 @@ def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     return "\n".join(chunks) + "\n"
 
 
-def _parse_seed_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as err:
-        raise ConfigError(f"invalid --seeds list {text!r}: {err}") from err
-
-
 def _effective_config(ns: argparse.Namespace) -> ScenarioConfig:
-    """Defaults, overlaid by the config file, overlaid by command-line flags."""
+    """Defaults, overlaid by the config file, overlaid by command-line flags.
+
+    File and flag values are merged before the one validation, so a flag can
+    repair a file value that is invalid only in combination with others.
+    """
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     if ns.config is not None:
         try:
             with open(ns.config, "r", encoding="utf-8") as handle:
-                config = parse_config(handle.read())
+                text = handle.read()
         except OSError as err:
             raise ConfigError(f"cannot read config file {ns.config!r}: {err}") from err
-    else:
-        config = ScenarioConfig()
-    overrides: dict[str, object] = {}
-    for flag, attr in (
-        ("protocol", "protocol"),
-        ("clustering", "clustering"),
-        ("k", "cluster_count"),
-        ("rounds", "rounds"),
-        ("seed", "rng_seed"),
-    ):
-        value = getattr(ns, flag, None)
-        if value is not None:
-            overrides[attr] = value
-    try:
-        return replace(config, **overrides) if overrides else config
-    except ValueError as err:
-        message = str(err)
-        attr = message.split()[0]
-        key = _ATTR_TO_KEY.get(attr)
-        if key is not None:
-            message = key + message[len(attr):]
-        raise ConfigError(message) from err
+        values, lines = _read_config(text)
+    for key in _ROWS:
+        flag = getattr(ns, key, None)
+        if flag is not None:
+            values[key] = flag
+            lines.pop(key, None)
+    return _build_config(values, lines)
 
 
 def _seeds_for(ns: argparse.Namespace, config: ScenarioConfig) -> list[int]:
-    if getattr(ns, "seeds", None) is not None:
-        if getattr(ns, "seed", None) is not None:
-            raise ConfigError("--seed and --seeds are mutually exclusive")
-        seeds = _parse_seed_list(ns.seeds)
-        if not seeds:
-            raise ConfigError("--seeds must list at least one seed")
-        return seeds
-    return [config.rng_seed]
+    if ns.seeds is None:
+        return [config.rng_seed]
+    if ns.seed is not None:
+        raise ConfigError("--seed and --seeds are mutually exclusive")
+    try:
+        seeds = [int(part) for part in ns.seeds.split(",") if part.strip() != ""]
+    except ValueError as err:
+        raise ConfigError(f"invalid --seeds list {ns.seeds!r}: {err}") from err
+    if not seeds:
+        raise ConfigError("--seeds must list at least one seed")
+    return seeds
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -440,9 +411,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         return ns.func(ns)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except OverflowError as err:
+        message = f"arithmetic overflow in the run: {err}"
+    except ValueError as err:
+        message = str(_config_error(err, {}))
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -67,13 +67,10 @@ class EnergyParams:
     path_loss: float = 0.3            # path-loss factor of the linear model
 
     def __post_init__(self) -> None:
-        for name in (
-            "initial_energy", "e_tx", "e_aggregation", "e_rx", "e_fs",
-            "e_mp", "e_elec", "e_prop", "path_loss",
-        ):
-            value = getattr(self, name)
+        for item in fields(self):
+            value = getattr(self, item.name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+                raise ValueError(f"{item.name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,21 @@ class ScenarioConfig:
             raise ValueError(
                 f"advanced_fraction must be in [0, 1], got {self.advanced_fraction}"
             )
-        if self.advanced_energy_factor < 0.0:
+        factor = self.advanced_energy_factor
+        if not (math.isfinite(factor) and factor >= 0.0):
+            raise ValueError(f"advanced_energy_factor must be finite and >= 0, got {factor}")
+        total = self.n_nodes * self.energy.initial_energy * (1.0 + factor)
+        if not math.isfinite(total):
             raise ValueError(
-                f"advanced_energy_factor must be >= 0, got {self.advanced_energy_factor}"
+                "initial_energy * (1 + advanced_energy_factor) * n_nodes must be finite, "
+                f"got {total}"
             )
+        for axis in ("x", "y"):
+            value = getattr(self.fc_position, axis)
+            if not math.isfinite(value):
+                raise ValueError(f"fc_position.{axis} must be finite, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def place_nodes(config: ScenarioConfig, rng: np.random.Generator) -> list[NodeState]:

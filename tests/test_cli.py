@@ -1,7 +1,14 @@
 import argparse
+import contextlib
+import io
+import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crwsnsim import ConfigError, ScenarioConfig, parse_config, read_metrics_csv
 from crwsnsim.cli import (
@@ -236,3 +243,126 @@ def test_echo_lines_parse_back():
         if not line.startswith("# seeds")
     )
     assert parse_config(echoed) == config
+
+
+def _cli(directory, argv, config_text):
+    """Exit code of ``main`` on ``argv`` plus a config file holding ``config_text``."""
+    config = Path(directory) / "case.cfg"
+    config.write_text(config_text)
+    return main([*argv, "--config", str(config)])
+
+
+# case -> (argv, config-file text, start of the one stderr line after "error: ")
+ERROR_CASES = {
+    "negative-seed": (["run", "--seed", "-1", "--rounds", "3"], "", "seed must be >= 0"),
+    "negative-seed-in-list": (
+        ["run", "--seeds", "1,-1", "--rounds", "3"], "", "seed must be >= 0"
+    ),
+    # the bad value came from the flag, so no file line is named
+    "flag-over-file-seed": (
+        ["run", "--seed", "-1", "--rounds", "3"], "seed = 5\n", "seed must be >= 0"
+    ),
+    "fc-x-nan": (["run", "--rounds", "3"], "fc_x = nan\n", "line 1: fc_x must be finite"),
+    "fc-y-inf": (["run", "--rounds", "3"], "fc_y = inf\n", "line 1: fc_y must be finite"),
+    "advanced-factor-inf": (
+        ["run", "--rounds", "3"],
+        "advanced_fraction = 0.5\nadvanced_energy_factor = inf\n",
+        "line 2: advanced_energy_factor must be finite",
+    ),
+    # compare runs a uniform variant with k = 10 heads whatever the file says
+    "compare-5-nodes": (
+        ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 5\n", "k must be in"
+    ),
+    "compare-9-nodes": (
+        ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 9\n", "k must be in"
+    ),
+    "compare-uniform-p": (
+        ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 10\np = 0.05\n", "p * n_nodes"
+    ),
+    "multipath-overflow": (
+        ["run", "--rounds", "3"], "e_mp = 1e300\nfc_y = 1e80\n", "arithmetic overflow"
+    ),
+    "unknown-protocol": (
+        ["run", "--rounds", "3"], "protocol = flood\n",
+        "line 1: protocol must be one of ('baseline', 'proposed'), got 'flood'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
+    argv, config_text, expected = ERROR_CASES[case]
+    assert _cli(tmp_path, argv, config_text) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {expected}")
+
+
+def test_compare_ratio_without_data_is_nan(tmp_path, capsys):
+    # every node of every variant dies, so each ratio's denominator is 0
+    config_text = "nodes = 20\ninitial_energy = 1e-6\n"
+    assert _cli(tmp_path, ["compare", "--seeds", "1", "--rounds", "500"], config_text) == 0
+    ratios = [line.split(",") for line in capsys.readouterr().out.splitlines()
+              if line.startswith("ratio_")]
+    assert len(ratios) == 3
+    assert all(row[1] == "nan" for row in ratios)
+
+
+def test_flag_repairs_file_value_invalid_in_combination(tmp_path, capsys):
+    # the default k = 10 exceeds the file's 5 nodes; --k 3 makes the file valid
+    config_text = "nodes = 5\nclustering = uniform\np = 0.5\n"
+    assert _cli(tmp_path, ["run", "--rounds", "2"], config_text) == 2
+    assert capsys.readouterr().err.startswith("error: k must be in")
+    assert _cli(tmp_path, ["run", "--rounds", "2", "--k", "3"], config_text) == 0
+    assert ",baseline,uniform,42," in capsys.readouterr().out
+
+
+_EDGE_FLOATS = [0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.inf, -math.inf, math.nan, -1.0]
+
+
+def _float_text(lo=1e-12, hi=1e3):
+    return st.one_of(
+        st.floats(min_value=lo, max_value=hi), st.sampled_from(_EDGE_FLOATS)
+    ).map(repr)
+
+
+_CONFIG_VALUES = st.fixed_dictionaries(
+    {"nodes": st.integers(1, 12).map(str), "rounds": st.integers(0, 12).map(str)},
+    optional={
+        "k": st.integers(-1, 12).map(str),
+        "seed": st.integers(-1, 2**70).map(str),
+        "protocol": st.sampled_from(["baseline", "proposed", "Proposed", "flood"]),
+        "clustering": st.sampled_from(["uniform", "nonuniform"]),
+        "p": _float_text(0.0, 1.0),
+        "advanced_fraction": _float_text(0.0, 1.0),
+        "advanced_energy_factor": _float_text(),
+        "field_width": _float_text(),
+        "field_height": _float_text(),
+        "fc_x": _float_text(-1e3),
+        "fc_y": _float_text(-1e3),
+        **{key: _float_text() for key in (
+            "initial_energy", "e_tx", "e_aggregation", "e_rx", "e_fs", "e_mp",
+        )},
+    },
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CONFIG_VALUES)
+def test_any_config_runs_finite_or_ends_in_one_error_line(values):
+    config_text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _cli(directory, ["run"], config_text)
+    if code == 0:
+        assert err.getvalue() == ""
+        rows = [line.split(",") for line in out.getvalue().splitlines()
+                if line[:1].isdigit()]
+        assert all(math.isfinite(float(row[4])) for row in rows)
+    else:
+        assert code == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

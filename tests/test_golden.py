@@ -1,0 +1,110 @@
+"""Golden outputs: SHA-256 digests of the CLI's CSV bytes for a fixed matrix.
+
+The digests pin every byte the CLI writes: the echoed parameter header and
+each per-round or summary row. A change that moves any of them fails here.
+The matrix only gains cases; a deliberate re-pin belongs in a change of its
+own, with its reason written in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from crwsnsim.cli import main
+
+VARIANTS = (
+    ("baseline", "baseline", "nonuniform"),
+    ("proposed_uniform", "proposed", "uniform"),
+    ("proposed_nonuniform", "proposed", "nonuniform"),
+)
+
+# case id -> (argv without --config/--out, config-file text)
+CASES = {
+    f"{name}-seed{seed}-fc{fc_y}": (
+        ["run", "--protocol", protocol, "--clustering", clustering,
+         "--seed", str(seed), "--rounds", "30"],
+        f"fc_x = 50\nfc_y = {fc_y}\n",
+    )
+    for name, protocol, clustering in VARIANTS
+    for seed in (1, 2)
+    for fc_y in (50, 400)
+}
+# Tiny batteries and a far fusion centre: every node dies before round 1500.
+CASES["depletion"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform", "--seed", "1"],
+    "initial_energy = 2e-4\nfc_y = 250\n",
+)
+# Ten nodes at p = 0.1: 12 of the 30 rounds elect no head.
+CASES["zero-head-fallback"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform",
+     "--seed", "1", "--rounds", "30"],
+    "nodes = 10\n",
+)
+CASES["compare"] = (["compare", "--seeds", "1,2", "--rounds", "30"], "")
+
+GOLDEN = {
+    "baseline-seed1-fc50":
+        "f700bec08972a5b8b808f743ccb821b97a6de1fe8792a5cd0f5405d71139f912",
+    "baseline-seed1-fc400":
+        "f4cbbddeb17a75426d9c2c770347fedd67ad39cf2b000791686faf1c0dd41bb1",
+    "baseline-seed2-fc50":
+        "bf8a92dd4d168b507839ac2a208178a6e86f8b2fdc0e5e76342635446dca0268",
+    "baseline-seed2-fc400":
+        "b55512fbbc4ead8747e54ea90a411d58595dc39b9b3fe467d7ef0b8009f88b77",
+    "proposed_uniform-seed1-fc50":
+        "30c104d03ca119a9b2b4e8910e1453d613969598593b50255291472ddeecc5b3",
+    "proposed_uniform-seed1-fc400":
+        "3e3fc64756d33aa3e2d8dc8467742d8789d1161975df7733d41519df381d6ed1",
+    "proposed_uniform-seed2-fc50":
+        "9af676aaa6d8a1bc75eebc6c38d5d3b6cae23cd08082568f5ec26f3fc94bf8df",
+    "proposed_uniform-seed2-fc400":
+        "1b4ea56f4db2da16f1ce9cb7396789d50b3a26dd6d5c2f20a0f89ec436fc0bab",
+    "proposed_nonuniform-seed1-fc50":
+        "59d06861c92e698f5207d1674b5d1ea33529bbfd32b871296f9ed2e74e33413c",
+    "proposed_nonuniform-seed1-fc400":
+        "24d0797cc6dcbe9992c8386adbeeb07f9f38724b446400a9ad6e7921a927e9f6",
+    "proposed_nonuniform-seed2-fc50":
+        "a78ce76075f8d404bfe3380a9e9e4d71c02e54f3ba35be5df0f9f0960b6e06c7",
+    "proposed_nonuniform-seed2-fc400":
+        "85e126c1243fa5cb2b528fbafdb938893fe25ad94ad20ddbd596899685a55953",
+    "depletion":
+        "d22fa7b7daa4939b80ca6166368e3718e418b31171a4fb00011832179308a124",
+    "zero-head-fallback":
+        "5799d214ce6790bb51d7b6f805ea0bd27d3c03b2c4177e11cea7fa9fd28a3efe",
+    "compare":
+        "5e8df238c1f252beb88f571d3201415f87142e2841f888a77861e144b505ec7b",
+}
+
+
+def cli_output(tmp_path, argv, config_text):
+    """Bytes the CLI writes for ``argv`` plus a config file holding ``config_text``."""
+    config, out = tmp_path / "case.cfg", tmp_path / "out.csv"
+    config.write_text(config_text)
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _rows(data):
+    return [line.split(",") for line in data.decode().splitlines()
+            if line[:1].isdigit()]
+
+
+def test_every_case_is_pinned():
+    assert set(CASES) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(tmp_path, case):
+    data = cli_output(tmp_path, *CASES[case])
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[case]
+
+
+def test_depletion_case_runs_to_extinction(tmp_path):
+    rows = _rows(cli_output(tmp_path, *CASES["depletion"]))
+    assert rows[-1][5] == "0"
+    assert len(rows) < 1500
+
+
+def test_fallback_case_has_zero_head_rounds(tmp_path):
+    rows = _rows(cli_output(tmp_path, *CASES["zero-head-fallback"]))
+    assert any(row[6] == "0" for row in rows)

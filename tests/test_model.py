@@ -95,6 +95,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="clustering"):
             ScenarioConfig(clustering="fixed")
 
+    def test_seed_non_negative_without_upper_bound(self):
+        with pytest.raises(ValueError, match="rng_seed"):
+            ScenarioConfig(rng_seed=-1)
+        ScenarioConfig(rng_seed=0)
+        ScenarioConfig(rng_seed=2**70)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 50.0), (50.0, math.inf), (-math.inf, 0.0)])
+    def test_fusion_centre_finite(self, x, y):
+        with pytest.raises(ValueError, match="fc_position"):
+            ScenarioConfig(fc_position=Position(x, y))
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, -0.5])
+    def test_advanced_energy_factor_finite_non_negative(self, factor):
+        with pytest.raises(ValueError, match="advanced_energy_factor"):
+            ScenarioConfig(advanced_energy_factor=factor)
+
+    def test_total_initial_energy_finite(self):
+        # each battery is finite, but the field's total is not
+        with pytest.raises(ValueError, match="initial_energy"):
+            ScenarioConfig(n_nodes=2, energy=EnergyParams(initial_energy=1e308))
+        with pytest.raises(ValueError, match="initial_energy"):
+            ScenarioConfig(n_nodes=1, advanced_fraction=1.0, advanced_energy_factor=1.0,
+                           energy=EnergyParams(initial_energy=1e308))
+        ScenarioConfig(n_nodes=1, energy=EnergyParams(initial_energy=1e308))
+
     def test_positive_energy_constants(self):
         with pytest.raises(ValueError, match="e_fs"):
             EnergyParams(e_fs=0.0)
