@@ -9,27 +9,23 @@ from .model import (
     PROTOCOL_PROPOSED,
     PROTOCOLS,
     EnergyParams,
-    NodeKind,
-    NodeState,
+    Nodes,
     Position,
     ScenarioConfig,
-    distance,
     place_nodes,
 )
 from .energy import crossover_distance, link_cost, rx_energy, tx_energy_linear
 from .clustering import (
-    ClusterAssignment,
-    ElectionState,
     assign_members,
     elect_cluster_heads,
     election_threshold,
+    eligible_mask,
     epoch_length,
 )
 from .routing import (
     OrientedTree,
     RouteDecision,
     build_adjacency,
-    merge_sensing_tables,
     orient_tree,
     prim_mst,
     route_decision,
@@ -53,13 +49,10 @@ __all__ = [
     "PROTOCOLS",
     "PROTOCOL_BASELINE",
     "PROTOCOL_PROPOSED",
-    "ClusterAssignment",
     "ConfigError",
-    "ElectionState",
     "EnergyParams",
     "MetricsRow",
-    "NodeKind",
-    "NodeState",
+    "Nodes",
     "OrientedTree",
     "Position",
     "RouteDecision",
@@ -69,12 +62,11 @@ __all__ = [
     "assign_members",
     "build_adjacency",
     "crossover_distance",
-    "distance",
     "elect_cluster_heads",
     "election_threshold",
+    "eligible_mask",
     "epoch_length",
     "link_cost",
-    "merge_sensing_tables",
     "no_ch_fallback",
     "orient_tree",
     "parse_config",

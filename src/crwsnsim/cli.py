@@ -263,12 +263,16 @@ def summarize_variants(
             alives.append(float(result.final_alive))
             fd = result.first_death_round
             deaths.append(float(fd) if fd is not None else float(config.rounds + 1))
-        summary[name] = {
-            "mean_final_residual_j": float(np.mean(finals)),
-            "stddev_final_residual_j": float(np.std(finals)),
-            "mean_final_alive": float(np.mean(alives)),
-            "mean_first_death_round": float(np.mean(deaths)),
-        }
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary[name] = {
+                "mean_final_residual_j": float(np.mean(finals)),
+                "stddev_final_residual_j": float(np.std(finals)),
+                "mean_final_alive": float(np.mean(alives)),
+                "mean_first_death_round": float(np.mean(deaths)),
+            }
+        for stat, value in summary[name].items():
+            if not math.isfinite(value):
+                raise OverflowError(f"{stat} of {name} is {value}")
     return summary
 
 

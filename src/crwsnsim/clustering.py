@@ -9,11 +9,9 @@ or promotes by residual energy to hit a fixed head count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import CLUSTERING_UNIFORM, NodeState
+from .model import CLUSTERING_UNIFORM, Nodes
 
 
 def epoch_length(ch_probability: float) -> int:
@@ -45,41 +43,16 @@ def _check_probability(p: float) -> None:
         raise ValueError(f"ch_probability must be in (0, 1], got {p}")
 
 
-@dataclass(frozen=True)
-class ElectionState:
-    """Snapshot of the eligible set for one round's election."""
-
-    round_index: int
-    ch_probability: float
-    epoch: int
-    eligible: frozenset[int]
-
-    @classmethod
-    def for_round(
-        cls, nodes: list[NodeState], ch_probability: float, round_index: int
-    ) -> "ElectionState":
-        """Eligible set: alive nodes that have not served in the current epoch."""
-        epoch = epoch_length(ch_probability)
-        epoch_start = (round_index // epoch) * epoch
-        eligible = frozenset(
-            n.id
-            for n in nodes
-            if n.alive and (n.last_ch_round is None or n.last_ch_round < epoch_start)
-        )
-        return cls(round_index, ch_probability, epoch, eligible)
-
-
-@dataclass
-class ClusterAssignment:
-    """Elected heads plus the member-to-head map for one round."""
-
-    cluster_heads: list[int]
-    member_of: dict[int, int]
+def eligible_mask(nodes: Nodes, ch_probability: float, round_index: int) -> np.ndarray:
+    """Eligible set: alive nodes that have not served in the current epoch."""
+    epoch = epoch_length(ch_probability)
+    return nodes.alive & (nodes.last_ch_round < (round_index // epoch) * epoch)
 
 
 def elect_cluster_heads(
-    nodes: list[NodeState],
-    state: ElectionState,
+    nodes: Nodes,
+    ch_probability: float,
+    round_index: int,
     clustering: str,
     cluster_count: int,
     rng: np.random.Generator,
@@ -93,49 +66,40 @@ def elect_cluster_heads(
     break toward the lower node id. Every head, elected or promoted, enters
     the cooldown via ``last_ch_round``.
     """
-    alive = [n for n in nodes if n.alive]
-    if not alive:
+    alive = np.flatnonzero(nodes.alive)
+    if not alive.size:
         raise ValueError("election requires at least one alive node")
-    draws = rng.random(len(alive))
-    heads = [
-        n
-        for n, u in zip(alive, draws)
-        if u < election_threshold(state.ch_probability, state.round_index, n.id in state.eligible)
-    ]
+    eligible = eligible_mask(nodes, ch_probability, round_index)[alive]
+    draws = rng.random(alive.size)
+    elected = (draws < election_threshold(ch_probability, round_index, True)) & eligible
+    heads = alive[elected]
     if clustering == CLUSTERING_UNIFORM:
-        target = min(cluster_count, len(alive))
-        if len(heads) > target:
-            heads = sorted(heads, key=lambda n: (-n.energy, n.id))[:target]
-        elif len(heads) < target:
-            chosen = {n.id for n in heads}
-            pool = [n for n in alive if n.id not in chosen]
-            pool.sort(key=lambda n: (n.id not in state.eligible, -n.energy, n.id))
-            heads = heads + pool[: target - len(heads)]
-    for n in heads:
-        n.last_ch_round = state.round_index
-    return sorted(n.id for n in heads)
+        target = min(cluster_count, alive.size)
+        energy = nodes.energy
+        if heads.size > target:
+            heads = heads[np.lexsort((heads, -energy[heads]))[:target]]
+        elif heads.size < target:
+            pool, pool_eligible = alive[~elected], eligible[~elected]
+            order = np.lexsort((pool, -energy[pool], ~pool_eligible))
+            heads = np.concatenate((heads, pool[order[: target - heads.size]]))
+    nodes.last_ch_round[heads] = round_index
+    return sorted(heads.tolist())
 
 
-def assign_members(nodes: list[NodeState], cluster_heads: list[int]) -> ClusterAssignment:
+def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Attach every alive non-head node to its nearest head.
 
+    Returns the member ids in ascending order and each member's head id.
     Distance ties break toward the lower head id.
     """
     if not cluster_heads:
         raise ValueError("assign_members requires at least one cluster head")
-    heads = sorted(cluster_heads)
-    head_set = set(heads)
-    by_id = {n.id: n for n in nodes}
-    members = [n for n in nodes if n.alive and n.id not in head_set]
-    member_of: dict[int, int] = {}
-    if members:
-        head_xy = np.array([(by_id[h].position.x, by_id[h].position.y) for h in heads])
-        member_xy = np.array([(n.position.x, n.position.y) for n in members])
-        dists = np.hypot(
-            member_xy[:, 0][:, None] - head_xy[:, 0][None, :],
-            member_xy[:, 1][:, None] - head_xy[:, 1][None, :],
-        )
-        nearest = dists.argmin(axis=1)  # first minimum -> lowest head id
-        for node, head_idx in zip(members, nearest):
-            member_of[node.id] = heads[int(head_idx)]
-    return ClusterAssignment(heads, member_of)
+    heads = np.sort(cluster_heads)
+    is_member = nodes.alive.copy()
+    is_member[heads] = False
+    members = np.flatnonzero(is_member)
+    dists = np.hypot(
+        nodes.x[members][:, None] - nodes.x[heads][None, :],
+        nodes.y[members][:, None] - nodes.y[heads][None, :],
+    )
+    return members, heads[dists.argmin(axis=1)]  # first minimum -> lowest head id

@@ -7,8 +7,8 @@ elected and members attach to their nearest head; every member reports its
 bit to its head (head pays reception plus aggregation per received bit);
 heads then deliver to the fusion centre either directly (baseline) or along
 the fusion-centre-oriented spanning tree with a per-head direct-vs-relay
-cost decision (proposed); finally nodes that ran out of energy are marked
-dead. Deductions floor at zero so the books always balance.
+cost decision (proposed); finally every battery is floored at zero and the
+nodes that ran out of energy are marked dead.
 """
 
 from __future__ import annotations
@@ -18,23 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    PROTOCOL_BASELINE,
-    NodeState,
-    ScenarioConfig,
-    distance,
-    place_nodes,
-)
+from .model import PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
 from .energy import link_cost, rx_energy
-from .clustering import ClusterAssignment, ElectionState, assign_members, elect_cluster_heads
-from .routing import (
-    RouteDecision,
-    build_adjacency,
-    merge_sensing_tables,
-    orient_tree,
-    prim_mst,
-    route_decision,
-)
+from .clustering import assign_members, elect_cluster_heads
+from .routing import RouteDecision, build_adjacency, orient_tree, prim_mst, route_decision
 
 
 @dataclass
@@ -81,159 +68,131 @@ class SimulationResult:
         return self.metrics[-1].first_death_round if self.metrics else None
 
 
-def _drain(node: NodeState, amount: float) -> float:
-    """Deduct up to ``amount`` joules, flooring at zero.
+def _fc_distances(nodes: Nodes, ids: list[int], config: ScenarioConfig) -> list[float]:
+    """Distance (m) from each node in ``ids`` to the fusion centre."""
+    fc = config.fc_position
+    dx, dy = (nodes.x[ids] - fc.x).tolist(), (nodes.y[ids] - fc.y).tolist()
+    return [math.hypot(a, b) for a, b in zip(dx, dy)]
 
-    Returns the realized drop (energy before minus energy after), so the
-    per-round spend telescopes exactly against the residual energy.
+
+def no_ch_fallback(nodes: Nodes, config: ScenarioConfig) -> float:
+    """Zero-head round: every alive node sends its bit straight to the FC.
+
+    Returns the energy charged.
     """
-    before = node.energy
-    node.energy = before - min(before, amount)
-    return before - node.energy
-
-
-def no_ch_fallback(nodes: list[NodeState], config: ScenarioConfig) -> float:
-    """Zero-head round: every alive node sends its bit straight to the FC."""
-    alive = [n for n in nodes if n.alive]
+    alive = np.flatnonzero(nodes.alive).tolist()
     if not alive:
         raise ValueError("fallback requires at least one alive node")
-    params = config.energy
-    spent = 0.0
-    for n in alive:
-        spent += _drain(n, link_cost(params, 1, distance(n.position, config.fc_position)))
-    return spent
+    costs = [link_cost(config.energy, 1, d) for d in _fc_distances(nodes, alive, config)]
+    nodes.energy[alive] -= costs
+    return math.fsum(costs)
 
 
 def _member_report_phase(
-    nodes: list[NodeState], assignment: ClusterAssignment, config: ScenarioConfig
-) -> float:
+    nodes: Nodes, members: np.ndarray, member_head: np.ndarray, config: ScenarioConfig
+) -> None:
+    """Each member sends its bit to its head, which receives and aggregates it."""
     params = config.energy
-    by_id = {n.id: n for n in nodes}
-    spent = 0.0
-    for member_id, head_id in assignment.member_of.items():
-        member = by_id[member_id]
-        head = by_id[head_id]
-        spent += _drain(member, link_cost(params, 1, distance(member.position, head.position)))
-        spent += _drain(head, rx_energy(params, 1) + params.e_aggregation)
-    return spent
+    dx = (nodes.x[members] - nodes.x[member_head]).tolist()
+    dy = (nodes.y[members] - nodes.y[member_head]).tolist()
+    nodes.energy[members] -= [link_cost(params, 1, math.hypot(a, b)) for a, b in zip(dx, dy)]
+    # one sequential subtraction per received bit, in member-id order
+    np.subtract.at(nodes.energy, member_head, rx_energy(params, 1) + params.e_aggregation)
 
 
 def _baseline_head_phase(
-    heads: list[NodeState], config: ScenarioConfig, decisions: list[RouteDecision]
-) -> float:
+    nodes: Nodes, heads: list[int], config: ScenarioConfig, decisions: list[RouteDecision]
+) -> None:
     """Every head sends its single aggregated bit directly to the FC."""
-    params = config.energy
-    spent = 0.0
-    for head in heads:
-        d_fc = distance(head.position, config.fc_position)
-        dec = route_decision(params, 1, d_fc, d_fc, is_root=True, ch_id=head.id)
-        decisions.append(dec)
-        spent += _drain(head, dec.direct_cost)
-    return spent
+    for head, d_fc in zip(heads, _fc_distances(nodes, heads, config)):
+        cost = link_cost(config.energy, 1, d_fc)
+        decisions.append(RouteDecision(head, None, cost, cost))
+        nodes.energy[head] -= cost
 
 
 def _proposed_head_phase(
-    heads: list[NodeState],
-    config: ScenarioConfig,
-    decisions: list[RouteDecision],
-) -> tuple[float, list[tuple[int, int, float]]]:
+    nodes: Nodes, heads: list[int], config: ScenarioConfig, decisions: list[RouteDecision]
+) -> list[tuple[int, int, float]]:
     """Spanning-tree convergecast of the heads' sensing tables.
 
     Every head transmits once, deepest heads first, carrying the full
     table width (one bit per head). A relaying head charges its parent
-    the matching reception cost and the parent merges the incoming table
-    before its own transmission.
+    the matching reception cost, and the parent forwards the child's bits
+    with its own.
     """
     params = config.energy
-    fc = config.fc_position
-    adjacency = build_adjacency([h.position for h in heads])
+    adjacency = build_adjacency(nodes.x[heads], nodes.y[heads])
     edges = prim_mst(adjacency, start=0)
-    fc_dists = [distance(h.position, fc) for h in heads]
+    fc_dists = _fc_distances(nodes, heads, config)
     tree = orient_tree(len(heads), edges, fc_dists)
     m_bits = len(heads)
-    tables = {h.id: {h.id: h.sensed_bit} for h in heads}
-    delivered: dict[int, int] = {}
-    spent = 0.0
+    carried = [1] * m_bits  # head bits in each head's table
+    delivered = 0
     for idx in tree.order:
-        head = heads[idx]
-        parent_idx = tree.parents[idx]
-        if parent_idx is None:
-            dec = route_decision(
-                params, m_bits, fc_dists[idx], fc_dists[idx], is_root=True, ch_id=head.id
-            )
-        else:
-            dec = route_decision(
-                params,
-                m_bits,
-                fc_dists[idx],
-                float(adjacency[idx, parent_idx]),
-                is_root=False,
-                ch_id=head.id,
-                parent_id=heads[parent_idx].id,
-            )
+        head, parent = heads[idx], tree.parents[idx]
+        is_root = parent is None
+        dec = route_decision(
+            params, m_bits, fc_dists[idx],
+            fc_dists[idx] if is_root else float(adjacency[idx, parent]),
+            is_root=is_root, ch_id=head, parent_id=None if is_root else heads[parent],
+        )
         decisions.append(dec)
         if dec.is_direct:
-            spent += _drain(head, dec.direct_cost)
-            delivered = merge_sensing_tables(delivered, tables[head.id])
+            nodes.energy[head] -= dec.direct_cost
+            delivered += carried[idx]
         else:
-            spent += _drain(head, dec.relay_cost)
-            parent = heads[parent_idx]
-            spent += _drain(parent, rx_energy(params, m_bits))
-            tables[parent.id] = merge_sensing_tables(tables[parent.id], tables[head.id])
-    if len(delivered) != len(heads):
+            nodes.energy[head] -= dec.relay_cost
+            nodes.energy[heads[parent]] -= rx_energy(params, m_bits)
+            carried[parent] += carried[idx]
+    if delivered != m_bits:
         raise RuntimeError("convergecast did not deliver every head's bit")
-    mst_edges = [(heads[i].id, heads[j].id, w) for i, j, w in edges]
-    return spent, mst_edges
+    return [(heads[i], heads[j], w) for i, j, w in edges]
 
 
 def run_round(
-    nodes: list[NodeState],
+    nodes: Nodes,
     config: ScenarioConfig,
     round_index: int,
     rng: np.random.Generator,
 ) -> RoundOutcome:
-    """Execute one full round, mutating node state in place."""
-    alive = [n for n in nodes if n.alive]
-    if not alive:
+    """Execute one full round, mutating node state in place.
+
+    Charges are not floored as they land: a node drained mid-round still
+    receives, transmits and relays, and ends the round at 0.0 before the
+    death sweep.
+    """
+    alive = np.flatnonzero(nodes.alive)
+    if not alive.size:
         raise ValueError("run_round requires at least one alive node")
+    start_energy = nodes.energy[alive]
 
-    bits = rng.integers(0, 2, size=len(alive))
-    for node, bit in zip(alive, bits):
-        node.sensed_bit = int(bit)
-
-    state = ElectionState.for_round(nodes, config.ch_probability, round_index)
-    head_ids = elect_cluster_heads(
-        nodes, state, config.clustering, config.cluster_count, rng
+    rng.integers(0, 2, size=alive.size)  # sensed bits: drawn to keep the RNG stream, never read
+    heads = elect_cluster_heads(
+        nodes, config.ch_probability, round_index, config.clustering,
+        config.cluster_count, rng,
     )
 
-    spent = 0.0
     decisions: list[RouteDecision] = []
     mst_edges: list[tuple[int, int, float]] = []
-    if not head_ids:
-        spent += no_ch_fallback(nodes, config)
-    else:
-        assignment = assign_members(nodes, head_ids)
-        spent += _member_report_phase(nodes, assignment, config)
-        by_id = {n.id: n for n in nodes}
-        heads = [by_id[h] for h in assignment.cluster_heads]
-        if config.protocol == PROTOCOL_BASELINE:
-            spent += _baseline_head_phase(heads, config, decisions)
+    with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
+        if not heads:
+            no_ch_fallback(nodes, config)
         else:
-            phase_spent, mst_edges = _proposed_head_phase(heads, config, decisions)
-            spent += phase_spent
+            _member_report_phase(nodes, *assign_members(nodes, heads), config)
+            if config.protocol == PROTOCOL_BASELINE:
+                _baseline_head_phase(nodes, heads, config, decisions)
+            else:
+                mst_edges = _proposed_head_phase(nodes, heads, config, decisions)
 
-    deaths = []
-    for n in alive:
-        if n.energy <= 0.0:
-            n.alive = False
-            deaths.append(n.id)
+    np.maximum(nodes.energy, 0.0, out=nodes.energy)
+    end_energy = nodes.energy[alive]
+    spent = math.fsum((start_energy - end_energy).tolist())
+    deaths = alive[end_energy <= 0.0]
+    nodes.alive[deaths] = False
+    return RoundOutcome(round_index, heads, mst_edges, decisions, spent, deaths.tolist())
 
-    return RoundOutcome(round_index, head_ids, mst_edges, decisions, spent, deaths)
 
-
-def run_simulation(
-    config: ScenarioConfig, nodes: list[NodeState] | None = None
-) -> SimulationResult:
+def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> SimulationResult:
     """Run ``config.rounds`` rounds (or until extinction), deterministically.
 
     Passing ``nodes`` bypasses the seeded uniform placement (and its RNG
@@ -242,21 +201,21 @@ def run_simulation(
     rng = np.random.default_rng(config.rng_seed)
     if nodes is None:
         nodes = place_nodes(config, rng)
-    initial = math.fsum(n.energy for n in nodes)
+    initial = math.fsum(nodes.energy.tolist())
 
     metrics: list[MetricsRow] = []
     outcomes: list[RoundOutcome] = []
     first_death: int | None = None
     terminated: int | None = None
     for r in range(config.rounds):
-        if not any(n.alive for n in nodes):
+        if not nodes.alive.any():
             terminated = r + 1
             break
         outcome = run_round(nodes, config, r, rng)
         if first_death is None and outcome.deaths:
             first_death = r + 1
-        residual = math.fsum(n.energy for n in nodes if n.alive)
-        alive_count = sum(1 for n in nodes if n.alive)
+        residual = math.fsum(nodes.energy[nodes.alive].tolist())
+        alive_count = int(np.count_nonzero(nodes.alive))
         metrics.append(
             MetricsRow(r + 1, residual, alive_count, len(outcome.cluster_heads), first_death)
         )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from enum import Enum
 
 import numpy as np
 
@@ -25,31 +24,20 @@ class Position:
     y: float
 
 
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two positions, metres."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-class NodeKind(Enum):
-    NORMAL = "normal"
-    ADVANCED = "advanced"
-
-
-@dataclass
-class NodeState:
-    """Mutable per-sensor state carried across rounds.
+@dataclass(eq=False)
+class Nodes:
+    """Per-sensor state as parallel arrays indexed by node id.
 
     ``last_ch_round`` records the most recent round (0-based) in which the
-    node served as a cluster head; it drives the election cooldown.
+    node served as a cluster head, -1 if it never has; it drives the election
+    cooldown.
     """
 
-    id: int
-    position: Position
-    kind: NodeKind
-    energy: float
-    alive: bool = True
-    last_ch_round: int | None = None
-    sensed_bit: int = 0
+    x: np.ndarray
+    y: np.ndarray
+    energy: np.ndarray
+    alive: np.ndarray
+    last_ch_round: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -135,30 +123,34 @@ class ScenarioConfig:
             value = getattr(self.fc_position, axis)
             if not math.isfinite(value):
                 raise ValueError(f"fc_position.{axis} must be finite, got {value!r}")
+        diagonal = math.hypot(self.field_width, self.field_height)
+        if not math.isfinite(diagonal):
+            raise ValueError(
+                f"field_width and field_height must span a finite diagonal, got {diagonal}"
+            )
+        fc = self.fc_position
+        dx = max(abs(fc.x), abs(fc.x - self.field_width))
+        dy = max(abs(fc.y), abs(fc.y - self.field_height))
+        far = math.hypot(dx, dy)
+        if not math.isfinite(far):
+            raise ValueError(
+                f"fc_position.{'x' if dx >= dy else 'y'} must leave the farthest field "
+                f"corner a finite distance from the fusion centre, got {far}"
+            )
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-def place_nodes(config: ScenarioConfig, rng: np.random.Generator) -> list[NodeState]:
+def place_nodes(config: ScenarioConfig, rng: np.random.Generator) -> Nodes:
     """Place ``n_nodes`` sensors i.i.d. uniformly over the field.
 
     The first ``floor(advanced_fraction * n_nodes)`` node ids are advanced
     nodes with initial energy scaled by ``1 + advanced_energy_factor``.
-    Identical (config, generator state) gives an identical node list.
+    Identical (config, generator state) gives identical nodes.
     """
-    xs = rng.uniform(0.0, config.field_width, config.n_nodes)
-    ys = rng.uniform(0.0, config.field_height, config.n_nodes)
-    n_advanced = int(config.advanced_fraction * config.n_nodes)
-    base = config.energy.initial_energy
-    nodes = []
-    for i in range(config.n_nodes):
-        advanced = i < n_advanced
-        nodes.append(
-            NodeState(
-                id=i,
-                position=Position(float(xs[i]), float(ys[i])),
-                kind=NodeKind.ADVANCED if advanced else NodeKind.NORMAL,
-                energy=base * (1.0 + config.advanced_energy_factor) if advanced else base,
-            )
-        )
-    return nodes
+    n = config.n_nodes
+    xs = rng.uniform(0.0, config.field_width, n)
+    ys = rng.uniform(0.0, config.field_height, n)
+    energy = np.full(n, config.energy.initial_energy)
+    energy[: int(config.advanced_fraction * n)] *= 1.0 + config.advanced_energy_factor
+    return Nodes(xs, ys, energy, np.ones(n, dtype=bool), np.full(n, -1))

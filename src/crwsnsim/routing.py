@@ -1,6 +1,5 @@
 """Inter-head routing: adjacency matrix, Prim's spanning tree, orientation
-toward the fusion centre, per-head direct-vs-relay decision, and sensing
-table merging.
+toward the fusion centre, and the per-head direct-vs-relay decision.
 """
 
 from __future__ import annotations
@@ -10,17 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnergyParams, Position
+from .model import EnergyParams
 from .energy import link_cost
 
 
-def build_adjacency(positions: list[Position]) -> np.ndarray:
+def build_adjacency(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Symmetric matrix of pairwise Euclidean distances, zero diagonal."""
-    if not positions:
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not xs.size:
         raise ValueError("build_adjacency requires at least one position")
-    pts = np.array([(p.x, p.y) for p in positions], dtype=float)
-    return np.hypot(pts[:, 0][:, None] - pts[:, 0][None, :],
-                    pts[:, 1][:, None] - pts[:, 1][None, :])
+    return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
 
 
 def prim_mst(adj: np.ndarray, start: int = 0) -> list[tuple[int, int, float]]:
@@ -28,6 +26,8 @@ def prim_mst(adj: np.ndarray, start: int = 0) -> list[tuple[int, int, float]]:
 
     Returns edges as (tree-side index, added index, weight). Weight ties
     break toward the lower tree-side index, then the lower outside index.
+    Dense O(n^2) Prim: ``key[j]`` is the lightest edge from the tree to
+    outside vertex ``j`` and ``parent[j]`` the lowest tree index reaching it.
     """
     adj = np.asarray(adj, dtype=float)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -35,24 +35,20 @@ def prim_mst(adj: np.ndarray, start: int = 0) -> list[tuple[int, int, float]]:
     n = adj.shape[0]
     if not (0 <= start < n):
         raise ValueError(f"start must index a vertex, got {start}")
-    in_tree = [False] * n
-    in_tree[start] = True
+    outside = np.ones(n, dtype=bool)
+    outside[start] = False
+    key = adj[start].copy()
+    parent = np.full(n, start)
     edges: list[tuple[int, int, float]] = []
     for _ in range(n - 1):
-        best: tuple[int, int, float] | None = None
-        for i in range(n):
-            if not in_tree[i]:
-                continue
-            row = adj[i]
-            for j in range(n):
-                if in_tree[j]:
-                    continue
-                w = row[j]
-                if best is None or w < best[2]:
-                    best = (i, j, float(w))
-        assert best is not None
-        edges.append(best)
-        in_tree[best[1]] = True
+        lightest = np.flatnonzero(outside & (key == key[outside].min()))
+        j = int(lightest[np.argmin(parent[lightest])])  # first minimum: lowest j
+        edges.append((int(parent[j]), j, float(key[j])))
+        outside[j] = False
+        row = adj[j]
+        better = outside & ((row < key) | ((row == key) & (parent > j)))
+        key[better] = row[better]
+        parent[better] = j
     return edges
 
 
@@ -136,13 +132,3 @@ def route_decision(
     if parent_id is None:
         raise ValueError("relay chosen but no parent id was supplied")
     return RouteDecision(ch_id, parent_id, direct, relay)
-
-
-def merge_sensing_tables(local: dict[int, int], incoming: dict[int, int]) -> dict[int, int]:
-    """Union two head-id -> sensed-bit maps; overlapping entries must agree."""
-    merged = dict(local)
-    for head_id, bit in incoming.items():
-        if head_id in merged and merged[head_id] != bit:
-            raise ValueError(f"conflicting sensed bit for cluster head {head_id}")
-        merged[head_id] = bit
-    return merged

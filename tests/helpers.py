@@ -1,9 +1,25 @@
-"""Shared test utilities, including a brute-force spanning tree oracle
-that is independent of the greedy implementation under test."""
+"""Shared test utilities: a node builder, a brute-force spanning tree
+oracle that is independent of the greedy implementation under test, and the
+original triple-loop Prim as the oracle of its tie rule."""
 
 from itertools import combinations
 
 import numpy as np
+
+from crwsnsim import Nodes
+
+
+def nodes_at(xs, ys, energy=0.5):
+    """Alive nodes that never served as head, at the given coordinates."""
+    xs = np.asarray(xs, dtype=float)
+    count = xs.size
+    return Nodes(
+        xs,
+        np.asarray(ys, dtype=float),
+        np.broadcast_to(np.asarray(energy, dtype=float), count).copy(),
+        np.ones(count, dtype=bool),
+        np.full(count, -1),
+    )
 
 
 def _is_spanning(n, edges):
@@ -49,3 +65,26 @@ def random_point_matrix(rng, size, extent=100.0):
         pts[:, 0][:, None] - pts[:, 0][None, :],
         pts[:, 1][:, None] - pts[:, 1][None, :],
     )
+
+
+def triple_loop_prim(adj, start=0):
+    """Prim by exhaustive scan: each step takes the lightest (tree, outside)
+    pair, ties to the lower tree index, then the lower outside index."""
+    n = len(adj)
+    in_tree = [False] * n
+    in_tree[start] = True
+    edges = []
+    for _ in range(n - 1):
+        best = None
+        for i in range(n):
+            if not in_tree[i]:
+                continue
+            for j in range(n):
+                if in_tree[j]:
+                    continue
+                w = adj[i][j]
+                if best is None or w < best[2]:
+                    best = (i, j, float(w))
+        edges.append(best)
+        in_tree[best[1]] = True
+    return edges

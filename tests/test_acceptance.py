@@ -34,11 +34,7 @@ import math
 import numpy as np
 
 from crwsnsim import (
-    ElectionState,
     EnergyParams,
-    NodeKind,
-    NodeState,
-    Position,
     build_adjacency,
     crossover_distance,
     elect_cluster_heads,
@@ -48,7 +44,7 @@ from crwsnsim import (
 from crwsnsim.cli import main
 
 from conftest import SWEEP_VARIANTS
-from helpers import min_spanning_weight
+from helpers import min_spanning_weight, nodes_at
 
 
 def report(number, ok, detail):
@@ -151,18 +147,15 @@ def test_criterion_3_survival(default_sweep):
 
 
 def test_criterion_4_election_calibration():
-    nodes = [
-        NodeState(i, Position(float(i % 10), float(i // 10)), NodeKind.NORMAL, 0.5)
-        for i in range(100)
-    ]
+    ids = np.arange(100)
+    nodes = nodes_at(ids % 10, ids // 10)
     rng = np.random.default_rng(2024)
     rounds = 1000
     epochs = rounds // 10
     served = np.zeros((100, epochs), dtype=int)
     head_counts = []
     for r in range(rounds):
-        state = ElectionState.for_round(nodes, 0.1, r)
-        heads = elect_cluster_heads(nodes, state, "nonuniform", 10, rng)
+        heads = elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng)
         head_counts.append(len(heads))
         for head in heads:
             served[head, r // 10] += 1
@@ -185,7 +178,7 @@ def test_criterion_5_mst_oracle():
     for _ in range(500):
         size = int(rng.integers(3, 7))
         pts = rng.uniform(0.0, 100.0, size=(size, 2))
-        adj = build_adjacency([Position(x, y) for x, y in pts])
+        adj = build_adjacency(pts[:, 0], pts[:, 1])
         greedy = sum(w for _, _, w in prim_mst(adj))
         oracle = min_spanning_weight(adj)
         worst = max(worst, abs(greedy - oracle) / oracle)

@@ -3,11 +3,12 @@ import contextlib
 import io
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crwsnsim import ConfigError, ScenarioConfig, parse_config, read_metrics_csv
@@ -282,6 +283,26 @@ ERROR_CASES = {
     "multipath-overflow": (
         ["run", "--rounds", "3"], "e_mp = 1e300\nfc_y = 1e80\n", "arithmetic overflow"
     ),
+    "compare-mean-overflow": (
+        ["compare", "--seeds", "1,2", "--rounds", "2"],
+        "nodes = 12\ninitial_energy = 1e307\n",
+        "arithmetic overflow in the run: mean_final_residual_j of baseline is inf",
+    ),
+    "fc-corner-overflow": (
+        ["run", "--rounds", "2"],
+        "field_width = 1.7e308\nfc_x = -1.7e308\nnodes = 3\n",
+        "line 2: fc_x must leave the farthest field corner a finite distance",
+    ),
+    "fc-y-corner-overflow": (
+        ["run", "--rounds", "2"],
+        "field_height = 1.7e308\nfc_y = -1.7e308\nnodes = 3\n",
+        "line 2: fc_y must leave the farthest field corner a finite distance",
+    ),
+    "field-diagonal-overflow": (
+        ["run", "--rounds", "2"],
+        "field_width = 1.7e308\nfield_height = 1.7e308\nnodes = 3\n",
+        "line 1: field_width and field_height must span a finite diagonal",
+    ),
     "unknown-protocol": (
         ["run", "--rounds", "3"], "protocol = flood\n",
         "line 1: protocol must be one of ('baseline', 'proposed'), got 'flood'",
@@ -350,18 +371,28 @@ _CONFIG_VALUES = st.fixed_dictionaries(
 
 
 @settings(max_examples=80, deadline=None)
-@given(_CONFIG_VALUES)
-def test_any_config_runs_finite_or_ends_in_one_error_line(values):
+@given(_CONFIG_VALUES, st.sampled_from(["run", "compare"]))
+# a head's second reception drives its battery past -1.8e308 to -inf mid-round;
+# the end-of-round floor makes it 0.0, and no overflow warning may reach stderr
+@example({"nodes": "5", "rounds": "3", "initial_energy": "1e300", "e_rx": "1.7e308"}, "run")
+def test_any_config_runs_finite_or_ends_in_one_error_line(values, command):
     config_text = "".join(f"{key} = {value}\n" for key, value in values.items())
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as directory:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = _cli(directory, ["run"], config_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print a stray stderr line
+        with tempfile.TemporaryDirectory() as directory:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = _cli(directory, [command], config_text)
+    assert [str(w.message) for w in caught] == []
     if code == 0:
         assert err.getvalue() == ""
         rows = [line.split(",") for line in out.getvalue().splitlines()
-                if line[:1].isdigit()]
-        assert all(math.isfinite(float(row[4])) for row in rows)
+                if not line.startswith("#")][1:]
+        if command == "run":
+            numbers = [row[4] for row in rows]
+        else:  # a ratio row without data reads nan by design
+            numbers = [v for row in rows if not row[0].startswith("ratio_") for v in row[1:]]
+        assert all(math.isfinite(float(v)) for v in numbers)
     else:
         assert code == 2
         lines = err.getvalue().splitlines()

@@ -2,23 +2,27 @@ import numpy as np
 import pytest
 
 from crwsnsim import (
-    ClusterAssignment,
-    ElectionState,
-    NodeKind,
-    NodeState,
-    Position,
     assign_members,
     elect_cluster_heads,
     election_threshold,
+    eligible_mask,
     epoch_length,
 )
 
+from helpers import nodes_at
+
 
 def make_nodes(count, energy=0.5, spacing=1.0):
-    return [
-        NodeState(i, Position(spacing * i, 0.0), NodeKind.NORMAL, energy)
-        for i in range(count)
-    ]
+    return nodes_at(spacing * np.arange(count), np.zeros(count), energy)
+
+
+def eligible(nodes, ch_probability, round_index):
+    return frozenset(np.flatnonzero(eligible_mask(nodes, ch_probability, round_index)).tolist())
+
+
+def member_of(nodes, cluster_heads):
+    members, heads = assign_members(nodes, cluster_heads)
+    return dict(zip(members.tolist(), heads.tolist()))
 
 
 class FixedDraws:
@@ -64,95 +68,82 @@ class TestElectionThreshold:
 
 
 class TestElectionState:
+    """The eligible set of one round's election, as ``eligible_mask`` gives it."""
+
     def test_all_eligible_initially(self):
         nodes = make_nodes(5)
-        state = ElectionState.for_round(nodes, 0.1, 0)
-        assert state.eligible == frozenset(range(5))
+        assert eligible(nodes, 0.1, 0) == frozenset(range(5))
 
     def test_served_node_sits_out_rest_of_epoch(self):
         nodes = make_nodes(3)
-        nodes[1].last_ch_round = 3
+        nodes.last_ch_round[1] = 3
         for r in range(4, 10):
-            assert 1 not in ElectionState.for_round(nodes, 0.1, r).eligible
+            assert 1 not in eligible(nodes, 0.1, r)
 
     def test_eligibility_restored_at_epoch_boundary(self):
         nodes = make_nodes(3)
-        nodes[0].last_ch_round = 9
-        nodes[1].last_ch_round = 2
-        state = ElectionState.for_round(nodes, 0.1, 10)
-        assert state.eligible == frozenset(range(3))
+        nodes.last_ch_round[0] = 9
+        nodes.last_ch_round[1] = 2
+        assert eligible(nodes, 0.1, 10) == frozenset(range(3))
 
     def test_dead_nodes_excluded(self):
         nodes = make_nodes(3)
-        nodes[2].alive = False
-        state = ElectionState.for_round(nodes, 0.1, 0)
-        assert state.eligible == frozenset({0, 1})
+        nodes.alive[2] = False
+        assert eligible(nodes, 0.1, 0) == frozenset({0, 1})
 
 
 class TestElectClusterHeads:
     def test_requires_alive_node(self):
         nodes = make_nodes(2)
-        for n in nodes:
-            n.alive = False
-        state = ElectionState.for_round(nodes, 0.1, 0)
+        nodes.alive[:] = False
         with pytest.raises(ValueError):
-            elect_cluster_heads(nodes, state, "nonuniform", 10, FixedDraws(0.5))
+            elect_cluster_heads(nodes, 0.1, 0, "nonuniform", 10, FixedDraws(0.5))
 
     def test_zero_heads_is_valid_nonuniform(self):
         nodes = make_nodes(5)
-        state = ElectionState.for_round(nodes, 0.1, 0)
-        heads = elect_cluster_heads(nodes, state, "nonuniform", 10, FixedDraws(0.999))
+        heads = elect_cluster_heads(nodes, 0.1, 0, "nonuniform", 10, FixedDraws(0.999))
         assert heads == []
 
     def test_single_node_forced_promotion(self):
         nodes = make_nodes(1)
-        state = ElectionState.for_round(nodes, 0.1, 0)
-        heads = elect_cluster_heads(nodes, state, "uniform", 1, FixedDraws(0.999))
+        heads = elect_cluster_heads(nodes, 0.1, 0, "uniform", 1, FixedDraws(0.999))
         assert heads == [0]
-        assert nodes[0].last_ch_round == 0
+        assert nodes.last_ch_round[0] == 0
 
     def test_uniform_trims_to_highest_energy(self):
         nodes = make_nodes(5)
-        for i, n in enumerate(nodes):
-            n.energy = 0.1 * (5 - i)  # ids 0..4 get 0.5 .. 0.1
-        state = ElectionState.for_round(nodes, 0.1, 0)
-        heads = elect_cluster_heads(nodes, state, "uniform", 2, FixedDraws(0.0))
+        for i in range(5):
+            nodes.energy[i] = 0.1 * (5 - i)  # ids 0..4 get 0.5 .. 0.1
+        heads = elect_cluster_heads(nodes, 0.1, 0, "uniform", 2, FixedDraws(0.0))
         assert heads == [0, 1]
 
     def test_uniform_trim_ties_break_by_id(self):
         nodes = make_nodes(5)
-        state = ElectionState.for_round(nodes, 0.1, 0)
-        heads = elect_cluster_heads(nodes, state, "uniform", 3, FixedDraws(0.0))
+        heads = elect_cluster_heads(nodes, 0.1, 0, "uniform", 3, FixedDraws(0.0))
         assert heads == [0, 1, 2]
 
     def test_promotion_prefers_eligible_then_energy(self):
         nodes = make_nodes(4)
-        nodes[0].energy = 0.3
-        nodes[1].energy = 0.9
-        nodes[2].energy = 0.5
-        nodes[3].energy = 0.5
-        nodes[1].last_ch_round = 2  # served this epoch: not eligible
-        state = ElectionState.for_round(nodes, 0.1, 5)
-        heads = elect_cluster_heads(nodes, state, "uniform", 3, FixedDraws(0.999))
+        nodes.energy[:] = [0.3, 0.9, 0.5, 0.5]
+        nodes.last_ch_round[1] = 2  # served this epoch: not eligible
+        heads = elect_cluster_heads(nodes, 0.1, 5, "uniform", 3, FixedDraws(0.999))
         # eligible nodes first by descending energy (2 and 3 tie -> lower id), then 0
         assert heads == [0, 2, 3]
-        assert all(nodes[i].last_ch_round == 5 for i in heads)
-        assert nodes[1].last_ch_round == 2
+        assert all(nodes.last_ch_round[i] == 5 for i in heads)
+        assert nodes.last_ch_round[1] == 2
 
     def test_uniform_count_capped_by_alive(self):
         nodes = make_nodes(3)
-        nodes[2].alive = False
-        state = ElectionState.for_round(nodes, 0.5, 0)
-        heads = elect_cluster_heads(nodes, state, "uniform", 3, FixedDraws(0.0))
+        nodes.alive[2] = False
+        heads = elect_cluster_heads(nodes, 0.5, 0, "uniform", 3, FixedDraws(0.0))
         assert heads == [0, 1]
 
     def test_each_node_serves_exactly_once_per_epoch(self):
         nodes = make_nodes(100)
         rng = np.random.default_rng(77)
-        served = {n.id: [0] * 10 for n in nodes}
+        served = {i: [0] * 10 for i in range(100)}
         for r in range(100):
-            state = ElectionState.for_round(nodes, 0.1, r)
-            for head in elect_cluster_heads(nodes, state, "nonuniform", 10, rng):
+            for head in elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng):
                 served[head][r // 10] += 1
         for node_id, counts in served.items():
             assert counts == [1] * 10, f"node {node_id} served {counts}"
@@ -162,8 +153,7 @@ class TestElectClusterHeads:
         rng = np.random.default_rng(123)
         counts = []
         for r in range(1000):
-            state = ElectionState.for_round(nodes, 0.1, r)
-            counts.append(len(elect_cluster_heads(nodes, state, "nonuniform", 10, rng)))
+            counts.append(len(elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng)))
         assert 9.0 <= np.mean(counts) <= 11.0
 
     def test_no_repeat_within_epoch(self):
@@ -172,8 +162,7 @@ class TestElectClusterHeads:
         for epoch in range(20):
             seen = set()
             for r in range(epoch * 10, epoch * 10 + 10):
-                state = ElectionState.for_round(nodes, 0.1, r)
-                heads = elect_cluster_heads(nodes, state, "nonuniform", 10, rng)
+                heads = elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng)
                 assert not seen.intersection(heads)
                 seen.update(heads)
 
@@ -181,8 +170,7 @@ class TestElectClusterHeads:
         nodes = make_nodes(50)
         rng = np.random.default_rng(8)
         for r in range(200):
-            state = ElectionState.for_round(nodes, 0.1, r)
-            heads = elect_cluster_heads(nodes, state, "uniform", 5, rng)
+            heads = elect_cluster_heads(nodes, 0.1, r, "uniform", 5, rng)
             assert len(heads) == 5
             assert len(set(heads)) == 5
 
@@ -193,8 +181,7 @@ class TestElectClusterHeads:
             rng = np.random.default_rng(42)
             history = []
             for r in range(50):
-                state = ElectionState.for_round(nodes, 0.1, r)
-                history.append(elect_cluster_heads(nodes, state, "nonuniform", 10, rng))
+                history.append(elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng))
             histories.append(history)
         assert histories[0] == histories[1]
 
@@ -202,42 +189,31 @@ class TestElectClusterHeads:
 class TestAssignMembers:
     def test_single_head_takes_all(self):
         nodes = make_nodes(4)
-        assignment = assign_members(nodes, [2])
-        assert assignment.cluster_heads == [2]
-        assert assignment.member_of == {0: 2, 1: 2, 3: 2}
+        assert member_of(nodes, [2]) == {0: 2, 1: 2, 3: 2}
 
     def test_tie_goes_to_lower_head_id(self):
-        nodes = [
-            NodeState(0, Position(0.0, 0.0), NodeKind.NORMAL, 0.5),
-            NodeState(3, Position(10.0, 0.0), NodeKind.NORMAL, 0.5),
-            NodeState(5, Position(5.0, 0.0), NodeKind.NORMAL, 0.5),
-            NodeState(7, Position(10.0, 0.0), NodeKind.NORMAL, 0.5),
-        ]
-        assignment = assign_members(nodes, [3, 7])
-        assert assignment.member_of[5] == 3
-        assert assignment.member_of[0] == 3
+        # live ids 0, 3, 5 and 7; the rest are dead
+        nodes = nodes_at([0.0, 0.0, 0.0, 10.0, 0.0, 5.0, 0.0, 10.0], np.zeros(8))
+        nodes.alive[[1, 2, 4, 6]] = False
+        assignment = member_of(nodes, [3, 7])
+        assert assignment[5] == 3
+        assert assignment[0] == 3
 
     def test_corner_nodes_join_nearer_head(self):
-        corners = [
-            NodeState(0, Position(0.0, 0.0), NodeKind.NORMAL, 0.5),
-            NodeState(1, Position(0.0, 100.0), NodeKind.NORMAL, 0.5),
-            NodeState(2, Position(100.0, 0.0), NodeKind.NORMAL, 0.5),
-            NodeState(3, Position(100.0, 100.0), NodeKind.NORMAL, 0.5),
-        ]
-        assignment = assign_members(corners, [0, 3])
+        corners = nodes_at([0.0, 0.0, 100.0, 100.0], [0.0, 100.0, 0.0, 100.0])
         # both free corners sit exactly 100 m from each head: lower id wins
-        assert assignment.member_of == {1: 0, 2: 0}
+        assert member_of(corners, [0, 3]) == {1: 0, 2: 0}
 
     def test_dead_nodes_not_assigned(self):
         nodes = make_nodes(4)
-        nodes[1].alive = False
-        assignment = assign_members(nodes, [0])
-        assert 1 not in assignment.member_of
+        nodes.alive[1] = False
+        assert 1 not in member_of(nodes, [0])
 
     def test_requires_heads(self):
         with pytest.raises(ValueError):
             assign_members(make_nodes(3), [])
 
     def test_returns_assignment_type(self):
-        assignment = assign_members(make_nodes(3), [1])
-        assert isinstance(assignment, ClusterAssignment)
+        members, heads = assign_members(make_nodes(3), [1])
+        assert members.dtype.kind == heads.dtype.kind == "i"
+        assert members.tolist() == [0, 2] and heads.tolist() == [1, 1]

@@ -6,8 +6,6 @@ import pytest
 
 from crwsnsim import (
     EnergyParams,
-    NodeKind,
-    NodeState,
     Position,
     ScenarioConfig,
     no_ch_fallback,
@@ -15,11 +13,9 @@ from crwsnsim import (
     run_simulation,
 )
 
+from helpers import nodes_at
+
 TINY_BATTERY = EnergyParams(initial_energy=2e-7)
-
-
-def make_node(node_id, x, y, energy=0.5):
-    return NodeState(node_id, Position(x, y), NodeKind.NORMAL, energy)
 
 
 class TestRunRound:
@@ -35,12 +31,12 @@ class TestRunRound:
             cluster_count=1,
             rounds=10,
         )
-        nodes = [make_node(0, 0.0, 0.0), make_node(1, 0.0, 10.0)]
-        nodes[1].last_ch_round = 4
+        nodes = nodes_at([0.0, 0.0], [0.0, 10.0])
+        nodes.last_ch_round[1] = 4
         outcome = run_round(nodes, config, 5, np.random.default_rng(0))
         assert outcome.cluster_heads == [0]
-        assert 0.5 - nodes[1].energy == pytest.approx(5.6e-8, rel=1e-12)
-        assert 0.5 - nodes[0].energy == pytest.approx(1.14e-7, rel=1e-12)
+        assert 0.5 - nodes.energy[1] == pytest.approx(5.6e-8, rel=1e-12)
+        assert 0.5 - nodes.energy[0] == pytest.approx(1.14e-7, rel=1e-12)
         assert outcome.energy_spent == pytest.approx(1.7e-7, rel=1e-12)
 
     def test_worked_example_same_for_proposed_single_head(self):
@@ -55,10 +51,10 @@ class TestRunRound:
                 cluster_count=1,
                 rounds=10,
             )
-            nodes = [make_node(0, 0.0, 0.0), make_node(1, 0.0, 10.0)]
-            nodes[1].last_ch_round = 4
+            nodes = nodes_at([0.0, 0.0], [0.0, 10.0])
+            nodes.last_ch_round[1] = 4
             run_round(nodes, config, 5, np.random.default_rng(0))
-            results.append((nodes[0].energy, nodes[1].energy))
+            results.append((nodes.energy[0], nodes.energy[1]))
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
@@ -72,7 +68,7 @@ class TestRunRound:
             cluster_count=1,
             rounds=1,
         )
-        nodes = [make_node(i, 50.0, 50.0) for i in range(3)]
+        nodes = nodes_at([50.0] * 3, [50.0] * 3)
         outcome = run_round(nodes, config, 0, np.random.default_rng(1))
         # 2 member reports + 2 receptions with aggregation + 1 direct report,
         # every distance term zero
@@ -82,18 +78,18 @@ class TestRunRound:
     def test_spent_matches_node_deltas(self):
         config = ScenarioConfig(n_nodes=30, protocol="proposed", clustering="uniform")
         rng = np.random.default_rng(7)
-        nodes = [make_node(i, *divmod(i * 37 % 100, 10)) for i in range(30)]
-        before = {n.id: n.energy for n in nodes}
+        nodes = nodes_at(*zip(*(divmod(i * 37 % 100, 10) for i in range(30))))
+        before = nodes.energy.copy()
         outcome = run_round(nodes, config, 0, rng)
-        delta = math.fsum(before[n.id] - n.energy for n in nodes)
+        delta = math.fsum(before - nodes.energy)
         assert outcome.energy_spent == pytest.approx(delta, rel=1e-12)
 
     def test_requires_alive_node(self):
         config = ScenarioConfig(n_nodes=1)
-        node = make_node(0, 1.0, 1.0)
-        node.alive = False
+        node = nodes_at([1.0], [1.0])
+        node.alive[0] = False
         with pytest.raises(ValueError):
-            run_round([node], config, 0, np.random.default_rng(0))
+            run_round(node, config, 0, np.random.default_rng(0))
 
     def test_proposed_records_tree_and_decisions(self):
         config = ScenarioConfig(n_nodes=40, protocol="proposed", clustering="uniform")
@@ -115,26 +111,63 @@ class TestRunRound:
             assert all(d.is_direct for d in outcome.decisions)
 
 
+class TestDrainedHead:
+    """A head whose battery runs out mid-round keeps every duty of the round
+    and dies only in the end-of-round sweep."""
+
+    # heads 0, 1 and 2 on a line toward a far fusion centre, member 3 beside
+    # head 1; at round 5 with p = 0.5 the threshold is 1 and node 3 sat out
+    # the epoch, so exactly nodes 0-2 are elected
+    CONFIG = ScenarioConfig(n_nodes=4, fc_position=Position(0.0, 300.0),
+                            ch_probability=0.5, protocol="proposed", rounds=10)
+
+    def run(self, middle_battery):
+        nodes = nodes_at([0.0, 0.0, 0.0, 1.0], [0.0, 10.0, 20.0, 10.0])
+        nodes.energy[1] = middle_battery
+        nodes.last_ch_round[3] = 4
+        before = nodes.energy.copy()
+        outcome = run_round(nodes, self.CONFIG, 5, np.random.default_rng(0))
+        return nodes, before, outcome
+
+    def test_drained_head_receives_transmits_and_relays(self):
+        nodes, before, outcome = self.run(1e-9)  # less than one bit's reception
+        full_nodes, _, full = self.run(0.5)
+        assert outcome.cluster_heads == [0, 1, 2]
+        routes = {d.ch_id: d.relay_to for d in outcome.decisions}
+        assert routes == {0: 1, 1: 2, 2: None}  # head 1 relays head 0's bits
+        assert outcome.decisions == full.decisions
+        assert outcome.mst_edges == full.mst_edges
+        # the other nodes pay exactly what they pay when head 1 is well charged
+        assert np.array_equal(nodes.energy[[0, 2, 3]], full_nodes.energy[[0, 2, 3]])
+        # reception plus aggregation of member 3's bit (55 nJ), reception of
+        # head 0's 3-bit table (150 nJ), its own 3-bit relay over 10 m (168 nJ)
+        assert 0.5 - full_nodes.energy[1] == pytest.approx(3.73e-7, rel=1e-12)
+        assert nodes.energy[1] == 0.0
+        assert outcome.deaths == [1]
+        assert nodes.alive.tolist() == [True, False, True, True]
+        assert outcome.energy_spent == math.fsum(before - nodes.energy)
+
+
 class TestNoChFallback:
     def test_node_at_fusion_centre(self):
         config = ScenarioConfig(n_nodes=1, fc_position=Position(50.0, 50.0))
-        nodes = [make_node(0, 50.0, 50.0)]
+        nodes = nodes_at([50.0], [50.0])
         spent = no_ch_fallback(nodes, config)
         assert spent == pytest.approx(5.5e-8, rel=1e-12)
 
     def test_multipath_distance(self):
         config = ScenarioConfig(n_nodes=1, field_width=300.0, field_height=300.0,
                                 fc_position=Position(0.0, 0.0))
-        nodes = [make_node(0, 200.0, 0.0)]
+        nodes = nodes_at([200.0], [0.0])
         spent = no_ch_fallback(nodes, config)
         assert spent == pytest.approx(2.135e-6, rel=1e-12)
 
     def test_requires_alive_node(self):
         config = ScenarioConfig(n_nodes=1)
-        node = make_node(0, 1.0, 1.0)
-        node.alive = False
+        node = nodes_at([1.0], [1.0])
+        node.alive[0] = False
         with pytest.raises(ValueError):
-            no_ch_fallback([node], config)
+            no_ch_fallback(node, config)
 
     def test_zero_head_round_uses_fallback(self):
         # nonuniform election with 2 nodes frequently elects nobody
@@ -232,7 +265,7 @@ class TestRunSimulation:
 
     def test_custom_nodes_override_placement(self):
         config = ScenarioConfig(n_nodes=3, rounds=5)
-        nodes = [make_node(i, 10.0 * i, 0.0) for i in range(3)]
+        nodes = nodes_at([0.0, 10.0, 20.0], [0.0] * 3)
         result = run_simulation(config, nodes=nodes)
         assert result.initial_energy == pytest.approx(1.5, rel=1e-12)
         assert len(result.metrics) == 5

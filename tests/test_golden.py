@@ -41,6 +41,19 @@ CASES["zero-head-fallback"] = (
     "nodes = 10\n",
 )
 CASES["compare"] = (["compare", "--seeds", "1,2", "--rounds", "30"], "")
+# A fifth of the nodes start with 2.5x the battery; all die before round 1500.
+CASES["advanced-nodes"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform", "--seed", "3"],
+    "advanced_fraction = 0.2\nadvanced_energy_factor = 1.5\ninitial_energy = 2e-4\n"
+    "fc_y = 250\n",
+)
+# Uniform clustering trims and promotes heads by residual energy while nodes die.
+CASES["uniform-depletion"] = (
+    ["run", "--protocol", "proposed", "--clustering", "uniform", "--seed", "1"],
+    "initial_energy = 2e-4\nfc_y = 250\n",
+)
+# Nine seeds: np.mean sums the per-seed values along its 8-way unrolled path.
+CASES["compare-9-seeds"] = (["compare", "--seeds", "1,2,3,4,5,6,7,8,9", "--rounds", "400"], "")
 
 GOLDEN = {
     "baseline-seed1-fc50":
@@ -73,6 +86,12 @@ GOLDEN = {
         "5799d214ce6790bb51d7b6f805ea0bd27d3c03b2c4177e11cea7fa9fd28a3efe",
     "compare":
         "5e8df238c1f252beb88f571d3201415f87142e2841f888a77861e144b505ec7b",
+    "advanced-nodes":
+        "81fb579f063f52ee3523e19ab188b1d819b2d68e45e63981ccbb9f4f65fba2d3",
+    "uniform-depletion":
+        "7c53c5f6f7720f636698355a2ac9232869b035613ebfa4eee8f3ee232de665f8",
+    "compare-9-seeds":
+        "1a628c977d40593a8bf187e795aefb08ac02d4da945b4c9f249b1703590534a2",
 }
 
 
@@ -101,6 +120,13 @@ def test_golden_digest(tmp_path, case):
 
 def test_depletion_case_runs_to_extinction(tmp_path):
     rows = _rows(cli_output(tmp_path, *CASES["depletion"]))
+    assert rows[-1][5] == "0"
+    assert len(rows) < 1500
+
+
+@pytest.mark.parametrize("case", ["advanced-nodes", "uniform-depletion"])
+def test_extra_depletion_cases_run_to_extinction(tmp_path, case):
+    rows = _rows(cli_output(tmp_path, *CASES[case]))
     assert rows[-1][5] == "0"
     assert len(rows) < 1500
 

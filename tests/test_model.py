@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from crwsnsim import (
     EnergyParams,
-    NodeKind,
     Position,
     ScenarioConfig,
-    distance,
+    build_adjacency,
     place_nodes,
 )
 
@@ -18,33 +17,33 @@ from crwsnsim import (
 def test_single_node_placement():
     config = ScenarioConfig(n_nodes=1)
     nodes = place_nodes(config, np.random.default_rng(5))
-    assert len(nodes) == 1
-    node = nodes[0]
-    assert node.energy == 0.5
-    assert node.kind is NodeKind.NORMAL
-    assert 0.0 <= node.position.x <= 100.0
-    assert 0.0 <= node.position.y <= 100.0
+    assert nodes.x.size == 1
+    assert nodes.energy[0] == 0.5
+    assert 0.0 <= nodes.x[0] <= 100.0
+    assert 0.0 <= nodes.y[0] <= 100.0
 
 
 def test_total_energy_all_normal():
     config = ScenarioConfig(n_nodes=100, advanced_fraction=0.0)
     nodes = place_nodes(config, np.random.default_rng(5))
-    assert math.fsum(n.energy for n in nodes) == pytest.approx(50.0, rel=1e-12)
+    assert math.fsum(nodes.energy) == pytest.approx(50.0, rel=1e-12)
 
 
 def test_placement_deterministic():
     config = ScenarioConfig(n_nodes=100)
     first = place_nodes(config, np.random.default_rng(123))
     second = place_nodes(config, np.random.default_rng(123))
-    assert first == second
+    for name in ("x", "y", "energy", "alive", "last_ch_round"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_positions_inside_field():
     config = ScenarioConfig(n_nodes=250, field_width=30.0, field_height=7.5)
     nodes = place_nodes(config, np.random.default_rng(9))
-    assert all(0.0 <= n.position.x <= 30.0 for n in nodes)
-    assert all(0.0 <= n.position.y <= 7.5 for n in nodes)
-    assert [n.id for n in nodes] == list(range(250))
+    assert np.all((0.0 <= nodes.x) & (nodes.x <= 30.0))
+    assert np.all((0.0 <= nodes.y) & (nodes.y <= 7.5))
+    assert nodes.x.shape == nodes.y.shape == nodes.energy.shape == (250,)
+    assert nodes.alive.all() and np.all(nodes.last_ch_round == -1)
 
 
 def test_advanced_split_energy_bookkeeping():
@@ -52,14 +51,11 @@ def test_advanced_split_energy_bookkeeping():
         n_nodes=100, advanced_fraction=0.25, advanced_energy_factor=1.0
     )
     nodes = place_nodes(config, np.random.default_rng(2))
-    advanced = [n for n in nodes if n.kind is NodeKind.ADVANCED]
-    normal = [n for n in nodes if n.kind is NodeKind.NORMAL]
-    assert len(advanced) == 25
-    assert all(n.energy == 1.0 for n in advanced)
-    assert all(n.id < 25 for n in advanced)
-    assert all(n.energy == 0.5 for n in normal)
+    advanced, normal = nodes.energy[:25], nodes.energy[25:]
+    assert np.all(advanced == 1.0)
+    assert np.all(normal == 0.5)
     expected = 75 * 0.5 + 25 * 0.5 * 2.0
-    assert math.fsum(n.energy for n in nodes) == pytest.approx(expected, rel=1e-12)
+    assert math.fsum(nodes.energy) == pytest.approx(expected, rel=1e-12)
 
 
 class TestConfigValidation:
@@ -128,17 +124,21 @@ class TestConfigValidation:
 
 
 class TestDistance:
+    """Euclidean distance as ``build_adjacency`` computes it between nodes."""
+
+    @staticmethod
+    def distance(a, b):
+        return build_adjacency([a[0], b[0]], [a[1], b[1]])[0, 1]
+
     def test_identity(self):
-        assert distance(Position(0, 0), Position(0, 0)) == 0.0
+        assert self.distance((0, 0), (0, 0)) == 0.0
 
     def test_pythagorean_triple(self):
-        assert distance(Position(0, 0), Position(3, 4)) == 5.0
+        assert self.distance((0, 0), (3, 4)) == 5.0
 
     def test_direct_arithmetic(self):
         expected = math.sqrt(40.0**2 + 155.0**2)  # 160.0781059358212
-        assert distance(Position(10, 20), Position(50, 175)) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert self.distance((10, 20), (50, 175)) == pytest.approx(expected, rel=1e-12)
 
     coords = st.floats(
         min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -146,16 +146,16 @@ class TestDistance:
 
     @given(coords, coords, coords, coords)
     def test_symmetry(self, ax, ay, bx, by):
-        a, b = Position(ax, ay), Position(bx, by)
-        assert distance(a, b) == distance(b, a)
+        a, b = (ax, ay), (bx, by)
+        assert self.distance(a, b) == self.distance(b, a)
 
     @given(coords, coords, coords, coords, coords, coords)
     def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
-        a, b, c = Position(ax, ay), Position(bx, by), Position(cx, cy)
-        lhs = distance(a, c)
-        rhs = distance(a, b) + distance(b, c)
+        a, b, c = (ax, ay), (bx, by), (cx, cy)
+        lhs = self.distance(a, c)
+        rhs = self.distance(a, b) + self.distance(b, c)
         assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
     @given(coords, coords)
     def test_identity_of_indiscernibles(self, x, y):
-        assert distance(Position(x, y), Position(x, y)) == 0.0
+        assert self.distance((x, y), (x, y)) == 0.0

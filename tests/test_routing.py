@@ -5,33 +5,36 @@ import pytest
 
 from crwsnsim import (
     EnergyParams,
-    Position,
     build_adjacency,
     link_cost,
-    merge_sensing_tables,
     orient_tree,
     prim_mst,
     route_decision,
 )
 
-from helpers import min_spanning_weight, random_point_matrix, spanning_tree_weights
+from helpers import (
+    min_spanning_weight,
+    random_point_matrix,
+    spanning_tree_weights,
+    triple_loop_prim,
+)
 
 PARAMS = EnergyParams()
 
 
 class TestBuildAdjacency:
     def test_single_vertex(self):
-        adj = build_adjacency([Position(4.0, 2.0)])
+        adj = build_adjacency([4.0], [2.0])
         assert adj.shape == (1, 1)
         assert adj[0, 0] == 0.0
 
     def test_pythagorean_pair(self):
-        adj = build_adjacency([Position(0, 0), Position(3, 4)])
+        adj = build_adjacency([0, 3], [0, 4])
         assert adj[0, 1] == 5.0
         assert adj[1, 0] == 5.0
 
     def test_three_vertices(self):
-        adj = build_adjacency([Position(0, 0), Position(10, 0), Position(0, 10)])
+        adj = build_adjacency([0, 10, 0], [0, 0, 10])
         assert adj[0, 1] == pytest.approx(10.0, rel=1e-12)
         assert adj[0, 2] == pytest.approx(10.0, rel=1e-12)
         assert adj[1, 2] == pytest.approx(10.0 * math.sqrt(2.0), rel=1e-12)
@@ -95,11 +98,11 @@ class TestPrimMst:
             assert len({find(v) for v in range(size)}) == 1
 
     def test_equal_weight_ties_break_low_indices(self):
-        adj = build_adjacency([Position(0, 0), Position(10, 0), Position(0, 10)])
+        adj = build_adjacency([0, 10, 0], [0, 0, 10])
         assert prim_mst(adj) == [(0, 1, 10.0), (0, 2, 10.0)]
 
     def test_coincident_positions_allowed(self):
-        adj = build_adjacency([Position(1, 1), Position(1, 1), Position(4, 5)])
+        adj = build_adjacency([1, 1, 4], [1, 1, 5])
         edges = prim_mst(adj)
         assert len(edges) == 2
         assert sum(w for _, _, w in edges) == pytest.approx(5.0, rel=1e-12)
@@ -107,6 +110,19 @@ class TestPrimMst:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             prim_mst(np.zeros((2, 3)))
+
+    def test_matches_tie_rule_oracle(self):
+        # lowest tree index, then lowest outside index, on exact weight ties
+        rng = np.random.default_rng(2718)
+        for trial in range(300):
+            size = int(rng.integers(1, 25))
+            if trial % 2:
+                upper = np.triu(rng.integers(0, 4, size=(size, size)), 1).astype(float)
+                adj = upper + upper.T
+            else:
+                adj = random_point_matrix(rng, size)
+            start = int(rng.integers(0, size))
+            assert prim_mst(adj, start) == triple_loop_prim(adj, start)
 
 
 class TestOrientTree:
@@ -202,29 +218,3 @@ class TestRouteDecision:
         dec = route_decision(PARAMS, 7, 120.0, 35.0, is_root=False, ch_id=1, parent_id=2)
         assert dec.direct_cost == link_cost(PARAMS, 7, 120.0)
         assert dec.relay_cost == link_cost(PARAMS, 7, 35.0)
-
-
-class TestMergeSensingTables:
-    def test_identity(self):
-        table = {1: 0, 4: 1}
-        assert merge_sensing_tables(table, {}) == table
-
-    def test_idempotent(self):
-        table = {1: 0, 4: 1}
-        assert merge_sensing_tables(table, table) == table
-
-    def test_disjoint_union(self):
-        assert merge_sensing_tables({1: 0}, {2: 1}) == {1: 0, 2: 1}
-
-    def test_commutative(self):
-        a, b = {1: 0, 3: 1}, {2: 1, 3: 1}
-        assert merge_sensing_tables(a, b) == merge_sensing_tables(b, a)
-
-    def test_conflict_raises(self):
-        with pytest.raises(ValueError):
-            merge_sensing_tables({1: 0}, {1: 1})
-
-    def test_does_not_mutate_inputs(self):
-        a, b = {1: 0}, {2: 1}
-        merge_sensing_tables(a, b)
-        assert a == {1: 0} and b == {2: 1}
