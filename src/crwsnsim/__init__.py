@@ -14,7 +14,7 @@ from .model import (
     ScenarioConfig,
     place_nodes,
 )
-from .energy import crossover_distance, link_cost, rx_energy, tx_energy_linear
+from .energy import crossover_distance, link_cost, rx_energy
 from .clustering import (
     assign_members,
     elect_cluster_heads,
@@ -23,10 +23,8 @@ from .clustering import (
     epoch_length,
 )
 from .routing import (
-    OrientedTree,
     RouteDecision,
     build_adjacency,
-    orient_tree,
     prim_mst,
     route_decision,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "EnergyParams",
     "MetricsRow",
     "Nodes",
-    "OrientedTree",
     "Position",
     "RouteDecision",
     "RoundOutcome",
@@ -68,7 +65,6 @@ __all__ = [
     "epoch_length",
     "link_cost",
     "no_ch_fallback",
-    "orient_tree",
     "parse_config",
     "place_nodes",
     "prim_mst",
@@ -77,5 +73,4 @@ __all__ = [
     "run_round",
     "run_simulation",
     "rx_energy",
-    "tx_energy_linear",
 ]

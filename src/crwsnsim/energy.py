@@ -1,4 +1,4 @@
-"""Radio energy arithmetic: two-branch link cost, linear model, reception.
+"""Radio energy arithmetic: two-branch link cost and reception.
 
 The link cost charges the transmit electronics plus aggregation per bit and
 an amplifier term that switches from a d^2 law to a d^4 law at the crossover
@@ -34,15 +34,6 @@ def link_cost(params: EnergyParams, m_bits: int, d: float) -> float:
     else:
         per_bit += params.e_mp * d ** 4
     return m_bits * per_bit
-
-
-def tx_energy_linear(params: EnergyParams, m_bits: int, d: float) -> float:
-    """Transmission energy (J) under the linear distance model."""
-    if m_bits < 1:
-        raise ValueError(f"m_bits must be >= 1, got {m_bits}")
-    if not math.isfinite(d) or d < 0.0:
-        raise ValueError(f"d must be a finite non-negative distance, got {d!r}")
-    return params.e_elec * m_bits + params.e_prop * params.path_loss * d
 
 
 def rx_energy(params: EnergyParams, m_bits: int) -> float:

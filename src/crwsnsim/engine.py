@@ -6,9 +6,9 @@ Each round runs, in order: every alive node senses one bit; heads are
 elected and members attach to their nearest head; every member reports its
 bit to its head (head pays reception plus aggregation per received bit);
 heads then deliver to the fusion centre either directly (baseline) or along
-the fusion-centre-oriented spanning tree with a per-head direct-vs-relay
-cost decision (proposed); finally every battery is floored at zero and the
-nodes that ran out of energy are marked dead.
+a Prim spanning tree grown from the head nearest the fusion centre, with a
+per-head direct-vs-relay cost decision (proposed); finally every battery is
+floored at zero and the nodes that ran out of energy are marked dead.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .model import PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
 from .energy import link_cost, rx_energy
 from .clustering import assign_members, elect_cluster_heads
-from .routing import RouteDecision, build_adjacency, orient_tree, prim_mst, route_decision
+from .routing import RouteDecision, build_adjacency, prim_mst, route_decision
 
 
 @dataclass
@@ -100,53 +100,50 @@ def _member_report_phase(
     np.subtract.at(nodes.energy, member_head, rx_energy(params, 1) + params.e_aggregation)
 
 
-def _baseline_head_phase(
-    nodes: Nodes, heads: list[int], config: ScenarioConfig, decisions: list[RouteDecision]
-) -> None:
-    """Every head sends its single aggregated bit directly to the FC."""
-    for head, d_fc in zip(heads, _fc_distances(nodes, heads, config)):
-        cost = link_cost(config.energy, 1, d_fc)
-        decisions.append(RouteDecision(head, None, cost, cost))
-        nodes.energy[head] -= cost
+def _head_phase(
+    nodes: Nodes, heads: list[int], config: ScenarioConfig
+) -> tuple[list[tuple[int, int, float]], list[RouteDecision]]:
+    """Every head delivers its table to the fusion centre, children first.
 
-
-def _proposed_head_phase(
-    nodes: Nodes, heads: list[int], config: ScenarioConfig, decisions: list[RouteDecision]
-) -> list[tuple[int, int, float]]:
-    """Spanning-tree convergecast of the heads' sensing tables.
-
-    Every head transmits once, deepest heads first, carrying the full
-    table width (one bit per head). A relaying head charges its parent
+    Baseline heads are all roots that send one bit each. Proposed heads
+    form Prim's tree grown from the head nearest the fusion centre (ties:
+    lower index) and transmit in reverse insertion order, each carrying the
+    full table width (one bit per head). A relaying head charges its parent
     the matching reception cost, and the parent forwards the child's bits
-    with its own.
+    with its own. Returns the tree edges as (parent head, child head,
+    metres) in insertion order, and the decisions in transmission order.
     """
     params = config.energy
-    adjacency = build_adjacency(nodes.x[heads], nodes.y[heads])
-    edges = prim_mst(adjacency, start=0)
     fc_dists = _fc_distances(nodes, heads, config)
-    tree = orient_tree(len(heads), edges, fc_dists)
-    m_bits = len(heads)
-    carried = [1] * m_bits  # head bits in each head's table
+    edges: list[tuple[int, int, float]] = []
+    order: list[int] = list(range(len(heads)))
+    m_bits = 1
+    if config.protocol != PROTOCOL_BASELINE:
+        root = min(order, key=lambda i: (fc_dists[i], i))
+        edges = prim_mst(build_adjacency(nodes.x[heads], nodes.y[heads]), start=root)
+        order = [j for _, j, _ in reversed(edges)] + [root]
+        m_bits = len(heads)
+    uplink = {j: (i, w) for i, j, w in edges}  # child -> (parent, metres)
+    carried = [1] * len(heads)  # head bits in each head's table
     delivered = 0
-    for idx in tree.order:
-        head, parent = heads[idx], tree.parents[idx]
-        is_root = parent is None
+    decisions: list[RouteDecision] = []
+    for idx in order:
+        parent, d_parent = uplink.get(idx, (None, 0.0))
         dec = route_decision(
-            params, m_bits, fc_dists[idx],
-            fc_dists[idx] if is_root else float(adjacency[idx, parent]),
-            is_root=is_root, ch_id=head, parent_id=None if is_root else heads[parent],
+            params, m_bits, fc_dists[idx], d_parent,
+            heads[idx], None if parent is None else heads[parent],
         )
         decisions.append(dec)
         if dec.is_direct:
-            nodes.energy[head] -= dec.direct_cost
+            nodes.energy[heads[idx]] -= dec.direct_cost
             delivered += carried[idx]
         else:
-            nodes.energy[head] -= dec.relay_cost
+            nodes.energy[heads[idx]] -= dec.relay_cost
             nodes.energy[heads[parent]] -= rx_energy(params, m_bits)
             carried[parent] += carried[idx]
-    if delivered != m_bits:
+    if delivered != len(heads):
         raise RuntimeError("convergecast did not deliver every head's bit")
-    return [(heads[i], heads[j], w) for i, j, w in edges]
+    return [(heads[i], heads[j], w) for i, j, w in edges], decisions
 
 
 def run_round(
@@ -179,10 +176,7 @@ def run_round(
             no_ch_fallback(nodes, config)
         else:
             _member_report_phase(nodes, *assign_members(nodes, heads), config)
-            if config.protocol == PROTOCOL_BASELINE:
-                _baseline_head_phase(nodes, heads, config, decisions)
-            else:
-                mst_edges = _proposed_head_phase(nodes, heads, config, decisions)
+            mst_edges, decisions = _head_phase(nodes, heads, config)
 
     np.maximum(nodes.energy, 0.0, out=nodes.energy)
     end_energy = nodes.energy[alive]

@@ -1,10 +1,9 @@
-"""Inter-head routing: adjacency matrix, Prim's spanning tree, orientation
-toward the fusion centre, and the per-head direct-vs-relay decision.
+"""Inter-head routing: adjacency matrix, Prim's spanning tree, and the
+per-head direct-vs-relay decision.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,52 +52,6 @@ def prim_mst(adj: np.ndarray, start: int = 0) -> list[tuple[int, int, float]]:
 
 
 @dataclass(frozen=True)
-class OrientedTree:
-    """Spanning tree with parent pointers toward the routing root.
-
-    ``order`` lists vertices deepest-first, so processing it transmits each
-    head exactly once, children before their parent.
-    """
-
-    root: int
-    parents: tuple[int | None, ...]
-    depths: tuple[int, ...]
-    order: tuple[int, ...]
-
-
-def orient_tree(
-    size: int, edges: list[tuple[int, int, float]], fc_distances: list[float]
-) -> OrientedTree:
-    """Root the tree at the head nearest the fusion centre (ties: lower index)."""
-    if size < 1:
-        raise ValueError("orient_tree requires at least one vertex")
-    if len(fc_distances) != size:
-        raise ValueError("fc_distances length must match vertex count")
-    root = min(range(size), key=lambda i: (fc_distances[i], i))
-    neighbors: list[list[int]] = [[] for _ in range(size)]
-    for i, j, _ in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    parents: list[int | None] = [None] * size
-    depths = [0] * size
-    seen = [False] * size
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                parents[w] = v
-                depths[w] = depths[v] + 1
-                queue.append(w)
-    if not all(seen):
-        raise ValueError("edges do not connect all vertices")
-    order = tuple(sorted(range(size), key=lambda i: (-depths[i], i)))
-    return OrientedTree(root, tuple(parents), tuple(depths), order)
-
-
-@dataclass(frozen=True)
 class RouteDecision:
     """One head's choice between the direct link and its tree parent."""
 
@@ -117,18 +70,19 @@ def route_decision(
     m_bits: int,
     d_fc: float,
     d_parent: float,
-    is_root: bool,
-    ch_id: int = 0,
-    parent_id: int | None = None,
+    ch_id: int,
+    parent_id: int | None,
 ) -> RouteDecision:
     """Pick the cheaper of the direct link and the one-hop relay.
 
-    Cost ties favour the direct link; the root always goes direct.
+    ``parent_id is None`` marks the tree's root: it goes direct, prices only
+    the direct link and records it as ``relay_cost`` too. Cost ties favour
+    the direct link.
     """
     direct = link_cost(params, m_bits, d_fc)
-    relay = link_cost(params, m_bits, d_parent)
-    if is_root or direct <= relay:
-        return RouteDecision(ch_id, None, direct, relay)
     if parent_id is None:
-        raise ValueError("relay chosen but no parent id was supplied")
+        return RouteDecision(ch_id, None, direct, direct)
+    relay = link_cost(params, m_bits, d_parent)
+    if direct <= relay:
+        return RouteDecision(ch_id, None, direct, relay)
     return RouteDecision(ch_id, parent_id, direct, relay)

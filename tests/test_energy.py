@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crwsnsim import EnergyParams, crossover_distance, link_cost, rx_energy, tx_energy_linear
+from crwsnsim import EnergyParams, crossover_distance, link_cost, rx_energy
 
 PARAMS = EnergyParams()
 
@@ -86,24 +86,6 @@ class TestLinkCost:
             assert multipath < free_space
         elif d > d_o * (1.0 + 1e-9):
             assert multipath > free_space
-
-
-class TestLinearModel:
-    def test_zero_distance(self):
-        assert tx_energy_linear(PARAMS, 1, 0.0) == pytest.approx(5.0e-8, rel=1e-12)
-
-    def test_linear_in_bits(self):
-        assert tx_energy_linear(PARAMS, 10, 0.0) == pytest.approx(5.0e-7, rel=1e-12)
-
-    def test_distance_term(self):
-        # 50e-9 + 10e-12 * 0.3 * 100
-        assert tx_energy_linear(PARAMS, 1, 100.0) == pytest.approx(5.03e-8, rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            tx_energy_linear(PARAMS, 0, 1.0)
-        with pytest.raises(ValueError):
-            tx_energy_linear(PARAMS, 1, float("inf"))
 
 
 class TestRxEnergy:

@@ -8,7 +8,9 @@ from crwsnsim import (
     EnergyParams,
     Position,
     ScenarioConfig,
+    build_adjacency,
     no_ch_fallback,
+    prim_mst,
     run_round,
     run_simulation,
 )
@@ -109,6 +111,61 @@ class TestRunRound:
         for outcome in result.outcomes:
             assert outcome.mst_edges == []
             assert all(d.is_direct for d in outcome.decisions)
+
+
+def all_heads_round(xs, ys, fc):
+    """One proposed round in which every node is a head (p = 1, round 0)."""
+    config = ScenarioConfig(n_nodes=len(xs), fc_position=Position(*fc),
+                            ch_probability=1.0, protocol="proposed", rounds=1)
+    outcome = run_round(nodes_at(xs, ys), config, 0, np.random.default_rng(0))
+    assert outcome.cluster_heads == list(range(len(xs)))
+    return outcome
+
+
+class TestHeadPhase:
+    @pytest.mark.parametrize("xs, ys, root", [
+        ([10.0, -10.0, 0.0], [0.0, 0.0, -50.0], 0),
+        ([-10.0, 10.0, 0.0], [0.0, 0.0, 5.0], 2),
+    ], ids=["distance-tie-to-lower-index", "nearest-is-highest-index"])
+    def test_root_is_head_nearest_fusion_centre(self, xs, ys, root):
+        outcome = all_heads_round(xs, ys, (0.0, 300.0))
+        children = {child for _, child, _ in outcome.mst_edges}
+        assert set(outcome.cluster_heads) - children == {root}
+        assert outcome.mst_edges[0][0] == root
+        last = outcome.decisions[-1]
+        assert (last.ch_id, last.relay_to) == (root, None)
+        assert last.relay_cost == last.direct_cost
+
+    def test_relays_transmit_before_parents_and_chains_end_direct(self):
+        config = ScenarioConfig(n_nodes=100, fc_position=Position(50.0, 400.0),
+                                protocol="proposed", rounds=30, rng_seed=4)
+        relays = 0
+        for outcome in run_simulation(config).outcomes:
+            parent_of = {child: parent for parent, child, _ in outcome.mst_edges}
+            position = {d.ch_id: i for i, d in enumerate(outcome.decisions)}
+            route = {d.ch_id: d.relay_to for d in outcome.decisions}
+            assert sorted(position) == outcome.cluster_heads
+            for head, relay_to in route.items():
+                if relay_to is None:
+                    continue
+                relays += 1
+                assert relay_to == parent_of[head]
+                assert position[head] < position[relay_to]
+                hops = 0
+                while route[head] is not None:
+                    head, hops = route[head], hops + 1
+                    assert hops < len(route)
+        assert relays > 0
+
+    def test_tree_is_prim_grown_from_root_on_tied_lattice(self):
+        # 10 m lattice points; edges 0-3 and 1-2 tie at sqrt(2600) m, so the
+        # tree depends on where Prim starts; head 3 is nearest the centre
+        xs, ys = [40.0, 40.0, 90.0, 90.0], [40.0, 10.0, 0.0, 50.0]
+        outcome = all_heads_round(xs, ys, (50.0, 300.0))
+        adjacency = build_adjacency(xs, ys)
+        assert outcome.mst_edges == prim_mst(adjacency, start=3)
+        undirected = {frozenset(e[:2]) for e in outcome.mst_edges}
+        assert undirected != {frozenset(e[:2]) for e in prim_mst(adjacency, start=0)}
 
 
 class TestDrainedHead:

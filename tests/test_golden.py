@@ -54,6 +54,13 @@ CASES["uniform-depletion"] = (
 )
 # Nine seeds: np.mean sums the per-seed values along its 8-way unrolled path.
 CASES["compare-9-seeds"] = (["compare", "--seeds", "1,2,3,4,5,6,7,8,9", "--rounds", "400"], "")
+# 400 nodes, far fusion centre: about 40 heads a round and 2340 relays in all,
+# the deepest spanning trees of the matrix.
+CASES["proposed-400-nodes"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform",
+     "--seed", "1", "--rounds", "60"],
+    "nodes = 400\nfc_y = 400\n",
+)
 
 GOLDEN = {
     "baseline-seed1-fc50":
@@ -92,6 +99,8 @@ GOLDEN = {
         "7c53c5f6f7720f636698355a2ac9232869b035613ebfa4eee8f3ee232de665f8",
     "compare-9-seeds":
         "1a628c977d40593a8bf187e795aefb08ac02d4da945b4c9f249b1703590534a2",
+    "proposed-400-nodes":
+        "46c7b55ff2d283b539bdb66edc2d2df109cd53870e606f632534923babe91645",
 }
 
 

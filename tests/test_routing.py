@@ -7,7 +7,6 @@ from crwsnsim import (
     EnergyParams,
     build_adjacency,
     link_cost,
-    orient_tree,
     prim_mst,
     route_decision,
 )
@@ -125,83 +124,29 @@ class TestPrimMst:
             assert prim_mst(adj, start) == triple_loop_prim(adj, start)
 
 
-class TestOrientTree:
-    def test_single_vertex(self):
-        tree = orient_tree(1, [], [12.0])
-        assert tree.root == 0
-        assert tree.parents == (None,)
-        assert tree.order == (0,)
-
-    def test_path_points_toward_root(self):
-        # path 0 - 1 - 2 with vertex 2 nearest the fusion centre
-        edges = [(0, 1, 1.0), (1, 2, 1.0)]
-        tree = orient_tree(3, edges, [30.0, 20.0, 10.0])
-        assert tree.root == 2
-        assert tree.parents[0] == 1
-        assert tree.parents[1] == 2
-        assert tree.parents[2] is None
-        assert tree.order == (0, 1, 2)  # deepest first
-
-    def test_star_rooted_at_nearest_leaf(self):
-        # hub 0 with leaves 1..3; leaf 2 nearest the fusion centre
-        edges = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
-        tree = orient_tree(4, edges, [50.0, 60.0, 5.0, 70.0])
-        assert tree.root == 2
-        assert tree.parents[0] == 2
-        assert tree.parents[1] == 0
-        assert tree.parents[3] == 0
-        assert tree.depths == (1, 2, 0, 2)
-
-    def test_distance_tie_breaks_to_lower_index(self):
-        tree = orient_tree(2, [(0, 1, 3.0)], [10.0, 10.0])
-        assert tree.root == 0
-
-    def test_parent_chains_reach_root(self):
-        rng = np.random.default_rng(41)
-        for _ in range(25):
-            size = int(rng.integers(1, 12))
-            adj = random_point_matrix(rng, size)
-            edges = prim_mst(adj)
-            tree = orient_tree(size, edges, list(rng.uniform(0, 200, size)))
-            for v in range(size):
-                hops, current = 0, v
-                while tree.parents[current] is not None:
-                    current = tree.parents[current]
-                    hops += 1
-                    assert hops < size
-                assert current == tree.root
-
-    def test_rejects_disconnected_edges(self):
-        with pytest.raises(ValueError):
-            orient_tree(3, [(0, 1, 1.0)], [1.0, 2.0, 3.0])
-
-
 class TestRouteDecision:
     def test_tie_prefers_direct(self):
-        dec = route_decision(PARAMS, 10, 40.0, 40.0, is_root=False, ch_id=4, parent_id=9)
+        dec = route_decision(PARAMS, 10, 40.0, 40.0, ch_id=4, parent_id=9)
         assert dec.is_direct
         assert dec.direct_cost == dec.relay_cost
 
     def test_relay_wins_when_parent_close(self):
-        dec = route_decision(PARAMS, 10, 150.0, 20.0, is_root=False, ch_id=4, parent_id=9)
+        dec = route_decision(PARAMS, 10, 150.0, 20.0, ch_id=4, parent_id=9)
         assert dec.relay_to == 9
         assert dec.relay_cost == pytest.approx(5.9e-7, rel=1e-12)
         assert dec.direct_cost == pytest.approx(7.13125e-6, rel=1e-12)
 
     def test_root_always_direct(self):
-        dec = route_decision(PARAMS, 10, 500.0, 1.0, is_root=True, ch_id=0)
+        dec = route_decision(PARAMS, 10, 500.0, 1.0, ch_id=0, parent_id=None)
         assert dec.is_direct
-
-    def test_relay_requires_parent_id(self):
-        with pytest.raises(ValueError):
-            route_decision(PARAMS, 10, 150.0, 20.0, is_root=False, ch_id=4)
+        assert dec.relay_cost == dec.direct_cost
 
     def test_choice_invariant_under_cost_scaling(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             d_fc = round(float(rng.uniform(0, 300)), 3)
             d_parent = round(float(rng.uniform(0, 300)), 3)
-            baseline = route_decision(PARAMS, 10, d_fc, d_parent, False, 1, 2)
+            baseline = route_decision(PARAMS, 10, d_fc, d_parent, 1, 2)
             for factor in (1e-3, 0.5, 2.0, 1e3):
                 scaled = EnergyParams(
                     initial_energy=PARAMS.initial_energy,
@@ -211,10 +156,10 @@ class TestRouteDecision:
                     e_fs=PARAMS.e_fs * factor,
                     e_mp=PARAMS.e_mp * factor,
                 )
-                dec = route_decision(scaled, 10, d_fc, d_parent, False, 1, 2)
+                dec = route_decision(scaled, 10, d_fc, d_parent, 1, 2)
                 assert dec.relay_to == baseline.relay_to
 
     def test_costs_follow_link_cost(self):
-        dec = route_decision(PARAMS, 7, 120.0, 35.0, is_root=False, ch_id=1, parent_id=2)
+        dec = route_decision(PARAMS, 7, 120.0, 35.0, ch_id=1, parent_id=2)
         assert dec.direct_cost == link_cost(PARAMS, 7, 120.0)
         assert dec.relay_cost == link_cost(PARAMS, 7, 35.0)
