@@ -32,11 +32,10 @@ from .engine import (
     MetricsRow,
     RoundOutcome,
     SimulationResult,
-    no_ch_fallback,
     run_round,
     run_simulation,
 )
-from .cli import ConfigError, parse_config, read_metrics_csv
+from .cli import ConfigError, parse_config
 
 __version__ = "0.1.0"
 
@@ -64,11 +63,9 @@ __all__ = [
     "eligible_mask",
     "epoch_length",
     "link_cost",
-    "no_ch_fallback",
     "parse_config",
     "place_nodes",
     "prim_mst",
-    "read_metrics_csv",
     "route_decision",
     "run_round",
     "run_simulation",

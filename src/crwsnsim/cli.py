@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from operator import attrgetter
 from typing import Callable
 
@@ -22,7 +22,7 @@ from .model import (
     PROTOCOLS,
     ScenarioConfig,
 )
-from .engine import MetricsRow, SimulationResult, run_simulation
+from .engine import SimulationResult, run_simulation
 
 CSV_HEADER = "round,protocol,clustering,seed,total_residual_j,alive,ch_count"
 
@@ -179,59 +179,6 @@ def render_run_csv(config: ScenarioConfig, seeds: list[int]) -> tuple[str, list[
                 f"{row.alive},{row.ch_count}"
             )
     return "\n".join(chunks) + "\n", results
-
-
-@dataclass
-class MetricsSeries:
-    """One seed's rows recovered from an emitted per-round CSV."""
-
-    protocol: str
-    clustering: str
-    seed: int
-    rows: list[MetricsRow]
-
-
-def read_metrics_csv(text: str) -> tuple[dict[str, str], list[MetricsSeries]]:
-    """Parse per-round CSV output back into parameters and metrics rows.
-
-    ``first_death_round`` is reconstructed from the alive column and the
-    echoed node count.
-    """
-    params: dict[str, str] = {}
-    series: list[MetricsSeries] = []
-    header_seen = False
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        if raw.startswith("#"):
-            body = raw[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                params[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if raw != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header: {raw!r}")
-            header_seen = True
-            continue
-        parts = raw.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"malformed CSV row: {raw!r}")
-        round_number = int(parts[0])
-        protocol, clustering, seed = parts[1], parts[2], int(parts[3])
-        residual, alive, ch_count = float(parts[4]), int(parts[5]), int(parts[6])
-        if not series or series[-1].seed != seed or round_number == 1:
-            series.append(MetricsSeries(protocol, clustering, seed, []))
-        current = series[-1]
-        previous_alive = (
-            current.rows[-1].alive if current.rows else int(params.get("nodes", alive))
-        )
-        previous_death = current.rows[-1].first_death_round if current.rows else None
-        first_death = previous_death
-        if first_death is None and alive < previous_alive:
-            first_death = round_number
-        current.rows.append(MetricsRow(round_number, residual, alive, ch_count, first_death))
-    return params, series
 
 
 _COMPARE_VARIANTS = (

@@ -20,17 +20,14 @@ def epoch_length(ch_probability: float) -> int:
     return max(1, round(1.0 / ch_probability))
 
 
-def election_threshold(ch_probability: float, round_index: int, eligible: bool) -> float:
+def election_threshold(ch_probability: float, round_index: int) -> float:
     """Probability that an eligible node claims head duty this round.
 
-    Evaluates ``p / (1 - p * (r mod round(1/p)))`` clamped to 1, or 0 for
-    nodes outside the eligible set.
+    Evaluates ``p / (1 - p * (r mod round(1/p)))`` clamped to 1.
     """
     _check_probability(ch_probability)
     if round_index < 0:
         raise ValueError(f"round_index must be >= 0, got {round_index}")
-    if not eligible:
-        return 0.0
     offset = round_index % epoch_length(ch_probability)
     denominator = 1.0 - ch_probability * offset
     if denominator <= 0.0:
@@ -71,7 +68,7 @@ def elect_cluster_heads(
         raise ValueError("election requires at least one alive node")
     eligible = eligible_mask(nodes, ch_probability, round_index)[alive]
     draws = rng.random(alive.size)
-    elected = (draws < election_threshold(ch_probability, round_index, True)) & eligible
+    elected = (draws < election_threshold(ch_probability, round_index)) & eligible
     heads = alive[elected]
     if clustering == CLUSTERING_UNIFORM:
         target = min(cluster_count, alive.size)

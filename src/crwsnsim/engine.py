@@ -1,5 +1,5 @@
 """The round loop: sensing, election, intra-cluster reporting, the
-protocol-dependent head-to-fusion-centre phase, death processing, and
+protocol-dependent delivery to the fusion centre, death processing, and
 metrics capture.
 
 Each round runs, in order: every alive node senses one bit; heads are
@@ -8,7 +8,9 @@ bit to its head (head pays reception plus aggregation per received bit);
 heads then deliver to the fusion centre either directly (baseline) or along
 a Prim spanning tree grown from the head nearest the fusion centre, with a
 per-head direct-vs-relay cost decision (proposed); finally every battery is
-floored at zero and the nodes that ran out of energy are marked dead.
+floored at zero and the nodes that ran out of energy are marked dead. A
+round that elects no head has no members either: every alive node delivers
+its own bit directly, under both protocols, as a baseline head would.
 """
 
 from __future__ import annotations
@@ -75,19 +77,6 @@ def _fc_distances(nodes: Nodes, ids: list[int], config: ScenarioConfig) -> list[
     return [math.hypot(a, b) for a, b in zip(dx, dy)]
 
 
-def no_ch_fallback(nodes: Nodes, config: ScenarioConfig) -> float:
-    """Zero-head round: every alive node sends its bit straight to the FC.
-
-    Returns the energy charged.
-    """
-    alive = np.flatnonzero(nodes.alive).tolist()
-    if not alive:
-        raise ValueError("fallback requires at least one alive node")
-    costs = [link_cost(config.energy, 1, d) for d in _fc_distances(nodes, alive, config)]
-    nodes.energy[alive] -= costs
-    return math.fsum(costs)
-
-
 def _member_report_phase(
     nodes: Nodes, members: np.ndarray, member_head: np.ndarray, config: ScenarioConfig
 ) -> None:
@@ -101,24 +90,27 @@ def _member_report_phase(
 
 
 def _head_phase(
-    nodes: Nodes, heads: list[int], config: ScenarioConfig
+    nodes: Nodes, heads: list[int], tree: bool, config: ScenarioConfig
 ) -> tuple[list[tuple[int, int, float]], list[RouteDecision]]:
-    """Every head delivers its table to the fusion centre, children first.
+    """Every sender in ``heads`` delivers its table to the fusion centre,
+    children first.
 
-    Baseline heads are all roots that send one bit each. Proposed heads
-    form Prim's tree grown from the head nearest the fusion centre (ties:
-    lower index) and transmit in reverse insertion order, each carrying the
-    full table width (one bit per head). A relaying head charges its parent
-    the matching reception cost, and the parent forwards the child's bits
-    with its own. Returns the tree edges as (parent head, child head,
-    metres) in insertion order, and the decisions in transmission order.
+    Without ``tree`` (baseline heads, or every alive node in a zero-head
+    round) each sender is a root that sends one bit directly, in ascending
+    id. With it, the heads form Prim's tree grown from the head nearest the
+    fusion centre (ties: lower index) and transmit in reverse insertion
+    order, each carrying the full table width (one bit per head). A
+    relaying head charges its parent the matching reception cost, and the
+    parent forwards the child's bits with its own. Returns the tree edges as
+    (parent head, child head, metres) in insertion order, and the decisions
+    in transmission order.
     """
     params = config.energy
     fc_dists = _fc_distances(nodes, heads, config)
     edges: list[tuple[int, int, float]] = []
     order: list[int] = list(range(len(heads)))
     m_bits = 1
-    if config.protocol != PROTOCOL_BASELINE:
+    if tree:
         root = min(order, key=lambda i: (fc_dists[i], i))
         edges = prim_mst(build_adjacency(nodes.x[heads], nodes.y[heads]), start=root)
         order = [j for _, j, _ in reversed(edges)] + [root]
@@ -169,14 +161,12 @@ def run_round(
         config.cluster_count, rng,
     )
 
-    decisions: list[RouteDecision] = []
-    mst_edges: list[tuple[int, int, float]] = []
+    tree = bool(heads) and config.protocol != PROTOCOL_BASELINE
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
-        if not heads:
-            no_ch_fallback(nodes, config)
-        else:
+        if heads:
             _member_report_phase(nodes, *assign_members(nodes, heads), config)
-            mst_edges, decisions = _head_phase(nodes, heads, config)
+        # with no head elected, every alive node sends its own bit directly
+        mst_edges, decisions = _head_phase(nodes, heads or alive.tolist(), tree, config)
 
     np.maximum(nodes.energy, 0.0, out=nodes.energy)
     end_energy = nodes.energy[alive]

@@ -86,8 +86,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if not (0.0 < self.ch_probability <= 1.0):
-            raise ValueError(f"ch_probability must be in (0, 1], got {self.ch_probability}")
+        p = self.ch_probability
+        if not (0.0 < p <= 1.0 and math.isfinite(1.0 / p)):  # epoch length round(1/p)
+            raise ValueError(f"ch_probability must be in (0, 1] with 1/p finite, got {p}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.protocol not in PROTOCOLS:

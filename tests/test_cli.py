@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crwsnsim import ConfigError, ScenarioConfig, parse_config, read_metrics_csv
+from crwsnsim import ConfigError, ScenarioConfig, parse_config
 from crwsnsim.cli import (
     CSV_HEADER,
     _effective_config,
@@ -148,7 +148,8 @@ class TestRunCommand:
         for key in ECHO_KEYS:
             assert key in comment_keys, f"missing echo for {key}"
 
-    def test_csv_round_trip_recovers_metrics(self, tmp_path):
+    def test_csv_round_trip_recovers_metrics(self):
+        # 17 significant digits: float() recovers each residual exactly
         config = ScenarioConfig(n_nodes=10, rounds=60, rng_seed=3,
                                 protocol="proposed", clustering="uniform",
                                 cluster_count=2)
@@ -156,14 +157,14 @@ class TestRunCommand:
             config, energy=replace(config.energy, initial_energy=2e-7)
         )
         text, results = render_run_csv(config, [3])
-        params, series = read_metrics_csv(text)
-        assert params["nodes"] == "10"
-        assert len(series) == 1
-        recovered = series[0]
-        assert recovered.protocol == "proposed"
-        assert recovered.clustering == "uniform"
-        assert recovered.seed == 3
-        assert recovered.rows == results[0].metrics
+        rows = [line.split(",") for line in text.splitlines()
+                if not line.startswith("#") and line != CSV_HEADER]
+        parsed = [(int(r[0]), float(r[4]), int(r[5]), int(r[6])) for r in rows]
+        expected = [(m.round_number, m.total_residual, m.alive, m.ch_count)
+                    for m in results[0].metrics]
+        assert parsed == expected
+        assert {(r[1], r[2], r[3]) for r in rows} == {("proposed", "uniform", "3")}
+        assert parsed[-1][2] < 10  # deaths happened, so residuals are not all equal
 
     def test_seed_list_groups_rows(self, capsys):
         assert main(["run", "--rounds", "2", "--seeds", "4,2"]) == 0
@@ -302,6 +303,10 @@ ERROR_CASES = {
         ["run", "--rounds", "2"],
         "field_width = 1.7e308\nfield_height = 1.7e308\nnodes = 3\n",
         "line 1: field_width and field_height must span a finite diagonal",
+    ),
+    # 1 / 5e-309 overflows, so the epoch length round(1/p) cannot be formed
+    "p-epoch-overflow": (
+        ["run", "--rounds", "2"], "p = 5e-309\n", "line 1: p must be in (0, 1] with 1/p finite"
     ),
     "unknown-protocol": (
         ["run", "--rounds", "3"], "protocol = flood\n",

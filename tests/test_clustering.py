@@ -37,29 +37,26 @@ class FixedDraws:
 
 class TestElectionThreshold:
     def test_epoch_start(self):
-        assert election_threshold(0.1, 0, True) == pytest.approx(0.1, rel=1e-12)
+        assert election_threshold(0.1, 0) == pytest.approx(0.1, rel=1e-12)
 
     def test_epoch_end_reaches_one(self):
-        assert election_threshold(0.1, 9, True) == 1.0
-
-    def test_ineligible_is_zero(self):
-        assert election_threshold(0.1, 5, False) == 0.0
+        assert election_threshold(0.1, 9) == 1.0
 
     def test_wraps_with_epoch(self):
-        assert election_threshold(0.1, 10, True) == election_threshold(0.1, 0, True)
-        assert election_threshold(0.1, 23, True) == election_threshold(0.1, 3, True)
+        assert election_threshold(0.1, 10) == election_threshold(0.1, 0)
+        assert election_threshold(0.1, 23) == election_threshold(0.1, 3)
 
     def test_clamped_to_one(self):
         # p = 0.6 -> epoch 2, offset 1 gives 0.6 / 0.4 = 1.5 before the clamp
-        assert election_threshold(0.6, 1, True) == 1.0
+        assert election_threshold(0.6, 1) == 1.0
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            election_threshold(0.0, 0, True)
+            election_threshold(0.0, 0)
         with pytest.raises(ValueError):
-            election_threshold(1.1, 0, True)
+            election_threshold(1.1, 0)
         with pytest.raises(ValueError):
-            election_threshold(0.1, -1, True)
+            election_threshold(0.1, -1)
 
     def test_epoch_length(self):
         assert epoch_length(0.1) == 10

@@ -9,7 +9,7 @@ from crwsnsim import (
     Position,
     ScenarioConfig,
     build_adjacency,
-    no_ch_fallback,
+    link_cost,
     prim_mst,
     run_round,
     run_simulation,
@@ -206,25 +206,50 @@ class TestDrainedHead:
 
 
 class TestNoChFallback:
+    """A round that elects no head: every alive node sends its own bit
+    straight to the fusion centre, with no tree, under either protocol."""
+
+    @staticmethod
+    def zero_head_round(protocol, xs, ys, fc, field=100.0, dead=()):
+        # nonuniform election at round 3, where every node already served in
+        # this epoch, so no node is eligible and nobody is elected
+        config = ScenarioConfig(n_nodes=len(xs), field_width=field, field_height=field,
+                                fc_position=Position(*fc), protocol=protocol,
+                                clustering="nonuniform", rounds=10)
+        nodes = nodes_at(xs, ys)
+        nodes.last_ch_round[:] = 3
+        nodes.alive[list(dead)] = False
+        before = nodes.energy.copy()
+        outcome = run_round(nodes, config, 3, np.random.default_rng(0))
+        assert outcome.cluster_heads == []
+        assert outcome.mst_edges == []
+        return config, nodes, before, outcome
+
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_every_alive_node_sends_one_bit_direct(self, protocol):
+        xs, ys = [10.0, 90.0, 40.0, 0.0, 70.0], [20.0, 0.0, 60.0, 100.0, 30.0]
+        fc = (50.0, 250.0)
+        config, nodes, before, outcome = self.zero_head_round(protocol, xs, ys, fc, dead=[3])
+        assert [(d.ch_id, d.relay_to) for d in outcome.decisions] == [
+            (0, None), (1, None), (2, None), (4, None)
+        ]
+        for dec in outcome.decisions:
+            d_fc = math.hypot(xs[dec.ch_id] - fc[0], ys[dec.ch_id] - fc[1])
+            cost = link_cost(config.energy, 1, d_fc)  # one bit, not a four-bit table
+            assert dec.direct_cost == cost
+            assert nodes.energy[dec.ch_id] == before[dec.ch_id] - cost
+        assert nodes.energy[3] == before[3]
+
     def test_node_at_fusion_centre(self):
-        config = ScenarioConfig(n_nodes=1, fc_position=Position(50.0, 50.0))
-        nodes = nodes_at([50.0], [50.0])
-        spent = no_ch_fallback(nodes, config)
-        assert spent == pytest.approx(5.5e-8, rel=1e-12)
+        for protocol in ("baseline", "proposed"):
+            *_, outcome = self.zero_head_round(protocol, [50.0], [50.0], (50.0, 50.0))
+            assert outcome.energy_spent == pytest.approx(5.5e-8, rel=1e-12)
 
     def test_multipath_distance(self):
-        config = ScenarioConfig(n_nodes=1, field_width=300.0, field_height=300.0,
-                                fc_position=Position(0.0, 0.0))
-        nodes = nodes_at([200.0], [0.0])
-        spent = no_ch_fallback(nodes, config)
-        assert spent == pytest.approx(2.135e-6, rel=1e-12)
-
-    def test_requires_alive_node(self):
-        config = ScenarioConfig(n_nodes=1)
-        node = nodes_at([1.0], [1.0])
-        node.alive[0] = False
-        with pytest.raises(ValueError):
-            no_ch_fallback(node, config)
+        for protocol in ("baseline", "proposed"):
+            *_, outcome = self.zero_head_round(protocol, [200.0], [0.0], (0.0, 0.0),
+                                               field=300.0)
+            assert outcome.energy_spent == pytest.approx(2.135e-6, rel=1e-12)
 
     def test_zero_head_round_uses_fallback(self):
         # nonuniform election with 2 nodes frequently elects nobody
@@ -233,8 +258,9 @@ class TestNoChFallback:
         result = run_simulation(config)
         fallback_rounds = [o for o in result.outcomes if not o.cluster_heads]
         assert fallback_rounds, "expected at least one zero-head round"
+        assert result.first_death_round is None
         for outcome in fallback_rounds:
-            assert outcome.decisions == []
+            assert [(d.ch_id, d.relay_to) for d in outcome.decisions] == [(0, None), (1, None)]
             assert outcome.energy_spent > 0.0
 
 
