@@ -29,7 +29,6 @@ from .routing import (
     route_decision,
 )
 from .engine import (
-    MetricsRow,
     RoundOutcome,
     SimulationResult,
     run_round,
@@ -48,7 +47,6 @@ __all__ = [
     "PROTOCOL_PROPOSED",
     "ConfigError",
     "EnergyParams",
-    "MetricsRow",
     "Nodes",
     "Position",
     "RouteDecision",

@@ -22,7 +22,7 @@ from .model import (
     PROTOCOLS,
     ScenarioConfig,
 )
-from .engine import SimulationResult, run_simulation
+from .engine import run_simulation
 
 CSV_HEADER = "round,protocol,clustering,seed,total_residual_j,alive,ch_count"
 
@@ -165,20 +165,19 @@ def config_echo_lines(config: ScenarioConfig, seeds: list[int]) -> list[str]:
     return out
 
 
-def render_run_csv(config: ScenarioConfig, seeds: list[int]) -> tuple[str, list[SimulationResult]]:
+def render_run_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     """Run every seed and render the per-round CSV (rows grouped by seed)."""
     configs = [replace(config, rng_seed=seed) for seed in seeds]  # all valid before any run
-    results = [run_simulation(seed_config) for seed_config in configs]
     chunks = config_echo_lines(config, seeds)
     chunks.append(CSV_HEADER)
-    for result in results:
-        for row in result.metrics:
+    for seed_config in configs:
+        for o in run_simulation(seed_config).outcomes:
             chunks.append(
-                f"{row.round_number},{config.protocol},{config.clustering},"
-                f"{result.config.rng_seed},{_fmt(row.total_residual)},"
-                f"{row.alive},{row.ch_count}"
+                f"{o.round_index + 1},{config.protocol},{config.clustering},"
+                f"{seed_config.rng_seed},{_fmt(o.total_residual)},"
+                f"{o.alive},{len(o.cluster_heads)}"
             )
-    return "\n".join(chunks) + "\n", results
+    return "\n".join(chunks) + "\n"
 
 
 _COMPARE_VARIANTS = (
@@ -188,73 +187,48 @@ _COMPARE_VARIANTS = (
 )
 
 
-def summarize_variants(
-    config: ScenarioConfig, seeds: list[int]
-) -> dict[str, dict[str, float]]:
-    """Run all three protocol variants over the seeds and aggregate.
-
-    Runs that never lose a node contribute ``rounds + 1`` to the mean
-    first-death round (right-censored).
-    """
-    runs = {  # every variant and seed is valid before the first run starts
-        name: [replace(config, protocol=protocol, clustering=clustering, rng_seed=seed)
-               for seed in seeds]
-        for name, protocol, clustering in _COMPARE_VARIANTS
-    }
-    summary: dict[str, dict[str, float]] = {}
-    for name, configs in runs.items():
-        finals, alives, deaths = [], [], []
-        for run_config in configs:
-            result = run_simulation(run_config)
-            finals.append(result.final_residual)
-            alives.append(float(result.final_alive))
-            fd = result.first_death_round
-            deaths.append(float(fd) if fd is not None else float(config.rounds + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            summary[name] = {
-                "mean_final_residual_j": float(np.mean(finals)),
-                "stddev_final_residual_j": float(np.std(finals)),
-                "mean_final_alive": float(np.mean(alives)),
-                "mean_first_death_round": float(np.mean(deaths)),
-            }
-        for stat, value in summary[name].items():
-            if not math.isfinite(value):
-                raise OverflowError(f"{stat} of {name} is {value}")
-    return summary
-
-
 def _ratio(numerator: float, denominator: float) -> float:
     """``numerator / denominator``; nan when the denominator is 0 (no data)."""
     return numerator / denominator if denominator else math.nan
 
 
 def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
-    summary = summarize_variants(config, seeds)
+    """Run all three protocol variants over the seeds and render one summary
+    row per variant, then the ratio rows.
+
+    Runs that never lose a node contribute ``rounds + 1`` to the mean
+    first-death round (right-censored).
+    """
+    runs = [  # every variant and seed is valid before the first run starts
+        (name, [replace(config, protocol=protocol, clustering=clustering, rng_seed=seed)
+                for seed in seeds])
+        for name, protocol, clustering in _COMPARE_VARIANTS
+    ]
     chunks = config_echo_lines(config, seeds)
     chunks.append(SUMMARY_HEADER)
-    for name, _, _ in _COMPARE_VARIANTS:
-        s = summary[name]
-        chunks.append(
-            f"{name},{_fmt(s['mean_final_residual_j'])},{_fmt(s['stddev_final_residual_j'])},"
-            f"{_fmt(s['mean_final_alive'])},{_fmt(s['mean_first_death_round'])}"
-        )
-    baseline = summary["baseline"]
-    uniform = summary["proposed_uniform"]
-    nonuniform = summary["proposed_nonuniform"]
-    ratios = [
-        (
-            "ratio_residual_proposed_uniform_over_baseline",
-            _ratio(uniform["mean_final_residual_j"], baseline["mean_final_residual_j"]),
-        ),
-        (
-            "ratio_residual_proposed_uniform_over_proposed_nonuniform",
-            _ratio(uniform["mean_final_residual_j"], nonuniform["mean_final_residual_j"]),
-        ),
-        (
-            "ratio_alive_proposed_uniform_over_baseline",
-            _ratio(uniform["mean_final_alive"], baseline["mean_final_alive"]),
-        ),
-    ]
+    residual, alive = {}, {}
+    for name, configs in runs:
+        finals, alives, deaths = zip(*(
+            (r.final_residual, float(r.final_alive),
+             float(r.first_death_round or config.rounds + 1))
+            for r in map(run_simulation, configs)
+        ))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = [float(np.mean(finals)), float(np.std(finals)),
+                     float(np.mean(alives)), float(np.mean(deaths))]
+        for stat, value in zip(SUMMARY_HEADER.split(",")[1:], stats):
+            if not math.isfinite(value):
+                raise OverflowError(f"{stat} of {name} is {value}")
+        residual[name], alive[name] = stats[0], stats[2]
+        chunks.append(",".join([name, *map(_fmt, stats)]))
+    ratios = (
+        ("ratio_residual_proposed_uniform_over_baseline",
+         _ratio(residual["proposed_uniform"], residual["baseline"])),
+        ("ratio_residual_proposed_uniform_over_proposed_nonuniform",
+         _ratio(residual["proposed_uniform"], residual["proposed_nonuniform"])),
+        ("ratio_alive_proposed_uniform_over_baseline",
+         _ratio(alive["proposed_uniform"], alive["baseline"])),
+    )
     for name, value in ratios:
         chunks.append(f"{name},{_fmt(value)},,,")
     return "\n".join(chunks) + "\n"
@@ -311,7 +285,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 def run_command(ns: argparse.Namespace) -> int:
     config = _effective_config(ns)
     seeds = _seeds_for(ns, config)
-    text, _ = render_run_csv(config, seeds)
+    text = render_run_csv(config, seeds)
     _write_output(text, ns.out)
     return 0
 
@@ -364,6 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         return ns.func(ns)
     except OverflowError as err:
         message = f"arithmetic overflow in the run: {err}"
+    except MemoryError as err:
+        message = f"out of memory in the run: {err}"
     except ValueError as err:
         message = str(_config_error(err, {}))
     print(f"error: {message}", file=sys.stderr)

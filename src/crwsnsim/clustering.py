@@ -2,8 +2,9 @@
 
 Election follows the rotating-threshold rule: each alive node draws a
 uniform value and claims cluster-head duty when the draw falls below a
-threshold that rises over the epoch, so every node serves exactly once per
-``round(1/p)``-round epoch while it stays alive. The uniform mode then trims
+threshold that rises over the epoch. A node serves at most once per
+``round(1/p)``-round epoch while it stays alive, and exactly once when the
+last round's threshold reaches 1 (as at p = 0.1). The uniform mode then trims
 or promotes by residual energy to hit a fixed head count.
 """
 
@@ -11,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CLUSTERING_UNIFORM, Nodes
+from .model import CLUSTERING_UNIFORM, Nodes, check_probability
 
 
 def epoch_length(ch_probability: float) -> int:
     """Rounds per election epoch, ``round(1/p)`` and at least 1."""
-    _check_probability(ch_probability)
+    check_probability(ch_probability)
     return max(1, round(1.0 / ch_probability))
 
 
@@ -25,7 +26,7 @@ def election_threshold(ch_probability: float, round_index: int) -> float:
 
     Evaluates ``p / (1 - p * (r mod round(1/p)))`` clamped to 1.
     """
-    _check_probability(ch_probability)
+    check_probability(ch_probability)
     if round_index < 0:
         raise ValueError(f"round_index must be >= 0, got {round_index}")
     offset = round_index % epoch_length(ch_probability)
@@ -33,11 +34,6 @@ def election_threshold(ch_probability: float, round_index: int) -> float:
     if denominator <= 0.0:
         return 1.0
     return min(1.0, ch_probability / denominator)
-
-
-def _check_probability(p: float) -> None:
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"ch_probability must be in (0, 1], got {p}")
 
 
 def eligible_mask(nodes: Nodes, ch_probability: float, round_index: int) -> np.ndarray:

@@ -1,6 +1,5 @@
 """The round loop: sensing, election, intra-cluster reporting, the
-protocol-dependent delivery to the fusion centre, death processing, and
-metrics capture.
+protocol-dependent delivery to the fusion centre, and death processing.
 
 Each round runs, in order: every alive node senses one bit; heads are
 elected and members attach to their nearest head; every member reports its
@@ -28,7 +27,8 @@ from .routing import RouteDecision, build_adjacency, prim_mst, route_decision
 
 @dataclass
 class RoundOutcome:
-    """What happened in one round. ``round_index`` is 0-based."""
+    """What happened in one round. ``round_index`` is 0-based;
+    ``total_residual`` (J) and ``alive`` are taken after the death sweep."""
 
     round_index: int
     cluster_heads: list[int]
@@ -36,38 +36,28 @@ class RoundOutcome:
     decisions: list[RouteDecision]
     energy_spent: float
     deaths: list[int]
-
-
-@dataclass
-class MetricsRow:
-    """Per-round aggregates. ``round_number`` is 1-based as reported in CSVs."""
-
-    round_number: int
     total_residual: float
     alive: int
-    ch_count: int
-    first_death_round: int | None
 
 
 @dataclass
 class SimulationResult:
     config: ScenarioConfig
-    metrics: list[MetricsRow]
     outcomes: list[RoundOutcome]
     initial_energy: float
-    terminated_round: int | None = None  # 1-based round that could not run
 
     @property
     def final_residual(self) -> float:
-        return self.metrics[-1].total_residual if self.metrics else self.initial_energy
+        return self.outcomes[-1].total_residual if self.outcomes else self.initial_energy
 
     @property
     def final_alive(self) -> int:
-        return self.metrics[-1].alive if self.metrics else self.config.n_nodes
+        return self.outcomes[-1].alive if self.outcomes else self.config.n_nodes
 
     @property
     def first_death_round(self) -> int | None:
-        return self.metrics[-1].first_death_round if self.metrics else None
+        """1-based round of the first death, None if no node died."""
+        return next((o.round_index + 1 for o in self.outcomes if o.deaths), None)
 
 
 def _fc_distances(nodes: Nodes, ids: list[int], config: ScenarioConfig) -> list[float]:
@@ -171,9 +161,13 @@ def run_round(
     np.maximum(nodes.energy, 0.0, out=nodes.energy)
     end_energy = nodes.energy[alive]
     spent = math.fsum((start_energy - end_energy).tolist())
-    deaths = alive[end_energy <= 0.0]
+    dead = end_energy <= 0.0
+    deaths = alive[dead]
     nodes.alive[deaths] = False
-    return RoundOutcome(round_index, heads, mst_edges, decisions, spent, deaths.tolist())
+    return RoundOutcome(
+        round_index, heads, mst_edges, decisions, spent, deaths.tolist(),
+        math.fsum(end_energy[~dead].tolist()), alive.size - deaths.size,
+    )
 
 
 def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> SimulationResult:
@@ -187,21 +181,9 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
         nodes = place_nodes(config, rng)
     initial = math.fsum(nodes.energy.tolist())
 
-    metrics: list[MetricsRow] = []
     outcomes: list[RoundOutcome] = []
-    first_death: int | None = None
-    terminated: int | None = None
     for r in range(config.rounds):
         if not nodes.alive.any():
-            terminated = r + 1
             break
-        outcome = run_round(nodes, config, r, rng)
-        if first_death is None and outcome.deaths:
-            first_death = r + 1
-        residual = math.fsum(nodes.energy[nodes.alive].tolist())
-        alive_count = int(np.count_nonzero(nodes.alive))
-        metrics.append(
-            MetricsRow(r + 1, residual, alive_count, len(outcome.cluster_heads), first_death)
-        )
-        outcomes.append(outcome)
-    return SimulationResult(config, metrics, outcomes, initial, terminated)
+        outcomes.append(run_round(nodes, config, r, rng))
+    return SimulationResult(config, outcomes, initial)

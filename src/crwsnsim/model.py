@@ -16,6 +16,12 @@ CLUSTERING_NONUNIFORM = "nonuniform"
 CLUSTERING_MODES = (CLUSTERING_UNIFORM, CLUSTERING_NONUNIFORM)
 
 
+def check_probability(p: float) -> None:
+    """Reject a head-election probability whose epoch, ``round(1/p)``, is undefined."""
+    if not (0.0 < p <= 1.0 and math.isfinite(1.0 / p)):
+        raise ValueError(f"ch_probability must be in (0, 1] with 1/p finite, got {p}")
+
+
 @dataclass(frozen=True)
 class Position:
     """A point in the deployment field, metres."""
@@ -86,9 +92,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        p = self.ch_probability
-        if not (0.0 < p <= 1.0 and math.isfinite(1.0 / p)):  # epoch length round(1/p)
-            raise ValueError(f"ch_probability must be in (0, 1] with 1/p finite, got {p}")
+        check_probability(self.ch_probability)
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.protocol not in PROTOCOLS:

@@ -222,9 +222,9 @@ def test_criterion_7_conservation(default_sweep):
     worst_rel = 0.0
     for name in SWEEP_VARIANTS:
         for result in default_sweep[name][:5]:
-            assert len(result.metrics) == 1500  # no extinction at the defaults
-            residuals = np.array([m.total_residual for m in result.metrics])
-            alive = np.array([m.alive for m in result.metrics])
+            assert len(result.outcomes) == 1500  # no extinction at the defaults
+            residuals = np.array([o.total_residual for o in result.outcomes])
+            alive = np.array([o.alive for o in result.outcomes])
             spent = np.cumsum([o.energy_spent for o in result.outcomes])
             drained = result.initial_energy - residuals
             rel = np.abs(drained - spent) / spent

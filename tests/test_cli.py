@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crwsnsim import ConfigError, ScenarioConfig, parse_config
+from crwsnsim import ConfigError, ScenarioConfig, parse_config, run_simulation
 from crwsnsim.cli import (
     CSV_HEADER,
     _effective_config,
@@ -156,12 +156,12 @@ class TestRunCommand:
         config = replace(
             config, energy=replace(config.energy, initial_energy=2e-7)
         )
-        text, results = render_run_csv(config, [3])
+        text = render_run_csv(config, [3])
         rows = [line.split(",") for line in text.splitlines()
                 if not line.startswith("#") and line != CSV_HEADER]
         parsed = [(int(r[0]), float(r[4]), int(r[5]), int(r[6])) for r in rows]
-        expected = [(m.round_number, m.total_residual, m.alive, m.ch_count)
-                    for m in results[0].metrics]
+        expected = [(o.round_index + 1, o.total_residual, o.alive, len(o.cluster_heads))
+                    for o in run_simulation(replace(config, rng_seed=3)).outcomes]
         assert parsed == expected
         assert {(r[1], r[2], r[3]) for r in rows} == {("proposed", "uniform", "3")}
         assert parsed[-1][2] < 10  # deaths happened, so residuals are not all equal
@@ -324,6 +324,19 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {expected}")
+
+
+def test_out_of_memory_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(config, nodes=None):
+        raise MemoryError("Unable to allocate 673. GiB")
+
+    monkeypatch.setattr("crwsnsim.cli.run_simulation", exhausted)
+    assert _cli(tmp_path, ["run", "--rounds", "1"], "nodes = 1000000\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory in the run: Unable to allocate 673. GiB"
+    ]
 
 
 def test_compare_ratio_without_data_is_nan(tmp_path, capsys):

@@ -55,6 +55,10 @@ class TestElectionThreshold:
             election_threshold(0.0, 0)
         with pytest.raises(ValueError):
             election_threshold(1.1, 0)
+        with pytest.raises(ValueError):  # 1/p overflows: no epoch length
+            election_threshold(5e-309, 0)
+        with pytest.raises(ValueError):
+            epoch_length(5e-309)
         with pytest.raises(ValueError):
             election_threshold(0.1, -1)
 
@@ -144,6 +148,18 @@ class TestElectClusterHeads:
                 served[head][r // 10] += 1
         for node_id, counts in served.items():
             assert counts == [1] * 10, f"node {node_id} served {counts}"
+
+    def test_epoch_can_leave_nodes_unserved(self):
+        # p = 0.3: a 3-round epoch whose last threshold is 0.3 / 0.4 = 0.75,
+        # so an eligible node may still draw above it and never serve
+        assert election_threshold(0.3, 2) == pytest.approx(0.75, rel=1e-12)
+        nodes = make_nodes(1000)
+        rng = np.random.default_rng(1)
+        served = []
+        for r in range(3):
+            served += elect_cluster_heads(nodes, 0.3, r, "nonuniform", 10, rng)
+        assert len(served) == len(set(served))
+        assert len(served) < 1000
 
     def test_mean_head_count_matches_probability(self):
         nodes = make_nodes(100)

@@ -267,20 +267,20 @@ class TestNoChFallback:
 class TestRunSimulation:
     def test_zero_rounds(self):
         result = run_simulation(ScenarioConfig(rounds=0))
-        assert result.metrics == []
         assert result.outcomes == []
         assert result.final_residual == pytest.approx(50.0, rel=1e-12)
+        assert result.final_alive == 100
+        assert result.first_death_round is None
 
     def test_row_count_and_numbering(self):
         result = run_simulation(ScenarioConfig(rounds=20, n_nodes=30))
-        assert [m.round_number for m in result.metrics] == list(range(1, 21))
+        assert [o.round_index for o in result.outcomes] == list(range(20))
 
     def test_deterministic_rerun(self):
         config = ScenarioConfig(rounds=120, n_nodes=50, protocol="proposed",
                                 clustering="uniform", rng_seed=9)
         first = run_simulation(config)
         second = run_simulation(config)
-        assert first.metrics == second.metrics
         assert first.outcomes == second.outcomes
 
     def test_conservation_and_monotonicity(self):
@@ -293,8 +293,8 @@ class TestRunSimulation:
                 config = ScenarioConfig(rounds=300, protocol=protocol,
                                         clustering=clustering, rng_seed=seed)
                 result = run_simulation(config)
-                residuals = np.array([m.total_residual for m in result.metrics])
-                alive = np.array([m.alive for m in result.metrics])
+                residuals = np.array([o.total_residual for o in result.outcomes])
+                alive = np.array([o.alive for o in result.outcomes])
                 spent = np.cumsum([o.energy_spent for o in result.outcomes])
                 drained = result.initial_energy - residuals
                 assert np.all(np.diff(residuals) <= 0.0)
@@ -306,8 +306,8 @@ class TestRunSimulation:
                               cluster_count=1, rng_seed=21)
         baseline = run_simulation(replace(base, protocol="baseline"))
         proposed = run_simulation(replace(base, protocol="proposed"))
-        assert [m.total_residual for m in baseline.metrics] == [
-            m.total_residual for m in proposed.metrics
+        assert [o.total_residual for o in baseline.outcomes] == [
+            o.total_residual for o in proposed.outcomes
         ]
 
     def test_dead_nodes_stay_dead(self):
@@ -328,10 +328,10 @@ class TestRunSimulation:
         config = ScenarioConfig(n_nodes=4, rounds=500, rng_seed=3,
                                 energy=TINY_BATTERY)
         result = run_simulation(config)
-        assert result.terminated_round is not None
-        assert len(result.metrics) < 500
-        assert result.metrics[-1].alive == 0
-        assert result.metrics[-1].total_residual == 0.0
+        assert len(result.outcomes) < 500
+        assert result.outcomes[-1].alive == 0
+        assert result.outcomes[-1].total_residual == 0.0
+        assert result.final_alive == 0
 
     def test_first_death_round_recorded(self):
         config = ScenarioConfig(n_nodes=8, rounds=120, rng_seed=3,
@@ -339,16 +339,16 @@ class TestRunSimulation:
         result = run_simulation(config)
         first = result.first_death_round
         assert first is not None
-        for row in result.metrics:
-            if row.round_number < first:
-                assert row.first_death_round is None
-                assert row.alive == 8
-            else:
-                assert row.first_death_round == first
+        with_deaths = [o for o in result.outcomes if o.deaths]
+        assert first == with_deaths[0].round_index + 1
+        for outcome in result.outcomes[: first - 1]:
+            assert outcome.deaths == []
+            assert outcome.alive == 8
+        assert result.outcomes[first - 1].alive == 8 - len(with_deaths[0].deaths)
 
     def test_custom_nodes_override_placement(self):
         config = ScenarioConfig(n_nodes=3, rounds=5)
         nodes = nodes_at([0.0, 10.0, 20.0], [0.0] * 3)
         result = run_simulation(config, nodes=nodes)
         assert result.initial_energy == pytest.approx(1.5, rel=1e-12)
-        assert len(result.metrics) == 5
+        assert len(result.outcomes) == 5

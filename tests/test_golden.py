@@ -61,6 +61,12 @@ CASES["proposed-400-nodes"] = (
      "--seed", "1", "--rounds", "60"],
     "nodes = 400\nfc_y = 400\n",
 )
+# Tiny batteries and a far fusion centre over 250 rounds: no baseline node dies
+# (its first death is censored at 251), while proposed first deaths fall in
+# rounds 191-234, so the mean first death mixes and mean_final_alive < nodes.
+CASES["compare-depletion"] = (
+    ["compare", "--seeds", "1,2,3", "--rounds", "250"], "initial_energy = 2e-4\nfc_y = 250\n"
+)
 
 GOLDEN = {
     "baseline-seed1-fc50":
@@ -101,6 +107,8 @@ GOLDEN = {
         "1a628c977d40593a8bf187e795aefb08ac02d4da945b4c9f249b1703590534a2",
     "proposed-400-nodes":
         "46c7b55ff2d283b539bdb66edc2d2df109cd53870e606f632534923babe91645",
+    "compare-depletion":
+        "943427ddf66cbdb82faed1b026e8efbbf2094b227fcf4810ccc7ab51a46c3280",
 }
 
 
@@ -143,3 +151,14 @@ def test_extra_depletion_cases_run_to_extinction(tmp_path, case):
 def test_fallback_case_has_zero_head_rounds(tmp_path):
     rows = _rows(cli_output(tmp_path, *CASES["zero-head-fallback"]))
     assert any(row[6] == "0" for row in rows)
+
+
+def test_compare_depletion_case_mixes_censored_and_observed_deaths(tmp_path):
+    data = cli_output(tmp_path, *CASES["compare-depletion"])
+    rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
+            for line in data.decode().splitlines()
+            if line.split(",")[0] in {name for name, _, _ in VARIANTS}}
+    assert rows["baseline"][3] == 251.0  # censored: no baseline node dies
+    for name in ("proposed_uniform", "proposed_nonuniform"):
+        assert 191.0 <= rows[name][3] <= 234.0
+        assert rows[name][2] < 100.0

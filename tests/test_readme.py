@@ -1,5 +1,5 @@
 """The README's list of public lower-level pieces stays in step with the
-package's exports."""
+package's exports, and its library example runs."""
 
 import re
 from pathlib import Path
@@ -25,3 +25,13 @@ def test_readme_library_pieces_are_exported():
     for name in names:
         assert name in crwsnsim.__all__, f"README names {name!r}, which is not exported"
         assert hasattr(crwsnsim, name), f"crwsnsim exports {name!r} but does not define it"
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library use"):]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "README lost its library example"
+    exec(compile(match.group(1), "README.md", "exec"), {})
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1501  # the summary line, then one line per round
