@@ -282,22 +282,6 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise ConfigError(f"cannot write output path {out_path!r}: {err}") from err
 
 
-def run_command(ns: argparse.Namespace) -> int:
-    config = _effective_config(ns)
-    seeds = _seeds_for(ns, config)
-    text = render_run_csv(config, seeds)
-    _write_output(text, ns.out)
-    return 0
-
-
-def compare_command(ns: argparse.Namespace) -> int:
-    config = _effective_config(ns)
-    seeds = _seeds_for(ns, config)
-    text = render_compare_csv(config, seeds)
-    _write_output(text, ns.out)
-    return 0
-
-
 def _add_shared_flags(parser: argparse.ArgumentParser, with_protocol: bool) -> None:
     if with_protocol:
         parser.add_argument("--protocol", choices=PROTOCOLS)
@@ -319,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="simulate one variant, emit per-round CSV")
     _add_shared_flags(run_parser, with_protocol=True)
-    run_parser.set_defaults(func=run_command)
+    run_parser.set_defaults(render=render_run_csv)
     compare_parser = sub.add_parser(
         "compare", help="run all three variants over a seed list, emit summary CSV"
     )
     _add_shared_flags(compare_parser, with_protocol=False)
-    compare_parser.set_defaults(func=compare_command)
+    compare_parser.set_defaults(render=render_compare_csv)
     return parser
 
 
@@ -335,7 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse already reported to stderr
         return int(exit_.code or 0)
     try:
-        return ns.func(ns)
+        config = _effective_config(ns)
+        _write_output(ns.render(config, _seeds_for(ns, config)), ns.out)
+        return 0
     except OverflowError as err:
         message = f"arithmetic overflow in the run: {err}"
     except MemoryError as err:

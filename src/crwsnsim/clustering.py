@@ -10,9 +10,13 @@ or promotes by residual energy to hit a fixed head count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import CLUSTERING_UNIFORM, Nodes, check_probability
+
+_CHUNK = 1 << 18  # candidate distances held at once by assign_members
 
 
 def epoch_length(ch_probability: float) -> int:
@@ -83,7 +87,13 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
     """Attach every alive non-head node to its nearest head.
 
     Returns the member ids in ascending order and each member's head id.
-    Distance ties break toward the lower head id.
+    Distances are the elementwise ``np.hypot`` of the coordinate differences;
+    ties break toward the lower head id. From 64 heads (8 cells a side) the
+    heads are binned into square cells of about one head each. A member takes
+    the nearest head in the 3x3 cells around its own if it is strictly closer
+    than one cell side, else widens the ring (ring r accepts below r sides)
+    while a ring holds fewer than k candidate slots; whoever is left searches
+    every head. At most ``_CHUNK`` distances are held at once.
     """
     if not cluster_heads:
         raise ValueError("assign_members requires at least one cluster head")
@@ -91,8 +101,37 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
     is_member = nodes.alive.copy()
     is_member[heads] = False
     members = np.flatnonzero(is_member)
-    dists = np.hypot(
-        nodes.x[members][:, None] - nodes.x[heads][None, :],
-        nodes.y[members][:, None] - nodes.y[heads][None, :],
-    )
-    return members, heads[dists.argmin(axis=1)]  # first minimum -> lowest head id
+    mx, my, hx, hy = nodes.x[members], nodes.y[members], nodes.x[heads], nodes.y[heads]
+    k, pending = heads.size, np.arange(members.size)
+    nearest = np.empty(members.size, dtype=np.intp)
+    side = max(np.ptp(hx), np.ptp(hy)) / math.isqrt(k) if k >= 64 else 0.0
+    if 0.0 < side < math.inf:
+        x0, y0 = hx.min(), hy.min()
+        cx, cy = ((hx - x0) / side).astype(np.intp), ((hy - y0) / side).astype(np.intp)
+        n_cols = cx.max() + 1
+        cell = cy * n_cols + cx
+        counts, order = np.bincount(cell), np.argsort(cell, kind="stable")
+        table = np.zeros((counts.size, counts.max()), dtype=np.intp)  # cell -> heads, ascending
+        table[cell[order], np.arange(k) - np.repeat(counts.cumsum() - counts, counts)] = order
+        cell = (np.clip((my - y0) / side, 0, cy.max()).astype(np.intp) * n_cols
+                + np.clip((mx - x0) / side, 0, n_cols - 1).astype(np.intp))  # members', clamped
+        ring = 1
+        while pending.size and (2 * ring + 1) ** 2 * table.shape[1] < k:
+            # Flat offsets: past the grid's edge they land on other cells, which, like
+            # the padding (head 0), only add candidates. Heads nearer than `ring` sides
+            # are all in the ring.
+            o, rejected = np.arange(-ring, ring + 1), []
+            offs = (o[:, None] * n_cols + o).ravel()
+            step = max(1, _CHUNK // (offs.size * table.shape[1]))
+            for rows in (pending[i : i + step] for i in range(0, pending.size, step)):
+                cand = table.take(cell[rows, None] + offs, 0, mode="clip").reshape(rows.size, -1)
+                d = np.hypot(mx[rows, None] - hx[cand], my[rows, None] - hy[cand])
+                dist = d.min(axis=1)
+                ok = dist < (ring - 1e-9) * side  # margin: cell-index rounding
+                nearest[rows[ok]] = np.where(d == dist[:, None], cand, k).min(axis=1)[ok]
+                rejected.append(rows[~ok])
+            pending, ring = np.concatenate(rejected), ring + 1
+    step = max(1, _CHUNK // k)
+    for rows in (pending[i : i + step] for i in range(0, pending.size, step)):  # argmin: lowest id
+        nearest[rows] = np.hypot(mx[rows, None] - hx, my[rows, None] - hy).argmin(axis=1)
+    return members, heads[nearest]

@@ -9,27 +9,38 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .model import EnergyParams
 
 
 def crossover_distance(params: EnergyParams) -> float:
     """Distance (m) at which the free-space and multipath branches meet."""
-    return math.sqrt(params.e_fs / params.e_mp)
+    return params.crossover_distance
 
 
-def link_cost(params: EnergyParams, m_bits: int, d: float) -> float:
+def link_cost(params: EnergyParams, m_bits: int, d: float | np.ndarray) -> float | np.ndarray:
     """Energy (J) to send ``m_bits`` over distance ``d`` metres.
 
     Free-space (d^2) amplifier up to the crossover distance, multipath (d^4)
     beyond it. Computed per bit and scaled, so the cost is exactly linear
-    in ``m_bits``.
+    in ``m_bits``. An array of distances gives an array of costs, each
+    bit for bit the value for that distance alone.
     """
     if m_bits < 1:
         raise ValueError(f"m_bits must be >= 1, got {m_bits}")
+    per_bit = params.e_tx + params.e_aggregation
+    if isinstance(d, np.ndarray):
+        bad = d[~((d >= 0.0) & (d < math.inf))]
+        if bad.size:
+            raise ValueError(f"d must be a finite non-negative distance, got {float(bad[0])!r}")
+        cost, far = per_bit + params.e_fs * d * d, d > params.crossover_distance
+        if far.any():  # Python's float ** 4: numpy's power can differ in the last bit
+            cost[far] = per_bit + params.e_mp * np.array([v ** 4 for v in d[far].tolist()])
+        return m_bits * cost
     if not math.isfinite(d) or d < 0.0:
         raise ValueError(f"d must be a finite non-negative distance, got {d!r}")
-    per_bit = params.e_tx + params.e_aggregation
-    if d <= crossover_distance(params):
+    if d <= params.crossover_distance:
         per_bit += params.e_fs * d * d
     else:
         per_bit += params.e_mp * d ** 4

@@ -60,11 +60,9 @@ class SimulationResult:
         return next((o.round_index + 1 for o in self.outcomes if o.deaths), None)
 
 
-def _fc_distances(nodes: Nodes, ids: list[int], config: ScenarioConfig) -> list[float]:
-    """Distance (m) from each node in ``ids`` to the fusion centre."""
-    fc = config.fc_position
-    dx, dy = (nodes.x[ids] - fc.x).tolist(), (nodes.y[ids] - fc.y).tolist()
-    return [math.hypot(a, b) for a, b in zip(dx, dy)]
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> list[float]:
+    """Distances (m) for coordinate differences, by scalar ``math.hypot``."""
+    return list(map(math.hypot, dx.tolist(), dy.tolist()))
 
 
 def _member_report_phase(
@@ -72,9 +70,8 @@ def _member_report_phase(
 ) -> None:
     """Each member sends its bit to its head, which receives and aggregates it."""
     params = config.energy
-    dx = (nodes.x[members] - nodes.x[member_head]).tolist()
-    dy = (nodes.y[members] - nodes.y[member_head]).tolist()
-    nodes.energy[members] -= [link_cost(params, 1, math.hypot(a, b)) for a, b in zip(dx, dy)]
+    d = _hypot(nodes.x[members] - nodes.x[member_head], nodes.y[members] - nodes.y[member_head])
+    nodes.energy[members] -= link_cost(params, 1, np.array(d))
     # one sequential subtraction per received bit, in member-id order
     np.subtract.at(nodes.energy, member_head, rx_energy(params, 1) + params.e_aggregation)
 
@@ -96,7 +93,8 @@ def _head_phase(
     in transmission order.
     """
     params = config.energy
-    fc_dists = _fc_distances(nodes, heads, config)
+    fc = config.fc_position
+    fc_dists = _hypot(nodes.x[heads] - fc.x, nodes.y[heads] - fc.y)
     edges: list[tuple[int, int, float]] = []
     order: list[int] = list(range(len(heads)))
     m_bits = 1

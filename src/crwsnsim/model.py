@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,11 @@ class EnergyParams:
             value = getattr(self, item.name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{item.name} must be a positive finite number, got {value!r}")
+
+    @cached_property
+    def crossover_distance(self) -> float:
+        """Distance (m) at which the free-space and multipath amplifier laws meet."""
+        return math.sqrt(self.e_fs / self.e_mp)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Shared test utilities: a node builder, a brute-force spanning tree
-oracle that is independent of the greedy implementation under test, and the
-original triple-loop Prim as the oracle of its tie rule."""
+oracle that is independent of the greedy implementation under test, the
+original triple-loop Prim as the oracle of its tie rule, and the original
+dense nearest-head search as the oracle of member assignment."""
 
 from itertools import combinations
 
@@ -88,3 +89,17 @@ def triple_loop_prim(adj, start=0):
         edges.append(best)
         in_tree[best[1]] = True
     return edges
+
+
+def dense_assign_members(nodes, cluster_heads):
+    """Nearest head of every alive non-head node from the full members x heads
+    distance matrix; ``argmin`` takes the first minimum, the lowest head id."""
+    heads = np.sort(cluster_heads)
+    is_member = nodes.alive.copy()
+    is_member[heads] = False
+    members = np.flatnonzero(is_member)
+    dists = np.hypot(
+        nodes.x[members][:, None] - nodes.x[heads][None, :],
+        nodes.y[members][:, None] - nodes.y[heads][None, :],
+    )
+    return members, heads[dists.argmin(axis=1)]

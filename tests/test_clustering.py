@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crwsnsim import (
     assign_members,
@@ -9,7 +14,7 @@ from crwsnsim import (
     epoch_length,
 )
 
-from helpers import nodes_at
+from helpers import dense_assign_members, nodes_at
 
 
 def make_nodes(count, energy=0.5, spacing=1.0):
@@ -230,3 +235,105 @@ class TestAssignMembers:
         members, heads = assign_members(make_nodes(3), [1])
         assert members.dtype.kind == heads.dtype.kind == "i"
         assert members.tolist() == [0, 2] and heads.tolist() == [1, 1]
+
+
+def assert_matches_dense(nodes, cluster_heads):
+    members, heads = assign_members(nodes, cluster_heads)
+    want_members, want_heads = dense_assign_members(nodes, cluster_heads)
+    assert members.tolist() == want_members.tolist()
+    assert heads.tolist() == want_heads.tolist()
+
+
+def _layout(kind, rng, count):
+    """Coordinates of ``count`` nodes in one of the layouts the grid must survive."""
+    if kind == "random":
+        return rng.uniform(0.0, 200.0, count), rng.uniform(0.0, 200.0, count)
+    if kind == "lattice":  # small integer lattice: exact distance ties and coincident nodes
+        return rng.integers(0, 12, count).astype(float), rng.integers(0, 12, count).astype(float)
+    if kind == "coincident":  # a few sites, many nodes on each
+        sites = rng.uniform(0.0, 100.0, (2, 5))
+        pick = rng.integers(0, 5, count)
+        return sites[0][pick], sites[1][pick]
+    if kind == "strip":
+        return rng.uniform(0.0, 1000.0, count), rng.uniform(0.0, 1.0, count)
+    raise AssertionError(kind)
+
+
+class TestAssignMembersMatchesDense:
+    """The grid search returns the dense search's members and heads exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["random", "lattice", "coincident", "strip", "one-cell"]),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_dense_oracle(self, kind, head_count, member_count, seed):
+        rng = np.random.default_rng(seed)
+        count = head_count + member_count
+        xs, ys = _layout("random" if kind == "one-cell" else kind, rng, count)
+        heads = rng.choice(count, head_count, replace=False)
+        if kind == "one-cell":  # every head inside a 1 mm box amid spread members
+            xs[heads] = 100.0 + rng.uniform(0.0, 1e-3, head_count)
+            ys[heads] = 100.0 + rng.uniform(0.0, 1e-3, head_count)
+        nodes = nodes_at(xs, ys)
+        nodes.alive = rng.random(count) < 0.9  # some dead nodes
+        nodes.alive[heads] = True
+        assert_matches_dense(nodes, heads.tolist())
+
+    @pytest.mark.parametrize("head_count", [63, 64, 400])
+    def test_zero_members(self, head_count):
+        rng = np.random.default_rng(head_count)
+        nodes = nodes_at(*_layout("random", rng, head_count + 3))
+        nodes.alive[head_count:] = False
+        members, heads = assign_members(nodes, list(range(head_count)))
+        assert members.size == heads.size == 0
+
+    def _holed_lattice(self, hole):
+        """Heads on a 10 x 10 lattice of 10 m pitch, less a ``hole`` x ``hole``
+        block at the centre."""
+        grid = np.arange(10) * 10.0
+        xs, ys = np.repeat(grid, 10), np.tile(grid, 10)
+        lo, hi = 10.0 * (5 - hole // 2), 10.0 * (4 + hole - hole // 2)
+        keep = ~((lo <= xs) & (xs <= hi) & (lo <= ys) & (ys <= hi))
+        return xs[keep], ys[keep]
+
+    @pytest.mark.parametrize("hole, ring", [(4, 3), (6, 4)])
+    def test_member_in_a_hole_widens_the_ring(self, hole, ring):
+        # The member at (45, 45) is at least ring - 1 cell sides from every head.
+        # hole 4: 84 heads, 10 m cells of one head each: ring 3 accepts.
+        # hole 6: 64 heads, 11.25 m cells of up to 4 heads: ring 2 would hold
+        # 100 candidate slots (>= k), so the dense search settles it.
+        hx, hy = self._holed_lattice(hole)
+        side = max(np.ptp(hx), np.ptp(hy)) / math.isqrt(hx.size)
+        dists = np.hypot(hx - 45.0, hy - 45.0)
+        assert (ring - 1) * side <= dists.min() < ring * side
+        assert np.sum(dists == dists.min()) > 1  # the tie rule decides
+        assert_matches_dense(nodes_at(np.append(hx, 45.0), np.append(hy, 45.0)),
+                             list(range(hx.size)))
+
+    def test_far_members_fall_back_to_every_head(self):
+        hx, hy = self._holed_lattice(4)
+        far = np.array([[1e4, 1e4], [-500.0, 45.0], [45.0, 1e6], [-1e300, 1e300]])
+        nodes = nodes_at(np.append(hx, far[:, 0]), np.append(hy, far[:, 1]))
+        assert_matches_dense(nodes, list(range(hx.size)))
+
+    def test_busy_cell_uses_dense_search(self):
+        # 100 heads, 30 of them stacked on one point: 9 cells can hold k heads
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(0.0, 100.0, 400), rng.uniform(0.0, 100.0, 400)
+        xs[:30], ys[:30] = 50.0, 50.0
+        assert_matches_dense(nodes_at(xs, ys), list(range(100)))
+
+    def test_memory_stays_bounded(self):
+        rng = np.random.default_rng(7)
+        nodes = nodes_at(rng.uniform(0.0, 100.0, 10_000), rng.uniform(0.0, 100.0, 10_000))
+        heads = rng.choice(10_000, 1000, replace=False).tolist()
+        tracemalloc.start()
+        try:
+            assign_members(nodes, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"

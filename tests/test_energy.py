@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +87,58 @@ class TestLinkCost:
             assert multipath < free_space
         elif d > d_o * (1.0 + 1e-9):
             assert multipath > free_space
+
+
+class TestCrossoverBranch:
+    # At this crossover (99.99999999999999 m) the two branch formulas differ
+    # in the last bit, so the branch taken shows in the cost.
+    PARAMS = EnergyParams(e_fs=1e-11, e_mp=1e-15)
+
+    def test_cached_crossover_matches_the_formula(self):
+        assert self.PARAMS.crossover_distance == crossover_distance(self.PARAMS)
+        assert self.PARAMS.crossover_distance == math.sqrt(1e-11 / 1e-15)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_exact_crossover_takes_free_space_branch(self, as_array):
+        p, d_o = self.PARAMS, self.PARAMS.crossover_distance
+        free_space = (p.e_tx + p.e_aggregation) + p.e_fs * d_o * d_o
+        multipath = (p.e_tx + p.e_aggregation) + p.e_mp * d_o ** 4
+        assert free_space != multipath
+        cost = link_cost(p, 1, np.array([d_o]))[0] if as_array else link_cost(p, 1, d_o)
+        assert cost == free_space
+
+
+class TestArrayLinkCost:
+    """An array of distances gives, entry by entry, the scalar cost bit for bit."""
+
+    @pytest.mark.parametrize("m_bits", [1, 7])
+    @pytest.mark.parametrize("params", [PARAMS, EnergyParams(e_fs=1e-11, e_mp=1e-15)])
+    def test_bitwise_equal_to_scalar(self, params, m_bits):
+        rng = np.random.default_rng(m_bits)
+        d = np.concatenate((rng.uniform(0.0, 400.0, 200_000),
+                            [0.0, -0.0, params.crossover_distance]))
+        got = link_cost(params, m_bits, d)
+        want = np.array([link_cost(params, m_bits, v) for v in d.tolist()])
+        assert got.dtype == np.float64 and got.shape == d.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_array(self):
+        assert link_cost(PARAMS, 1, np.array([])).size == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_bad_distance_raises_the_scalar_error(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            link_cost(PARAMS, 1, bad)
+        with pytest.raises(ValueError) as array:
+            link_cost(PARAMS, 1, np.array([10.0, bad, 20.0]))
+        assert str(array.value) == str(scalar.value)
+
+    def test_zero_bits_raises_the_scalar_error(self):
+        with pytest.raises(ValueError) as scalar:
+            link_cost(PARAMS, 0, 10.0)
+        with pytest.raises(ValueError) as array:
+            link_cost(PARAMS, 0, np.array([10.0]))
+        assert str(array.value) == str(scalar.value)
 
 
 class TestRxEnergy:

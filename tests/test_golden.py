@@ -61,6 +61,13 @@ CASES["proposed-400-nodes"] = (
      "--seed", "1", "--rounds", "60"],
     "nodes = 400\nfc_y = 400\n",
 )
+# 3000 nodes, baseline: about 300 heads a round, so members find their head by
+# the grid search (64 heads or more), not the dense one.
+CASES["baseline-3000-nodes"] = (
+    ["run", "--protocol", "baseline", "--clustering", "nonuniform",
+     "--seed", "1", "--rounds", "10"],
+    "nodes = 3000\n",
+)
 # Tiny batteries and a far fusion centre over 250 rounds: no baseline node dies
 # (its first death is censored at 251), while proposed first deaths fall in
 # rounds 191-234, so the mean first death mixes and mean_final_alive < nodes.
@@ -107,6 +114,8 @@ GOLDEN = {
         "1a628c977d40593a8bf187e795aefb08ac02d4da945b4c9f249b1703590534a2",
     "proposed-400-nodes":
         "46c7b55ff2d283b539bdb66edc2d2df109cd53870e606f632534923babe91645",
+    "baseline-3000-nodes":
+        "b5b0eac35ef15c9d0be58288c30c3d49822becafbb08b18da5ee1717dbe67da3",
     "compare-depletion":
         "943427ddf66cbdb82faed1b026e8efbbf2094b227fcf4810ccc7ab51a46c3280",
 }
