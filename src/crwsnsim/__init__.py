@@ -14,7 +14,7 @@ from .model import (
     ScenarioConfig,
     place_nodes,
 )
-from .energy import crossover_distance, link_cost, rx_energy
+from .energy import link_cost, rx_energy
 from .clustering import (
     assign_members,
     elect_cluster_heads,
@@ -22,12 +22,7 @@ from .clustering import (
     eligible_mask,
     epoch_length,
 )
-from .routing import (
-    RouteDecision,
-    build_adjacency,
-    prim_mst,
-    route_decision,
-)
+from .routing import RouteDecision, build_adjacency, prim_mst
 from .engine import (
     RoundOutcome,
     SimulationResult,
@@ -55,7 +50,6 @@ __all__ = [
     "SimulationResult",
     "assign_members",
     "build_adjacency",
-    "crossover_distance",
     "elect_cluster_heads",
     "election_threshold",
     "eligible_mask",
@@ -64,7 +58,6 @@ __all__ = [
     "parse_config",
     "place_nodes",
     "prim_mst",
-    "route_decision",
     "run_round",
     "run_simulation",
     "rx_energy",

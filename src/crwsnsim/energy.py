@@ -14,37 +14,27 @@ import numpy as np
 from .model import EnergyParams
 
 
-def crossover_distance(params: EnergyParams) -> float:
-    """Distance (m) at which the free-space and multipath branches meet."""
-    return params.crossover_distance
-
-
 def link_cost(params: EnergyParams, m_bits: int, d: float | np.ndarray) -> float | np.ndarray:
     """Energy (J) to send ``m_bits`` over distance ``d`` metres.
 
-    Free-space (d^2) amplifier up to the crossover distance, multipath (d^4)
-    beyond it. Computed per bit and scaled, so the cost is exactly linear
-    in ``m_bits``. An array of distances gives an array of costs, each
-    bit for bit the value for that distance alone.
+    Free-space (d^2) amplifier up to ``params.crossover_distance``, multipath
+    (d^4) beyond it. Computed per bit and scaled, so the cost is exactly
+    linear in ``m_bits``. A float gives a float and an array (0-d too) an
+    array of costs, each bit for bit the value for that distance alone.
     """
     if m_bits < 1:
         raise ValueError(f"m_bits must be >= 1, got {m_bits}")
+    dist = np.asarray(d, dtype=float)
+    bad = dist[~((dist >= 0.0) & (dist < math.inf))]
+    if bad.size:
+        raise ValueError(f"d must be a finite non-negative distance, got {float(bad[0])!r}")
     per_bit = params.e_tx + params.e_aggregation
-    if isinstance(d, np.ndarray):
-        bad = d[~((d >= 0.0) & (d < math.inf))]
-        if bad.size:
-            raise ValueError(f"d must be a finite non-negative distance, got {float(bad[0])!r}")
-        cost, far = per_bit + params.e_fs * d * d, d > params.crossover_distance
-        if far.any():  # Python's float ** 4: numpy's power can differ in the last bit
-            cost[far] = per_bit + params.e_mp * np.array([v ** 4 for v in d[far].tolist()])
-        return m_bits * cost
-    if not math.isfinite(d) or d < 0.0:
-        raise ValueError(f"d must be a finite non-negative distance, got {d!r}")
-    if d <= params.crossover_distance:
-        per_bit += params.e_fs * d * d
-    else:
-        per_bit += params.e_mp * d ** 4
-    return m_bits * per_bit
+    cost = np.asarray(per_bit + params.e_fs * dist * dist)  # a 0-d result stays an array
+    far = dist > params.crossover_distance
+    if far.any():  # Python's float ** 4: numpy's power can differ in the last bit
+        cost[far] = per_bit + params.e_mp * np.array([v ** 4 for v in dist[far].tolist()])
+    cost *= m_bits
+    return cost if isinstance(d, np.ndarray) else float(cost)
 
 
 def rx_energy(params: EnergyParams, m_bits: int) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from .model import PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
 from .energy import link_cost, rx_energy
 from .clustering import assign_members, elect_cluster_heads
-from .routing import RouteDecision, build_adjacency, prim_mst, route_decision
+from .routing import RouteDecision, build_adjacency, prim_mst
 
 
 @dataclass
@@ -104,21 +104,23 @@ def _head_phase(
         order = [j for _, j, _ in reversed(edges)] + [root]
         m_bits = len(heads)
     uplink = {j: (i, w) for i, j, w in edges}  # child -> (parent, metres)
+    # one cost call: every sender's direct link, then its uplink, in order; a
+    # sender without a parent prices its direct link twice, so it goes direct
+    d_direct = [fc_dists[idx] for idx in order]
+    d_uplink = [uplink[idx][1] if idx in uplink else d for idx, d in zip(order, d_direct)]
+    costs = link_cost(params, m_bits, np.array(d_direct + d_uplink)).tolist()
     carried = [1] * len(heads)  # head bits in each head's table
     delivered = 0
     decisions: list[RouteDecision] = []
-    for idx in order:
-        parent, d_parent = uplink.get(idx, (None, 0.0))
-        dec = route_decision(
-            params, m_bits, fc_dists[idx], d_parent,
-            heads[idx], None if parent is None else heads[parent],
-        )
-        decisions.append(dec)
-        if dec.is_direct:
-            nodes.energy[heads[idx]] -= dec.direct_cost
+    for idx, direct, relay in zip(order, costs, costs[len(order):]):
+        if direct <= relay:  # cost ties favour the direct link
+            decisions.append(RouteDecision(heads[idx], None, direct, relay))
+            nodes.energy[heads[idx]] -= direct
             delivered += carried[idx]
         else:
-            nodes.energy[heads[idx]] -= dec.relay_cost
+            parent = uplink[idx][0]
+            decisions.append(RouteDecision(heads[idx], heads[parent], direct, relay))
+            nodes.energy[heads[idx]] -= relay
             nodes.energy[heads[parent]] -= rx_energy(params, m_bits)
             carried[parent] += carried[idx]
     if delivered != len(heads):

@@ -1,15 +1,13 @@
 """Inter-head routing: adjacency matrix, Prim's spanning tree, and the
-per-head direct-vs-relay decision.
+record of each head's direct-vs-relay decision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import EnergyParams
-from .energy import link_cost
 
 
 def build_adjacency(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -37,13 +35,19 @@ def prim_mst(adj: np.ndarray, start: int = 0) -> list[tuple[int, int, float]]:
     outside = np.ones(n, dtype=bool)
     outside[start] = False
     key = adj[start].copy()
+    key[start] = math.inf  # tree vertices keep an infinite key, so argmin skips them
     parent = np.full(n, start)
     edges: list[tuple[int, int, float]] = []
     for _ in range(n - 1):
-        lightest = np.flatnonzero(outside & (key == key[outside].min()))
-        j = int(lightest[np.argmin(parent[lightest])])  # first minimum: lowest j
-        edges.append((int(parent[j]), j, float(key[j])))
+        j = int(key.argmin())  # first minimum: lowest j
+        w = key[j]
+        lightest = key == w
+        if w == math.inf or np.count_nonzero(lightest) > 1:  # a tie: lowest parent first
+            lightest = np.flatnonzero(outside & lightest)
+            j = int(lightest[np.argmin(parent[lightest])])
+        edges.append((int(parent[j]), j, float(w)))
         outside[j] = False
+        key[j] = math.inf
         row = adj[j]
         better = outside & ((row < key) | ((row == key) & (parent > j)))
         key[better] = row[better]
@@ -63,26 +67,3 @@ class RouteDecision:
     @property
     def is_direct(self) -> bool:
         return self.relay_to is None
-
-
-def route_decision(
-    params: EnergyParams,
-    m_bits: int,
-    d_fc: float,
-    d_parent: float,
-    ch_id: int,
-    parent_id: int | None,
-) -> RouteDecision:
-    """Pick the cheaper of the direct link and the one-hop relay.
-
-    ``parent_id is None`` marks the tree's root: it goes direct, prices only
-    the direct link and records it as ``relay_cost`` too. Cost ties favour
-    the direct link.
-    """
-    direct = link_cost(params, m_bits, d_fc)
-    if parent_id is None:
-        return RouteDecision(ch_id, None, direct, direct)
-    relay = link_cost(params, m_bits, d_parent)
-    if direct <= relay:
-        return RouteDecision(ch_id, None, direct, relay)
-    return RouteDecision(ch_id, parent_id, direct, relay)

@@ -1,13 +1,16 @@
 """Shared test utilities: a node builder, a brute-force spanning tree
 oracle that is independent of the greedy implementation under test, the
-original triple-loop Prim as the oracle of its tie rule, and the original
-dense nearest-head search as the oracle of member assignment."""
+original triple-loop Prim as the oracle of its tie rule, the original
+dense nearest-head search as the oracle of member assignment, and the
+original scalar link cost and per-head route decision as the oracles of
+the array cost kernel and the head phase."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from crwsnsim import Nodes
+from crwsnsim import Nodes, RouteDecision, build_adjacency, prim_mst, rx_energy
 
 
 def nodes_at(xs, ys, energy=0.5):
@@ -103,3 +106,68 @@ def dense_assign_members(nodes, cluster_heads):
         nodes.y[members][:, None] - nodes.y[heads][None, :],
     )
     return members, heads[dists.argmin(axis=1)]
+
+
+def scalar_link_cost(params, m_bits, d):
+    """One link's cost by Python float arithmetic: free space up to and at
+    the crossover distance, multipath beyond it."""
+    if m_bits < 1:
+        raise ValueError(f"m_bits must be >= 1, got {m_bits}")
+    if not math.isfinite(d) or d < 0.0:
+        raise ValueError(f"d must be a finite non-negative distance, got {d!r}")
+    per_bit = params.e_tx + params.e_aggregation
+    if d <= params.crossover_distance:
+        per_bit += params.e_fs * d * d
+    else:
+        per_bit += params.e_mp * d ** 4
+    return m_bits * per_bit
+
+
+def route_decision(params, m_bits, d_fc, d_parent, ch_id, parent_id):
+    """The cheaper of the direct link and the one-hop relay, ties direct; the
+    root (``parent_id is None``) goes direct and records its direct cost as
+    ``relay_cost`` too."""
+    direct = scalar_link_cost(params, m_bits, d_fc)
+    if parent_id is None:
+        return RouteDecision(ch_id, None, direct, direct)
+    relay = scalar_link_cost(params, m_bits, d_parent)
+    if direct <= relay:
+        return RouteDecision(ch_id, None, direct, relay)
+    return RouteDecision(ch_id, parent_id, direct, relay)
+
+
+def loop_head_phase(nodes, heads, tree, config):
+    """The head phase one sender at a time, two scalar costs per sender;
+    same arguments, charges and return value as ``engine._head_phase``."""
+    params = config.energy
+    fc = config.fc_position
+    fc_dists = [math.hypot(nodes.x[h] - fc.x, nodes.y[h] - fc.y) for h in heads]
+    edges = []
+    order = list(range(len(heads)))
+    m_bits = 1
+    if tree:
+        root = min(order, key=lambda i: (fc_dists[i], i))
+        edges = prim_mst(build_adjacency(nodes.x[heads], nodes.y[heads]), start=root)
+        order = [j for _, j, _ in reversed(edges)] + [root]
+        m_bits = len(heads)
+    uplink = {j: (i, w) for i, j, w in edges}
+    carried = [1] * len(heads)
+    delivered = 0
+    decisions = []
+    for idx in order:
+        parent, d_parent = uplink.get(idx, (None, 0.0))
+        dec = route_decision(
+            params, m_bits, fc_dists[idx], d_parent,
+            heads[idx], None if parent is None else heads[parent],
+        )
+        decisions.append(dec)
+        if dec.is_direct:
+            nodes.energy[heads[idx]] -= dec.direct_cost
+            delivered += carried[idx]
+        else:
+            nodes.energy[heads[idx]] -= dec.relay_cost
+            nodes.energy[heads[parent]] -= rx_energy(params, m_bits)
+            carried[parent] += carried[idx]
+    if delivered != len(heads):
+        raise RuntimeError("convergecast did not deliver every head's bit")
+    return [(heads[i], heads[j], w) for i, j, w in edges], decisions

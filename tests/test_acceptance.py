@@ -36,7 +36,6 @@ import numpy as np
 from crwsnsim import (
     EnergyParams,
     build_adjacency,
-    crossover_distance,
     elect_cluster_heads,
     link_cost,
     prim_mst,
@@ -75,7 +74,7 @@ def _mean_first_death(runs):
 def test_criterion_1_energy_ratio(default_sweep, far_fc_sweep):
     config = far_fc_sweep["baseline"][0].config
     nearest = config.fc_position.y - config.field_height
-    assert nearest > crossover_distance(config.energy), (
+    assert nearest > config.energy.crossover_distance, (
         f"the field's nearest point is {nearest} m from the fusion centre, inside "
         f"the free-space regime where a relay hop cannot save energy"
     )
@@ -194,7 +193,7 @@ def test_criterion_5_mst_oracle():
 
 def test_criterion_6_link_cost_units():
     params = EnergyParams()
-    d_o = crossover_distance(params)
+    d_o = params.crossover_distance
     checks = [
         (link_cost(params, 10, 0.0), 5.5e-7),
         (link_cost(params, 1, 100.0), 1.85e-7),

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crwsnsim import EnergyParams, crossover_distance, link_cost, rx_energy
+from crwsnsim import EnergyParams, link_cost, rx_energy
+
+from helpers import scalar_link_cost
 
 PARAMS = EnergyParams()
 
@@ -13,15 +15,15 @@ PARAMS = EnergyParams()
 class TestCrossoverDistance:
     def test_default_constants(self):
         # sqrt(10e-12 / 0.0013e-12) = 87.70580193070292
-        assert crossover_distance(PARAMS) == pytest.approx(
+        assert PARAMS.crossover_distance == pytest.approx(
             math.sqrt(10e-12 / 0.0013e-12), rel=1e-12
         )
 
     def test_equal_constants(self):
-        assert crossover_distance(EnergyParams(e_fs=1e-12, e_mp=1e-12)) == 1.0
+        assert EnergyParams(e_fs=1e-12, e_mp=1e-12).crossover_distance == 1.0
 
     def test_perfect_square_ratio(self):
-        assert crossover_distance(EnergyParams(e_fs=4e-12, e_mp=1e-12)) == 2.0
+        assert EnergyParams(e_fs=4e-12, e_mp=1e-12).crossover_distance == 2.0
 
 
 class TestLinkCost:
@@ -33,12 +35,12 @@ class TestLinkCost:
         assert link_cost(PARAMS, 1, 100.0) == pytest.approx(1.85e-7, rel=1e-12)
 
     def test_branches_agree_at_crossover(self):
-        d_o = crossover_distance(PARAMS)
+        d_o = PARAMS.crossover_distance
         expected = 55e-9 + 10e-12 * (10e-12 / 0.0013e-12)  # 1.319230769230769e-07
         assert link_cost(PARAMS, 1, d_o) == pytest.approx(expected, rel=1e-12)
 
     def test_continuity_at_crossover(self):
-        d_o = crossover_distance(PARAMS)
+        d_o = PARAMS.crossover_distance
         below = link_cost(PARAMS, 1, d_o - 1e-6)
         above = link_cost(PARAMS, 1, d_o + 1e-6)
         assert below == pytest.approx(above, rel=1e-6)
@@ -80,7 +82,7 @@ class TestLinkCost:
     def test_amplifier_curves_cross_at_crossover(self, d):
         # The two amplifier laws intersect exactly at the crossover distance:
         # the d^4 curve sits below the d^2 curve before it and above after it.
-        d_o = crossover_distance(PARAMS)
+        d_o = PARAMS.crossover_distance
         free_space = PARAMS.e_fs * d * d
         multipath = PARAMS.e_mp * d**4
         if d < d_o * (1.0 - 1e-9):
@@ -95,7 +97,6 @@ class TestCrossoverBranch:
     PARAMS = EnergyParams(e_fs=1e-11, e_mp=1e-15)
 
     def test_cached_crossover_matches_the_formula(self):
-        assert self.PARAMS.crossover_distance == crossover_distance(self.PARAMS)
         assert self.PARAMS.crossover_distance == math.sqrt(1e-11 / 1e-15)
 
     @pytest.mark.parametrize("as_array", [False, True])
@@ -109,7 +110,8 @@ class TestCrossoverBranch:
 
 
 class TestArrayLinkCost:
-    """An array of distances gives, entry by entry, the scalar cost bit for bit."""
+    """An array of distances gives, entry by entry, the scalar oracle's cost
+    bit for bit."""
 
     @pytest.mark.parametrize("m_bits", [1, 7])
     @pytest.mark.parametrize("params", [PARAMS, EnergyParams(e_fs=1e-11, e_mp=1e-15)])
@@ -118,9 +120,20 @@ class TestArrayLinkCost:
         d = np.concatenate((rng.uniform(0.0, 400.0, 200_000),
                             [0.0, -0.0, params.crossover_distance]))
         got = link_cost(params, m_bits, d)
-        want = np.array([link_cost(params, m_bits, v) for v in d.tolist()])
+        want = np.array([scalar_link_cost(params, m_bits, v) for v in d.tolist()])
         assert got.dtype == np.float64 and got.shape == d.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_float_gives_float(self):
+        for d in (0.0, 50.0, 100.0):
+            cost = link_cost(PARAMS, 3, d)
+            assert type(cost) is float and cost == scalar_link_cost(PARAMS, 3, d)
+
+    @pytest.mark.parametrize("d", [50.0, 100.0])  # free space, multipath
+    def test_zero_dimensional_array(self, d):
+        cost = link_cost(PARAMS, 1, np.array(d))
+        assert isinstance(cost, np.ndarray) and cost.shape == ()
+        assert float(cost) == scalar_link_cost(PARAMS, 1, d)
 
     def test_empty_array(self):
         assert link_cost(PARAMS, 1, np.array([])).size == 0
@@ -128,17 +141,19 @@ class TestArrayLinkCost:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
     def test_bad_distance_raises_the_scalar_error(self, bad):
         with pytest.raises(ValueError) as scalar:
-            link_cost(PARAMS, 1, bad)
-        with pytest.raises(ValueError) as array:
-            link_cost(PARAMS, 1, np.array([10.0, bad, 20.0]))
-        assert str(array.value) == str(scalar.value)
+            scalar_link_cost(PARAMS, 1, bad)
+        for d in (bad, np.array([10.0, bad, 20.0])):
+            with pytest.raises(ValueError) as error:
+                link_cost(PARAMS, 1, d)
+            assert str(error.value) == str(scalar.value)
 
     def test_zero_bits_raises_the_scalar_error(self):
         with pytest.raises(ValueError) as scalar:
-            link_cost(PARAMS, 0, 10.0)
-        with pytest.raises(ValueError) as array:
-            link_cost(PARAMS, 0, np.array([10.0]))
-        assert str(array.value) == str(scalar.value)
+            scalar_link_cost(PARAMS, 0, 10.0)
+        for d in (10.0, np.array([10.0])):
+            with pytest.raises(ValueError) as error:
+                link_cost(PARAMS, 0, d)
+            assert str(error.value) == str(scalar.value)
 
 
 class TestRxEnergy:

@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crwsnsim import (
     EnergyParams,
@@ -14,8 +17,9 @@ from crwsnsim import (
     run_round,
     run_simulation,
 )
+from crwsnsim import engine
 
-from helpers import nodes_at
+from helpers import loop_head_phase, nodes_at
 
 TINY_BATTERY = EnergyParams(initial_energy=2e-7)
 
@@ -113,10 +117,11 @@ class TestRunRound:
             assert all(d.is_direct for d in outcome.decisions)
 
 
-def all_heads_round(xs, ys, fc):
+def all_heads_round(xs, ys, fc, energy=EnergyParams()):
     """One proposed round in which every node is a head (p = 1, round 0)."""
     config = ScenarioConfig(n_nodes=len(xs), fc_position=Position(*fc),
-                            ch_probability=1.0, protocol="proposed", rounds=1)
+                            ch_probability=1.0, protocol="proposed", rounds=1,
+                            energy=energy)
     outcome = run_round(nodes_at(xs, ys), config, 0, np.random.default_rng(0))
     assert outcome.cluster_heads == list(range(len(xs)))
     return outcome
@@ -166,6 +171,104 @@ class TestHeadPhase:
         assert outcome.mst_edges == prim_mst(adjacency, start=3)
         undirected = {frozenset(e[:2]) for e in outcome.mst_edges}
         assert undirected != {frozenset(e[:2]) for e in prim_mst(adjacency, start=0)}
+
+    def test_cost_tie_goes_direct(self):
+        # head 0 (48 m out) is the root; head 1 is 74 m from both it and the
+        # fusion centre, so relaying costs exactly what sending direct does
+        outcome = all_heads_round([48.0, 24.0], [0.0, 70.0], (0.0, 0.0))
+        assert outcome.mst_edges == [(0, 1, 74.0)]
+        child = outcome.decisions[0]
+        assert (child.ch_id, child.relay_to) == (1, None)
+        assert child.direct_cost == child.relay_cost
+
+    def test_relay_wins_when_parent_is_close(self):
+        # head 1 (150 m out) is the root; head 0 is 170 m out, 20 m from it
+        outcome = all_heads_round([0.0, 0.0], [0.0, 20.0], (0.0, 170.0))
+        child, root = outcome.decisions
+        assert (child.ch_id, child.relay_to) == (0, 1)
+        assert child.relay_cost == pytest.approx(1.18e-7, rel=1e-12)  # 2 bits, 20 m
+        assert child.direct_cost == pytest.approx(2.281546e-6, rel=1e-12)  # 2 bits, 170 m
+        assert (root.ch_id, root.relay_to) == (1, None)
+        assert root.relay_cost == root.direct_cost
+
+    def test_costs_are_link_costs_of_both_distances(self):
+        xs, ys = [10.0, 30.0, 60.0, 80.0, 45.0], [5.0, 40.0, 20.0, 70.0, 90.0]
+        fc = (50.0, 250.0)
+        outcome = all_heads_round(xs, ys, fc)
+        uplink = {child: metres for _, child, metres in outcome.mst_edges}
+        params = EnergyParams()
+        for dec in outcome.decisions:
+            d_fc = math.hypot(xs[dec.ch_id] - fc[0], ys[dec.ch_id] - fc[1])
+            assert dec.direct_cost == link_cost(params, 5, d_fc)
+            assert dec.relay_cost == link_cost(params, 5, uplink.get(dec.ch_id, d_fc))
+        assert not all(dec.is_direct for dec in outcome.decisions)
+
+    def test_choice_invariant_under_cost_scaling(self):
+        rng = np.random.default_rng(13)
+        relays = 0
+        for _ in range(40):
+            xs, ys = rng.uniform(0.0, 100.0, (2, 6)).round(3)
+            fc = (50.0, round(float(rng.uniform(50.0, 300.0)), 3))
+            routes = set()
+            for factor in (1.0, 1e-3, 0.5, 2.0, 1e3):
+                scaled = EnergyParams(e_tx=50e-9 * factor, e_aggregation=5e-9 * factor,
+                                      e_fs=10e-12 * factor, e_mp=0.0013e-12 * factor)
+                outcome = all_heads_round(xs.tolist(), ys.tolist(), fc, scaled)
+                routes.add(tuple((d.ch_id, d.relay_to) for d in outcome.decisions))
+            assert len(routes) == 1
+            relays += sum(relay_to is not None for _, relay_to in routes.pop())
+        assert relays > 0
+
+
+def _scenario(kind, rng, count):
+    """Node coordinates and fusion centre for one head-phase scenario."""
+    if kind == "lattice":  # integer coordinates: exact distance and cost ties
+        xs, ys = rng.integers(0, 13, (2, count)).astype(float)
+        return xs, ys, (float(rng.integers(0, 13)), float(rng.integers(0, 13)))
+    xs, ys = rng.uniform(0.0, 100.0, (2, count))
+    if kind == "far":  # multipath links to the fusion centre, so relays pay
+        return xs, ys, (float(rng.uniform(0.0, 100.0)), float(rng.uniform(150.0, 400.0)))
+    return xs, ys, (float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0)))
+
+
+class TestHeadPhaseMatchesLoop:
+    """The array head phase charges, decides and builds the tree exactly as
+    the scalar loop, one sender and two scalar costs at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["random", "far", "lattice", "zero-head"]),
+        st.sampled_from(["baseline", "proposed"]),
+        st.sampled_from([0.1, 0.3, 1.0]),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_loop_oracle(self, kind, protocol, p, count, seed):
+        rng = np.random.default_rng(seed)
+        xs, ys, fc = _scenario("far" if kind == "zero-head" else kind, rng, count)
+        config = ScenarioConfig(n_nodes=count, fc_position=Position(*fc), ch_probability=p,
+                                protocol=protocol, rounds=10)
+        energy = np.where(rng.random(count) < 0.5, 0.5, rng.uniform(0.0, 2e-6, count))
+        alive = rng.random(count) < 0.9
+        alive[rng.integers(count)] = True
+        # round 3 with every node served in this epoch elects nobody
+        round_index = 3 if kind == "zero-head" else 0
+        runs = []
+        for head_phase in (engine._head_phase, loop_head_phase):
+            nodes = nodes_at(xs, ys, energy)
+            nodes.alive[:] = alive
+            if kind == "zero-head":
+                nodes.last_ch_round[:] = 3
+            with mock.patch.object(engine, "_head_phase", head_phase):
+                outcome = run_round(nodes, config, round_index, np.random.default_rng(seed))
+            runs.append((outcome, nodes))
+        (got, got_nodes), (want, want_nodes) = runs
+        if kind == "zero-head":
+            assert got.cluster_heads == []
+        assert got.mst_edges == want.mst_edges
+        assert got.decisions == want.decisions
+        assert got_nodes.energy.tobytes() == want_nodes.energy.tobytes()
+        assert got == want
 
 
 class TestDrainedHead:

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crwsnsim import (
-    EnergyParams,
-    build_adjacency,
-    link_cost,
-    prim_mst,
-    route_decision,
-)
+from crwsnsim import build_adjacency, prim_mst
 
 from helpers import (
     min_spanning_weight,
@@ -17,8 +11,6 @@ from helpers import (
     spanning_tree_weights,
     triple_loop_prim,
 )
-
-PARAMS = EnergyParams()
 
 
 class TestBuildAdjacency:
@@ -122,44 +114,3 @@ class TestPrimMst:
                 adj = random_point_matrix(rng, size)
             start = int(rng.integers(0, size))
             assert prim_mst(adj, start) == triple_loop_prim(adj, start)
-
-
-class TestRouteDecision:
-    def test_tie_prefers_direct(self):
-        dec = route_decision(PARAMS, 10, 40.0, 40.0, ch_id=4, parent_id=9)
-        assert dec.is_direct
-        assert dec.direct_cost == dec.relay_cost
-
-    def test_relay_wins_when_parent_close(self):
-        dec = route_decision(PARAMS, 10, 150.0, 20.0, ch_id=4, parent_id=9)
-        assert dec.relay_to == 9
-        assert dec.relay_cost == pytest.approx(5.9e-7, rel=1e-12)
-        assert dec.direct_cost == pytest.approx(7.13125e-6, rel=1e-12)
-
-    def test_root_always_direct(self):
-        dec = route_decision(PARAMS, 10, 500.0, 1.0, ch_id=0, parent_id=None)
-        assert dec.is_direct
-        assert dec.relay_cost == dec.direct_cost
-
-    def test_choice_invariant_under_cost_scaling(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            d_fc = round(float(rng.uniform(0, 300)), 3)
-            d_parent = round(float(rng.uniform(0, 300)), 3)
-            baseline = route_decision(PARAMS, 10, d_fc, d_parent, 1, 2)
-            for factor in (1e-3, 0.5, 2.0, 1e3):
-                scaled = EnergyParams(
-                    initial_energy=PARAMS.initial_energy,
-                    e_tx=PARAMS.e_tx * factor,
-                    e_aggregation=PARAMS.e_aggregation * factor,
-                    e_rx=PARAMS.e_rx,
-                    e_fs=PARAMS.e_fs * factor,
-                    e_mp=PARAMS.e_mp * factor,
-                )
-                dec = route_decision(scaled, 10, d_fc, d_parent, 1, 2)
-                assert dec.relay_to == baseline.relay_to
-
-    def test_costs_follow_link_cost(self):
-        dec = route_decision(PARAMS, 7, 120.0, 35.0, ch_id=1, parent_id=2)
-        assert dec.direct_cost == link_cost(PARAMS, 7, 120.0)
-        assert dec.relay_cost == link_cost(PARAMS, 7, 35.0)
