@@ -32,7 +32,11 @@ def link_cost(params: EnergyParams, m_bits: int, d: float | np.ndarray) -> float
     cost = np.asarray(per_bit + params.e_fs * dist * dist)  # a 0-d result stays an array
     far = dist > params.crossover_distance
     if far.any():  # Python's float ** 4: numpy's power can differ in the last bit
-        cost[far] = per_bit + params.e_mp * np.array([v ** 4 for v in dist[far].tolist()])
+        try:
+            quartic = np.array([v ** 4 for v in dist[far].tolist()])
+        except OverflowError:  # name the distance, not the errno tuple
+            raise OverflowError(f"d^4 overflows for a {float(dist.max())!r} m link") from None
+        cost[far] = per_bit + params.e_mp * quartic
     cost *= m_bits
     return cost if isinstance(d, np.ndarray) else float(cost)
 

@@ -83,48 +83,42 @@ def _head_phase(
     children first.
 
     Without ``tree`` (baseline heads, or every alive node in a zero-head
-    round) each sender is a root that sends one bit directly, in ascending
-    id. With it, the heads form Prim's tree grown from the head nearest the
-    fusion centre (ties: lower index) and transmit in reverse insertion
-    order, each carrying the full table width (one bit per head). A
-    relaying head charges its parent the matching reception cost, and the
-    parent forwards the child's bits with its own. Returns the tree edges as
-    (parent head, child head, metres) in insertion order, and the decisions
-    in transmission order.
+    round) each sender sends one bit directly, in ascending id. With it, the
+    heads form Prim's tree grown from the head nearest the fusion centre
+    (ties: lower index) and transmit in reverse insertion order, each with
+    the full table width (one bit per head); a head relays when the link to
+    its parent is strictly cheaper, and the parent pays the reception.
+    Returns the tree edges as (parent head, child head, metres) in insertion
+    order, and the decisions in transmission order.
     """
     params = config.energy
     fc = config.fc_position
-    fc_dists = _hypot(nodes.x[heads] - fc.x, nodes.y[heads] - fc.y)
+    fc_dists = np.array(_hypot(nodes.x[heads] - fc.x, nodes.y[heads] - fc.y))
+    parent = np.arange(len(heads))  # a sender without a parent is its own
+    uplink = fc_dists.copy()  # metres to the parent, else to the fusion centre
     edges: list[tuple[int, int, float]] = []
-    order: list[int] = list(range(len(heads)))
-    m_bits = 1
+    order, m_bits = parent.copy(), 1
     if tree:
-        root = min(order, key=lambda i: (fc_dists[i], i))
+        root = int(fc_dists.argmin())  # first minimum: distance ties to the lower index
         edges = prim_mst(build_adjacency(nodes.x[heads], nodes.y[heads]), start=root)
-        order = [j for _, j, _ in reversed(edges)] + [root]
-        m_bits = len(heads)
-    uplink = {j: (i, w) for i, j, w in edges}  # child -> (parent, metres)
+        added = [j for _, j, _ in edges]
+        parent[added] = [i for i, _, _ in edges]
+        uplink[added] = [w for _, _, w in edges]
+        order, m_bits = np.array(added[::-1] + [root]), len(heads)
     # one cost call: every sender's direct link, then its uplink, in order; a
     # sender without a parent prices its direct link twice, so it goes direct
-    d_direct = [fc_dists[idx] for idx in order]
-    d_uplink = [uplink[idx][1] if idx in uplink else d for idx, d in zip(order, d_direct)]
-    costs = link_cost(params, m_bits, np.array(d_direct + d_uplink)).tolist()
-    carried = [1] * len(heads)  # head bits in each head's table
-    delivered = 0
-    decisions: list[RouteDecision] = []
-    for idx, direct, relay in zip(order, costs, costs[len(order):]):
-        if direct <= relay:  # cost ties favour the direct link
-            decisions.append(RouteDecision(heads[idx], None, direct, relay))
-            nodes.energy[heads[idx]] -= direct
-            delivered += carried[idx]
-        else:
-            parent = uplink[idx][0]
-            decisions.append(RouteDecision(heads[idx], heads[parent], direct, relay))
-            nodes.energy[heads[idx]] -= relay
-            nodes.energy[heads[parent]] -= rx_energy(params, m_bits)
-            carried[parent] += carried[idx]
-    if delivered != len(heads):
+    costs = link_cost(params, m_bits, np.concatenate((fc_dists[order], uplink[order])))
+    direct, relay = costs[:len(heads)], costs[len(heads):]
+    relays = relay < direct  # cost ties favour the direct link
+    ids = np.array(heads)
+    senders, parents = ids[order], ids[parent[order]]
+    if (relays & (senders == parents)).any():  # bits relayed to no one are lost
         raise RuntimeError("convergecast did not deliver every head's bit")
+    # every child sends before its parent: receptions land before own sends
+    np.subtract.at(nodes.energy, parents[relays], rx_energy(params, m_bits))
+    nodes.energy[senders] -= np.where(relays, relay, direct)
+    decisions = [RouteDecision(h, p if r else None, d, c) for h, p, r, d, c in zip(
+        senders.tolist(), parents.tolist(), relays.tolist(), direct.tolist(), relay.tolist())]
     return [(heads[i], heads[j], w) for i, j, w in edges], decisions
 
 

@@ -13,6 +13,8 @@ import numpy as np
 def build_adjacency(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Symmetric matrix of pairwise Euclidean distances, zero diagonal."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape:
+        raise ValueError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
     if not xs.size:
         raise ValueError("build_adjacency requires at least one position")
     return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])

@@ -282,7 +282,8 @@ ERROR_CASES = {
         ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 10\np = 0.05\n", "p * n_nodes"
     ),
     "multipath-overflow": (
-        ["run", "--rounds", "3"], "e_mp = 1e300\nfc_y = 1e80\n", "arithmetic overflow"
+        ["run", "--rounds", "3"], "e_mp = 1e300\nfc_y = 1e80\n",
+        "arithmetic overflow in the run: d^4 overflows for a 1e+80 m link",
     ),
     "compare-mean-overflow": (
         ["compare", "--seeds", "1,2", "--rounds", "2"],

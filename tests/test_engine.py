@@ -219,6 +219,22 @@ class TestHeadPhase:
             relays += sum(relay_to is not None for _, relay_to in routes.pop())
         assert relays > 0
 
+    def test_relay_from_a_parentless_sender_is_an_error(self):
+        # with every relay cheaper than its direct link, the root relays too,
+        # but it has no parent, so the bits of the whole tree would be lost
+        def cheap_relays(params, m_bits, d):
+            cost = link_cost(params, m_bits, d)
+            direct = cost[:cost.size // 2]
+            cost[cost.size // 2:] = direct / 2
+            return cost
+
+        config = ScenarioConfig(n_nodes=4, ch_probability=1.0, protocol="proposed", rounds=1)
+        nodes = nodes_at([10.0, 30.0, 60.0, 80.0], [5.0, 40.0, 20.0, 70.0])
+        with mock.patch.object(engine, "link_cost", cheap_relays), \
+                pytest.raises(RuntimeError) as err:
+            run_round(nodes, config, 0, np.random.default_rng(0))
+        assert str(err.value) == "convergecast did not deliver every head's bit"
+
 
 def _scenario(kind, rng, count):
     """Node coordinates and fusion centre for one head-phase scenario."""
@@ -240,7 +256,7 @@ class TestHeadPhaseMatchesLoop:
         st.sampled_from(["random", "far", "lattice", "zero-head"]),
         st.sampled_from(["baseline", "proposed"]),
         st.sampled_from([0.1, 0.3, 1.0]),
-        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=150),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_equals_loop_oracle(self, kind, protocol, p, count, seed):

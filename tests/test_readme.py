@@ -1,10 +1,12 @@
 """The README's list of public lower-level pieces stays in step with the
-package's exports, and its library example runs."""
+package's exports, its config-file table with the parser's keys, and its
+library example runs."""
 
 import re
 from pathlib import Path
 
 import crwsnsim
+from crwsnsim import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,6 +27,14 @@ def test_readme_library_pieces_are_exported():
     for name in names:
         assert name in crwsnsim.__all__, f"README names {name!r}, which is not exported"
         assert hasattr(crwsnsim, name), f"crwsnsim exports {name!r} but does not define it"
+
+
+def test_readme_config_table_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Config files"):text.index("## Library use")]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(key for key, _, _ in cli._SCHEMA)
 
 
 def test_readme_library_example_runs(capsys):

@@ -32,6 +32,11 @@ class TestBuildAdjacency:
         assert np.allclose(adj, adj.T)
         assert np.all(np.diag(adj) == 0.0)
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError) as err:
+            build_adjacency([0.0, 3.0], [0.0])
+        assert str(err.value) == "xs and ys must have one shape, got (2,) and (1,)"
+
 
 class TestPrimMst:
     def test_single_vertex(self):
