@@ -22,7 +22,7 @@ from .clustering import (
     eligible_mask,
     epoch_length,
 )
-from .routing import RouteDecision, build_adjacency, prim_mst
+from .routing import prim_mst
 from .engine import (
     RoundOutcome,
     SimulationResult,
@@ -44,12 +44,10 @@ __all__ = [
     "EnergyParams",
     "Nodes",
     "Position",
-    "RouteDecision",
     "RoundOutcome",
     "ScenarioConfig",
     "SimulationResult",
     "assign_members",
-    "build_adjacency",
     "elect_cluster_heads",
     "election_threshold",
     "eligible_mask",

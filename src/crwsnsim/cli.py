@@ -246,7 +246,7 @@ def _effective_config(ns: argparse.Namespace) -> ScenarioConfig:
         try:
             with open(ns.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config file {ns.config!r}: {err}") from err
         values, lines = _read_config(text)
     for key in _ROWS:

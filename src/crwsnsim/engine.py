@@ -22,18 +22,23 @@ import numpy as np
 from .model import PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
 from .energy import link_cost, rx_energy
 from .clustering import assign_members, elect_cluster_heads
-from .routing import RouteDecision, build_adjacency, prim_mst
+from .routing import prim_mst
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundOutcome:
-    """What happened in one round. ``round_index`` is 0-based;
-    ``total_residual`` (J) and ``alive`` are taken after the death sweep."""
+    """What happened in one round. ``round_index`` is 0-based; the arrays
+    from ``senders`` to ``relay_cost`` are in transmission order, with -1
+    for no tree parent and for a direct send; ``total_residual`` (J) and
+    ``alive`` are taken after the death sweep."""
 
     round_index: int
     cluster_heads: list[int]
-    mst_edges: list[tuple[int, int, float]]
-    decisions: list[RouteDecision]
+    senders: np.ndarray
+    parent: np.ndarray
+    relay_to: np.ndarray
+    direct_cost: np.ndarray
+    relay_cost: np.ndarray
     energy_spent: float
     deaths: list[int]
     total_residual: float
@@ -78,7 +83,7 @@ def _member_report_phase(
 
 def _head_phase(
     nodes: Nodes, heads: list[int], tree: bool, config: ScenarioConfig
-) -> tuple[list[tuple[int, int, float]], list[RouteDecision]]:
+) -> tuple[np.ndarray, ...]:
     """Every sender in ``heads`` delivers its table to the fusion centre,
     children first.
 
@@ -88,38 +93,38 @@ def _head_phase(
     (ties: lower index) and transmit in reverse insertion order, each with
     the full table width (one bit per head); a head relays when the link to
     its parent is strictly cheaper, and the parent pays the reception.
-    Returns the tree edges as (parent head, child head, metres) in insertion
-    order, and the decisions in transmission order.
+    Returns, in transmission order, the senders, their tree parents and
+    relay targets (-1 for none) and their direct and uplink costs.
     """
     params = config.energy
     fc = config.fc_position
-    fc_dists = np.array(_hypot(nodes.x[heads] - fc.x, nodes.y[heads] - fc.y))
-    parent = np.arange(len(heads))  # a sender without a parent is its own
-    uplink = fc_dists.copy()  # metres to the parent, else to the fusion centre
-    edges: list[tuple[int, int, float]] = []
-    order, m_bits = parent.copy(), 1
+    ids = np.array(heads)
+    xs, ys = nodes.x[ids], nodes.y[ids]
+    fc_dists = np.array(_hypot(xs - fc.x, ys - fc.y))
+    order = parent = np.arange(len(heads))  # a sender without a parent is its own
+    m_bits = 1
     if tree:
         root = int(fc_dists.argmin())  # first minimum: distance ties to the lower index
-        edges = prim_mst(build_adjacency(nodes.x[heads], nodes.y[heads]), start=root)
-        added = [j for _, j, _ in edges]
-        parent[added] = [i for i, _, _ in edges]
-        uplink[added] = [w for _, _, w in edges]
-        order, m_bits = np.array(added[::-1] + [root]), len(heads)
+        inserted, parent = prim_mst(xs, ys, root)
+        order, m_bits = inserted[::-1], len(heads)
+    parent = parent[order]
+    orphan = parent == order
+    # metres to the parent, else to the fusion centre; hypot ignores the sign
+    # of the exactly negated differences, so these are the tree's own weights
+    uplink = np.where(orphan, fc_dists[order],
+                      np.hypot(xs[order] - xs[parent], ys[order] - ys[parent]))
     # one cost call: every sender's direct link, then its uplink, in order; a
     # sender without a parent prices its direct link twice, so it goes direct
-    costs = link_cost(params, m_bits, np.concatenate((fc_dists[order], uplink[order])))
+    costs = link_cost(params, m_bits, np.concatenate((fc_dists[order], uplink)))
     direct, relay = costs[:len(heads)], costs[len(heads):]
     relays = relay < direct  # cost ties favour the direct link
-    ids = np.array(heads)
-    senders, parents = ids[order], ids[parent[order]]
-    if (relays & (senders == parents)).any():  # bits relayed to no one are lost
+    if (relays & orphan).any():  # bits relayed to no one are lost
         raise RuntimeError("convergecast did not deliver every head's bit")
+    senders, parents = ids[order], np.where(orphan, -1, ids[parent])
     # every child sends before its parent: receptions land before own sends
     np.subtract.at(nodes.energy, parents[relays], rx_energy(params, m_bits))
     nodes.energy[senders] -= np.where(relays, relay, direct)
-    decisions = [RouteDecision(h, p if r else None, d, c) for h, p, r, d, c in zip(
-        senders.tolist(), parents.tolist(), relays.tolist(), direct.tolist(), relay.tolist())]
-    return [(heads[i], heads[j], w) for i, j, w in edges], decisions
+    return senders, parents, np.where(relays, parents, -1), direct, relay
 
 
 def run_round(
@@ -150,7 +155,7 @@ def run_round(
         if heads:
             _member_report_phase(nodes, *assign_members(nodes, heads), config)
         # with no head elected, every alive node sends its own bit directly
-        mst_edges, decisions = _head_phase(nodes, heads or alive.tolist(), tree, config)
+        routes = _head_phase(nodes, heads or alive.tolist(), tree, config)
 
     np.maximum(nodes.energy, 0.0, out=nodes.energy)
     end_energy = nodes.energy[alive]
@@ -159,7 +164,7 @@ def run_round(
     deaths = alive[dead]
     nodes.alive[deaths] = False
     return RoundOutcome(
-        round_index, heads, mst_edges, decisions, spent, deaths.tolist(),
+        round_index, heads, *routes, spent, deaths.tolist(),
         math.fsum(end_energy[~dead].tolist()), alive.size - deaths.size,
     )
 

@@ -1,71 +1,47 @@
-"""Inter-head routing: adjacency matrix, Prim's spanning tree, and the
-record of each head's direct-vs-relay decision.
-"""
+"""Inter-head routing: Prim's minimum spanning tree over the head positions."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-def build_adjacency(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of pairwise Euclidean distances, zero diagonal."""
+def prim_mst(xs: np.ndarray, ys: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum spanning tree of the points (``xs``, ``ys``) grown from ``start``.
+
+    Returns the vertices in insertion order (``start`` first) and each
+    vertex's parent (``start`` is its own). Weight ties break toward the
+    lower tree-side index, then the lower outside index. Dense O(n^2) Prim in
+    O(n) memory: ``key[j]`` is the lightest edge from the tree to outside
+    vertex ``j`` and ``parent[j]`` the lowest tree index reaching it, and each
+    vertex's row of distances is computed when it joins the tree.
+    """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
-    if not xs.size:
-        raise ValueError("build_adjacency requires at least one position")
-    return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
-
-
-def prim_mst(adj: np.ndarray, start: int = 0) -> list[tuple[int, int, float]]:
-    """Minimum spanning tree grown greedily from ``start``.
-
-    Returns edges as (tree-side index, added index, weight). Weight ties
-    break toward the lower tree-side index, then the lower outside index.
-    Dense O(n^2) Prim: ``key[j]`` is the lightest edge from the tree to
-    outside vertex ``j`` and ``parent[j]`` the lowest tree index reaching it.
-    """
-    adj = np.asarray(adj, dtype=float)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got shape {adj.shape}")
-    n = adj.shape[0]
+    if xs.ndim != 1:
+        raise ValueError(f"positions must be one-dimensional, got shape {xs.shape}")
+    n = xs.size
     if not (0 <= start < n):
         raise ValueError(f"start must index a vertex, got {start}")
     outside = np.ones(n, dtype=bool)
     outside[start] = False
-    key = adj[start].copy()
+    key = np.hypot(xs[start] - xs, ys[start] - ys)
     key[start] = math.inf  # tree vertices keep an infinite key, so argmin skips them
     parent = np.full(n, start)
-    edges: list[tuple[int, int, float]] = []
-    for _ in range(n - 1):
+    order = np.full(n, start)
+    for step in range(1, n):
         j = int(key.argmin())  # first minimum: lowest j
-        w = key[j]
-        lightest = key == w
-        if w == math.inf or np.count_nonzero(lightest) > 1:  # a tie: lowest parent first
+        lightest = key == key[j]
+        if key[j] == math.inf or np.count_nonzero(lightest) > 1:  # a tie: lowest parent first
             lightest = np.flatnonzero(outside & lightest)
             j = int(lightest[np.argmin(parent[lightest])])
-        edges.append((int(parent[j]), j, float(w)))
+        order[step] = j
         outside[j] = False
         key[j] = math.inf
-        row = adj[j]
+        row = np.hypot(xs[j] - xs, ys[j] - ys)
         better = outside & ((row < key) | ((row == key) & (parent > j)))
         key[better] = row[better]
         parent[better] = j
-    return edges
-
-
-@dataclass(frozen=True)
-class RouteDecision:
-    """One head's choice between the direct link and its tree parent."""
-
-    ch_id: int
-    relay_to: int | None  # None means direct to the fusion centre
-    direct_cost: float
-    relay_cost: float
-
-    @property
-    def is_direct(self) -> bool:
-        return self.relay_to is None
+    return order, parent

@@ -1,16 +1,18 @@
-"""Shared test utilities: a node builder, a brute-force spanning tree
-oracle that is independent of the greedy implementation under test, the
-original triple-loop Prim as the oracle of its tie rule, the original
-dense nearest-head search as the oracle of member assignment, and the
-original scalar link cost and per-head route decision as the oracles of
-the array cost kernel and the head phase."""
+"""Shared test utilities: a node builder, a field-for-field comparison of
+round records, a brute-force spanning tree oracle that is independent of
+the greedy implementation under test, the original triple-loop Prim as the
+oracle of its tie rule, the original distance-matrix Prim as the oracle of
+the points form, the original dense nearest-head search as the oracle of
+member assignment, and the original scalar link cost and per-head route
+decision as the oracles of the array cost kernel and the head phase."""
 
 import math
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
 
-from crwsnsim import Nodes, RouteDecision, build_adjacency, prim_mst, rx_energy
+from crwsnsim import Nodes, prim_mst, rx_energy
 
 
 def nodes_at(xs, ys, energy=0.5):
@@ -24,6 +26,20 @@ def nodes_at(xs, ys, energy=0.5):
         np.ones(count, dtype=bool),
         np.full(count, -1),
     )
+
+
+def same_outcome(a, b):
+    """Whether two ``RoundOutcome`` records agree in every field, arrays by
+    dtype and bytes."""
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                    and x.dtype == y.dtype and x.tobytes() == y.tobytes()):
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 def _is_spanning(n, edges):
@@ -62,13 +78,64 @@ def min_spanning_weight(weights):
     return min(spanning_tree_weights(weights))
 
 
-def random_point_matrix(rng, size, extent=100.0):
-    """Distance matrix for ``size`` random points in a square field."""
+def random_points(rng, size, extent=100.0):
+    """Coordinates (xs, ys) of ``size`` random points in a square field."""
     pts = rng.uniform(0.0, extent, size=(size, 2))
-    return np.hypot(
-        pts[:, 0][:, None] - pts[:, 0][None, :],
-        pts[:, 1][:, None] - pts[:, 1][None, :],
-    )
+    return pts[:, 0], pts[:, 1]
+
+
+def distance_matrix(xs, ys):
+    """Symmetric matrix of pairwise Euclidean distances, zero diagonal."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape:
+        raise ValueError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
+    if not xs.size:
+        raise ValueError("distance_matrix requires at least one position")
+    return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
+
+
+def prim_edges(xs, ys, start=0):
+    """``prim_mst``'s tree as (tree-side index, added index, weight) edges in
+    insertion order, each weight the ``distance_matrix`` entry of its edge."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    order, parent = prim_mst(xs, ys, start)
+    return [(int(p), int(j), float(np.hypot(xs[p] - xs[j], ys[p] - ys[j])))
+            for p, j in zip(parent[order[1:]], order[1:])]
+
+
+def matrix_prim(adj, start=0):
+    """Dense Prim reading one row of a full distance matrix per added vertex.
+
+    Returns edges as (tree-side index, added index, weight). Weight ties
+    break toward the lower tree-side index, then the lower outside index.
+    """
+    adj = np.asarray(adj, dtype=float)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"adjacency matrix must be square, got shape {adj.shape}")
+    n = adj.shape[0]
+    if not (0 <= start < n):
+        raise ValueError(f"start must index a vertex, got {start}")
+    outside = np.ones(n, dtype=bool)
+    outside[start] = False
+    key = adj[start].copy()
+    key[start] = math.inf  # tree vertices keep an infinite key, so argmin skips them
+    parent = np.full(n, start)
+    edges = []
+    for _ in range(n - 1):
+        j = int(key.argmin())  # first minimum: lowest j
+        w = key[j]
+        lightest = key == w
+        if w == math.inf or np.count_nonzero(lightest) > 1:  # a tie: lowest parent first
+            lightest = np.flatnonzero(outside & lightest)
+            j = int(lightest[np.argmin(parent[lightest])])
+        edges.append((int(parent[j]), j, float(w)))
+        outside[j] = False
+        key[j] = math.inf
+        row = adj[j]
+        better = outside & ((row < key) | ((row == key) & (parent > j)))
+        key[better] = row[better]
+        parent[better] = j
+    return edges
 
 
 def triple_loop_prim(adj, start=0):
@@ -123,17 +190,18 @@ def scalar_link_cost(params, m_bits, d):
     return m_bits * per_bit
 
 
-def route_decision(params, m_bits, d_fc, d_parent, ch_id, parent_id):
-    """The cheaper of the direct link and the one-hop relay, ties direct; the
-    root (``parent_id is None``) goes direct and records its direct cost as
-    ``relay_cost`` too."""
+def route_decision(params, m_bits, d_fc, d_parent, parent_id):
+    """The cheaper of the direct link and the one-hop relay, ties direct, as
+    (relay target or None, direct cost, relay cost); the root
+    (``parent_id is None``) goes direct and records its direct cost as the
+    relay cost too."""
     direct = scalar_link_cost(params, m_bits, d_fc)
     if parent_id is None:
-        return RouteDecision(ch_id, None, direct, direct)
+        return None, direct, direct
     relay = scalar_link_cost(params, m_bits, d_parent)
     if direct <= relay:
-        return RouteDecision(ch_id, None, direct, relay)
-    return RouteDecision(ch_id, parent_id, direct, relay)
+        return None, direct, relay
+    return parent_id, direct, relay
 
 
 def loop_head_phase(nodes, heads, tree, config):
@@ -147,27 +215,27 @@ def loop_head_phase(nodes, heads, tree, config):
     m_bits = 1
     if tree:
         root = min(order, key=lambda i: (fc_dists[i], i))
-        edges = prim_mst(build_adjacency(nodes.x[heads], nodes.y[heads]), start=root)
+        edges = matrix_prim(distance_matrix(nodes.x[heads], nodes.y[heads]), start=root)
         order = [j for _, j, _ in reversed(edges)] + [root]
         m_bits = len(heads)
     uplink = {j: (i, w) for i, j, w in edges}
     carried = [1] * len(heads)
     delivered = 0
-    decisions = []
+    rows = []
     for idx in order:
         parent, d_parent = uplink.get(idx, (None, 0.0))
-        dec = route_decision(
-            params, m_bits, fc_dists[idx], d_parent,
-            heads[idx], None if parent is None else heads[parent],
-        )
-        decisions.append(dec)
-        if dec.is_direct:
-            nodes.energy[heads[idx]] -= dec.direct_cost
+        parent_id = None if parent is None else heads[parent]
+        relay_to, direct, relay = route_decision(params, m_bits, fc_dists[idx], d_parent,
+                                                 parent_id)
+        rows.append((heads[idx], -1 if parent_id is None else parent_id,
+                     -1 if relay_to is None else relay_to, direct, relay))
+        if relay_to is None:
+            nodes.energy[heads[idx]] -= direct
             delivered += carried[idx]
         else:
-            nodes.energy[heads[idx]] -= dec.relay_cost
-            nodes.energy[heads[parent]] -= rx_energy(params, m_bits)
+            nodes.energy[heads[idx]] -= relay
+            nodes.energy[relay_to] -= rx_energy(params, m_bits)
             carried[parent] += carried[idx]
     if delivered != len(heads):
         raise RuntimeError("convergecast did not deliver every head's bit")
-    return [(heads[i], heads[j], w) for i, j, w in edges], decisions
+    return tuple(np.array(column) for column in zip(*rows))

@@ -198,6 +198,15 @@ class TestRunCommand:
         assert code == 2
         assert "p" in capsys.readouterr().err
 
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"\xffnodes = 10\n")
+        assert main(["run", "--config", str(bad), "--rounds", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file {str(bad)!r}: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
+
 
 class TestCompareCommand:
     def test_zero_rounds_all_variants_full_battery(self, capsys):

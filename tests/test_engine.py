@@ -11,15 +11,13 @@ from crwsnsim import (
     EnergyParams,
     Position,
     ScenarioConfig,
-    build_adjacency,
     link_cost,
-    prim_mst,
     run_round,
     run_simulation,
 )
 from crwsnsim import engine
 
-from helpers import loop_head_phase, nodes_at
+from helpers import distance_matrix, loop_head_phase, nodes_at, prim_edges, same_outcome
 
 TINY_BATTERY = EnergyParams(initial_energy=2e-7)
 
@@ -101,20 +99,24 @@ class TestRunRound:
         config = ScenarioConfig(n_nodes=40, protocol="proposed", clustering="uniform")
         result = run_simulation(replace(config, rounds=3))
         for outcome in result.outcomes:
-            assert len(outcome.mst_edges) == len(outcome.cluster_heads) - 1
-            assert len(outcome.decisions) == len(outcome.cluster_heads)
-            directs = [d for d in outcome.decisions if d.is_direct]
-            assert directs, "at least the root transmits directly"
-            for dec in outcome.decisions:
-                if not dec.is_direct:
-                    assert dec.relay_cost < dec.direct_cost
+            assert len(tree_edges(outcome)) == len(outcome.cluster_heads) - 1
+            assert len(outcome.senders) == len(outcome.cluster_heads)
+            relays = outcome.relay_to >= 0
+            assert not relays.all(), "at least the root transmits directly"
+            assert np.all(outcome.relay_cost[relays] < outcome.direct_cost[relays])
 
     def test_baseline_decisions_all_direct(self):
         config = ScenarioConfig(n_nodes=40, protocol="baseline", clustering="uniform")
         result = run_simulation(replace(config, rounds=3))
         for outcome in result.outcomes:
-            assert outcome.mst_edges == []
-            assert all(d.is_direct for d in outcome.decisions)
+            assert tree_edges(outcome) == []
+            assert np.all(outcome.relay_to == -1)
+
+
+def tree_edges(outcome):
+    """The round's tree as (parent head, child head) in Prim's insertion order."""
+    return [(p, c) for c, p in zip(outcome.senders.tolist(), outcome.parent.tolist())
+            if p >= 0][::-1]
 
 
 def all_heads_round(xs, ys, fc, energy=EnergyParams()):
@@ -134,30 +136,29 @@ class TestHeadPhase:
     ], ids=["distance-tie-to-lower-index", "nearest-is-highest-index"])
     def test_root_is_head_nearest_fusion_centre(self, xs, ys, root):
         outcome = all_heads_round(xs, ys, (0.0, 300.0))
-        children = {child for _, child, _ in outcome.mst_edges}
+        children = {child for _, child in tree_edges(outcome)}
         assert set(outcome.cluster_heads) - children == {root}
-        assert outcome.mst_edges[0][0] == root
-        last = outcome.decisions[-1]
-        assert (last.ch_id, last.relay_to) == (root, None)
-        assert last.relay_cost == last.direct_cost
+        assert tree_edges(outcome)[0][0] == root
+        assert (outcome.senders[-1], outcome.parent[-1], outcome.relay_to[-1]) == (root, -1, -1)
+        assert outcome.relay_cost[-1] == outcome.direct_cost[-1]
 
     def test_relays_transmit_before_parents_and_chains_end_direct(self):
         config = ScenarioConfig(n_nodes=100, fc_position=Position(50.0, 400.0),
                                 protocol="proposed", rounds=30, rng_seed=4)
         relays = 0
         for outcome in run_simulation(config).outcomes:
-            parent_of = {child: parent for parent, child, _ in outcome.mst_edges}
-            position = {d.ch_id: i for i, d in enumerate(outcome.decisions)}
-            route = {d.ch_id: d.relay_to for d in outcome.decisions}
+            parent_of = {child: parent for parent, child in tree_edges(outcome)}
+            position = {h: i for i, h in enumerate(outcome.senders.tolist())}
+            route = dict(zip(outcome.senders.tolist(), outcome.relay_to.tolist()))
             assert sorted(position) == outcome.cluster_heads
             for head, relay_to in route.items():
-                if relay_to is None:
+                if relay_to == -1:
                     continue
                 relays += 1
                 assert relay_to == parent_of[head]
                 assert position[head] < position[relay_to]
                 hops = 0
-                while route[head] is not None:
+                while route[head] != -1:
                     head, hops = route[head], hops + 1
                     assert hops < len(route)
         assert relays > 0
@@ -167,41 +168,41 @@ class TestHeadPhase:
         # tree depends on where Prim starts; head 3 is nearest the centre
         xs, ys = [40.0, 40.0, 90.0, 90.0], [40.0, 10.0, 0.0, 50.0]
         outcome = all_heads_round(xs, ys, (50.0, 300.0))
-        adjacency = build_adjacency(xs, ys)
-        assert outcome.mst_edges == prim_mst(adjacency, start=3)
-        undirected = {frozenset(e[:2]) for e in outcome.mst_edges}
-        assert undirected != {frozenset(e[:2]) for e in prim_mst(adjacency, start=0)}
+        assert tree_edges(outcome) == [(i, j) for i, j, _ in prim_edges(xs, ys, start=3)]
+        undirected = {frozenset(e) for e in tree_edges(outcome)}
+        assert undirected != {frozenset(e[:2]) for e in prim_edges(xs, ys, start=0)}
 
     def test_cost_tie_goes_direct(self):
         # head 0 (48 m out) is the root; head 1 is 74 m from both it and the
         # fusion centre, so relaying costs exactly what sending direct does
         outcome = all_heads_round([48.0, 24.0], [0.0, 70.0], (0.0, 0.0))
-        assert outcome.mst_edges == [(0, 1, 74.0)]
-        child = outcome.decisions[0]
-        assert (child.ch_id, child.relay_to) == (1, None)
-        assert child.direct_cost == child.relay_cost
+        assert tree_edges(outcome) == [(0, 1)]
+        assert outcome.relay_cost[0] == link_cost(EnergyParams(), 2, 74.0)
+        assert (outcome.senders[0], outcome.relay_to[0]) == (1, -1)
+        assert outcome.direct_cost[0] == outcome.relay_cost[0]
 
     def test_relay_wins_when_parent_is_close(self):
         # head 1 (150 m out) is the root; head 0 is 170 m out, 20 m from it
         outcome = all_heads_round([0.0, 0.0], [0.0, 20.0], (0.0, 170.0))
-        child, root = outcome.decisions
-        assert (child.ch_id, child.relay_to) == (0, 1)
-        assert child.relay_cost == pytest.approx(1.18e-7, rel=1e-12)  # 2 bits, 20 m
-        assert child.direct_cost == pytest.approx(2.281546e-6, rel=1e-12)  # 2 bits, 170 m
-        assert (root.ch_id, root.relay_to) == (1, None)
-        assert root.relay_cost == root.direct_cost
+        assert outcome.senders.tolist() == [0, 1]
+        assert outcome.relay_to.tolist() == [1, -1]
+        assert outcome.relay_cost[0] == pytest.approx(1.18e-7, rel=1e-12)  # 2 bits, 20 m
+        assert outcome.direct_cost[0] == pytest.approx(2.281546e-6, rel=1e-12)  # 2 bits, 170 m
+        assert outcome.relay_cost[1] == outcome.direct_cost[1]
 
     def test_costs_are_link_costs_of_both_distances(self):
         xs, ys = [10.0, 30.0, 60.0, 80.0, 45.0], [5.0, 40.0, 20.0, 70.0, 90.0]
         fc = (50.0, 250.0)
         outcome = all_heads_round(xs, ys, fc)
-        uplink = {child: metres for _, child, metres in outcome.mst_edges}
+        metres = distance_matrix(xs, ys)
+        uplink = {child: metres[parent, child] for parent, child in tree_edges(outcome)}
         params = EnergyParams()
-        for dec in outcome.decisions:
-            d_fc = math.hypot(xs[dec.ch_id] - fc[0], ys[dec.ch_id] - fc[1])
-            assert dec.direct_cost == link_cost(params, 5, d_fc)
-            assert dec.relay_cost == link_cost(params, 5, uplink.get(dec.ch_id, d_fc))
-        assert not all(dec.is_direct for dec in outcome.decisions)
+        for head, direct, relay in zip(outcome.senders.tolist(), outcome.direct_cost,
+                                       outcome.relay_cost):
+            d_fc = math.hypot(xs[head] - fc[0], ys[head] - fc[1])
+            assert direct == link_cost(params, 5, d_fc)
+            assert relay == link_cost(params, 5, uplink.get(head, d_fc))
+        assert (outcome.relay_to >= 0).any()
 
     def test_choice_invariant_under_cost_scaling(self):
         rng = np.random.default_rng(13)
@@ -214,9 +215,9 @@ class TestHeadPhase:
                 scaled = EnergyParams(e_tx=50e-9 * factor, e_aggregation=5e-9 * factor,
                                       e_fs=10e-12 * factor, e_mp=0.0013e-12 * factor)
                 outcome = all_heads_round(xs.tolist(), ys.tolist(), fc, scaled)
-                routes.add(tuple((d.ch_id, d.relay_to) for d in outcome.decisions))
+                routes.add(tuple(zip(outcome.senders.tolist(), outcome.relay_to.tolist())))
             assert len(routes) == 1
-            relays += sum(relay_to is not None for _, relay_to in routes.pop())
+            relays += sum(relay_to != -1 for _, relay_to in routes.pop())
         assert relays > 0
 
     def test_relay_from_a_parentless_sender_is_an_error(self):
@@ -281,10 +282,8 @@ class TestHeadPhaseMatchesLoop:
         (got, got_nodes), (want, want_nodes) = runs
         if kind == "zero-head":
             assert got.cluster_heads == []
-        assert got.mst_edges == want.mst_edges
-        assert got.decisions == want.decisions
+        assert same_outcome(got, want)
         assert got_nodes.energy.tobytes() == want_nodes.energy.tobytes()
-        assert got == want
 
 
 class TestDrainedHead:
@@ -309,10 +308,12 @@ class TestDrainedHead:
         nodes, before, outcome = self.run(1e-9)  # less than one bit's reception
         full_nodes, _, full = self.run(0.5)
         assert outcome.cluster_heads == [0, 1, 2]
-        routes = {d.ch_id: d.relay_to for d in outcome.decisions}
-        assert routes == {0: 1, 1: 2, 2: None}  # head 1 relays head 0's bits
-        assert outcome.decisions == full.decisions
-        assert outcome.mst_edges == full.mst_edges
+        routes = dict(zip(outcome.senders.tolist(), outcome.relay_to.tolist()))
+        assert routes == {0: 1, 1: 2, 2: -1}  # head 1 relays head 0's bits
+        # the tree, routes and costs are those of the well-charged run; only
+        # the death sweep's fields differ
+        swept = ("energy_spent", "deaths", "total_residual", "alive")
+        assert same_outcome(replace(outcome, **{f: getattr(full, f) for f in swept}), full)
         # the other nodes pay exactly what they pay when head 1 is well charged
         assert np.array_equal(nodes.energy[[0, 2, 3]], full_nodes.energy[[0, 2, 3]])
         # reception plus aggregation of member 3's bit (55 nJ), reception of
@@ -341,7 +342,7 @@ class TestNoChFallback:
         before = nodes.energy.copy()
         outcome = run_round(nodes, config, 3, np.random.default_rng(0))
         assert outcome.cluster_heads == []
-        assert outcome.mst_edges == []
+        assert np.all(outcome.parent == -1)
         return config, nodes, before, outcome
 
     @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
@@ -349,14 +350,13 @@ class TestNoChFallback:
         xs, ys = [10.0, 90.0, 40.0, 0.0, 70.0], [20.0, 0.0, 60.0, 100.0, 30.0]
         fc = (50.0, 250.0)
         config, nodes, before, outcome = self.zero_head_round(protocol, xs, ys, fc, dead=[3])
-        assert [(d.ch_id, d.relay_to) for d in outcome.decisions] == [
-            (0, None), (1, None), (2, None), (4, None)
-        ]
-        for dec in outcome.decisions:
-            d_fc = math.hypot(xs[dec.ch_id] - fc[0], ys[dec.ch_id] - fc[1])
+        assert outcome.senders.tolist() == [0, 1, 2, 4]
+        assert outcome.relay_to.tolist() == [-1] * 4
+        for node, direct in zip(outcome.senders.tolist(), outcome.direct_cost):
+            d_fc = math.hypot(xs[node] - fc[0], ys[node] - fc[1])
             cost = link_cost(config.energy, 1, d_fc)  # one bit, not a four-bit table
-            assert dec.direct_cost == cost
-            assert nodes.energy[dec.ch_id] == before[dec.ch_id] - cost
+            assert direct == cost
+            assert nodes.energy[node] == before[node] - cost
         assert nodes.energy[3] == before[3]
 
     def test_node_at_fusion_centre(self):
@@ -379,7 +379,8 @@ class TestNoChFallback:
         assert fallback_rounds, "expected at least one zero-head round"
         assert result.first_death_round is None
         for outcome in fallback_rounds:
-            assert [(d.ch_id, d.relay_to) for d in outcome.decisions] == [(0, None), (1, None)]
+            assert outcome.senders.tolist() == [0, 1]
+            assert outcome.relay_to.tolist() == [-1, -1]
             assert outcome.energy_spent > 0.0
 
 
@@ -400,7 +401,8 @@ class TestRunSimulation:
                                 clustering="uniform", rng_seed=9)
         first = run_simulation(config)
         second = run_simulation(config)
-        assert first.outcomes == second.outcomes
+        assert len(first.outcomes) == len(second.outcomes) == 120
+        assert all(map(same_outcome, first.outcomes, second.outcomes))
 
     def test_conservation_and_monotonicity(self):
         for protocol, clustering in (

@@ -68,6 +68,13 @@ CASES["baseline-3000-nodes"] = (
      "--seed", "1", "--rounds", "10"],
     "nodes = 3000\n",
 )
+# 3000 nodes, far fusion centre: about 300 heads a round and 2990 relays in
+# all, so Prim grows trees of about 300 vertices.
+CASES["proposed-3000-nodes"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform",
+     "--seed", "1", "--rounds", "10"],
+    "nodes = 3000\nfc_y = 400\n",
+)
 # Tiny batteries and a far fusion centre over 250 rounds: no baseline node dies
 # (its first death is censored at 251), while proposed first deaths fall in
 # rounds 191-234, so the mean first death mixes and mean_final_alive < nodes.
@@ -118,6 +125,8 @@ GOLDEN = {
         "b5b0eac35ef15c9d0be58288c30c3d49822becafbb08b18da5ee1717dbe67da3",
     "compare-depletion":
         "943427ddf66cbdb82faed1b026e8efbbf2094b227fcf4810ccc7ab51a46c3280",
+    "proposed-3000-nodes":
+        "be9e0346146325d968775b7a8e1111f999b85839dc19d6cced2d896196aeeb45",
 }
 
 

@@ -9,9 +9,10 @@ from crwsnsim import (
     EnergyParams,
     Position,
     ScenarioConfig,
-    build_adjacency,
     place_nodes,
 )
+
+from helpers import distance_matrix
 
 
 def test_single_node_placement():
@@ -124,11 +125,12 @@ class TestConfigValidation:
 
 
 class TestDistance:
-    """Euclidean distance as ``build_adjacency`` computes it between nodes."""
+    """Euclidean distance as ``distance_matrix`` computes it between nodes,
+    the weight ``prim_mst`` gives their edge."""
 
     @staticmethod
     def distance(a, b):
-        return build_adjacency([a[0], b[0]], [a[1], b[1]])[0, 1]
+        return distance_matrix([a[0], b[0]], [a[1], b[1]])[0, 1]
 
     def test_identity(self):
         assert self.distance((0, 0), (0, 0)) == 0.0

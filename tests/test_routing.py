@@ -1,74 +1,95 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crwsnsim import build_adjacency, prim_mst
+from crwsnsim import prim_mst
 
 from helpers import (
+    distance_matrix,
+    matrix_prim,
     min_spanning_weight,
-    random_point_matrix,
+    prim_edges,
+    random_points,
     spanning_tree_weights,
     triple_loop_prim,
 )
 
 
 class TestBuildAdjacency:
+    """The pairwise distances ``build_adjacency`` returned, now the
+    ``distance_matrix`` oracle; each ``prim_mst`` tree edge must weigh
+    exactly its entry."""
+
     def test_single_vertex(self):
-        adj = build_adjacency([4.0], [2.0])
+        adj = distance_matrix([4.0], [2.0])
         assert adj.shape == (1, 1)
         assert adj[0, 0] == 0.0
+        assert prim_edges([4.0], [2.0]) == []
 
     def test_pythagorean_pair(self):
-        adj = build_adjacency([0, 3], [0, 4])
+        adj = distance_matrix([0, 3], [0, 4])
         assert adj[0, 1] == 5.0
         assert adj[1, 0] == 5.0
+        assert prim_edges([0, 3], [0, 4], start=1) == [(1, 0, 5.0)]
 
     def test_three_vertices(self):
-        adj = build_adjacency([0, 10, 0], [0, 0, 10])
+        xs, ys = [0, 10, 0], [0, 0, 10]
+        adj = distance_matrix(xs, ys)
         assert adj[0, 1] == pytest.approx(10.0, rel=1e-12)
         assert adj[0, 2] == pytest.approx(10.0, rel=1e-12)
         assert adj[1, 2] == pytest.approx(10.0 * math.sqrt(2.0), rel=1e-12)
         assert np.allclose(adj, adj.T)
         assert np.all(np.diag(adj) == 0.0)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError) as err:
-            build_adjacency([0.0, 3.0], [0.0])
-        assert str(err.value) == "xs and ys must have one shape, got (2,) and (1,)"
+        for start in range(3):
+            for i, j, w in prim_edges(xs, ys, start):
+                assert w == adj[i, j]
 
 
 class TestPrimMst:
     def test_single_vertex(self):
-        assert prim_mst(np.zeros((1, 1))) == []
+        order, parent = prim_mst([4.0], [2.0])
+        assert order.tolist() == [0]
+        assert parent.tolist() == [0]
+        assert prim_edges([4.0], [2.0]) == []
 
     def test_two_vertices(self):
-        adj = np.array([[0.0, 7.0], [7.0, 0.0]])
-        assert prim_mst(adj) == [(0, 1, 7.0)]
+        assert prim_edges([0.0, 7.0], [0.0, 0.0]) == [(0, 1, 7.0)]
+        assert prim_edges([0, 3], [0, 4]) == [(0, 1, 5.0)]
+
+    def test_returns_insertion_order_and_parents(self):
+        # start at 2; vertex 1 joins first (30 m), then 0 hangs off it (10 m)
+        order, parent = prim_mst([0.0, 10.0, 40.0], [0.0, 0.0, 0.0], start=2)
+        assert order.tolist() == [2, 1, 0]
+        assert parent.tolist() == [1, 2, 2]
 
     def test_four_vertices_against_enumeration(self):
         rng = np.random.default_rng(31)
-        adj = random_point_matrix(rng, 4)
-        totals = spanning_tree_weights(adj)
+        xs, ys = random_points(rng, 4)
+        totals = spanning_tree_weights(distance_matrix(xs, ys))
         assert len(totals) == 16  # 4^(4-2) labeled spanning trees
-        mst_total = sum(w for _, _, w in prim_mst(adj))
+        mst_total = sum(w for _, _, w in prim_edges(xs, ys))
         assert mst_total == pytest.approx(min(totals), rel=1e-9)
 
     def test_random_matrices_against_enumeration(self):
         rng = np.random.default_rng(99)
         for _ in range(60):
             size = int(rng.integers(2, 7))
-            adj = random_point_matrix(rng, size)
-            mst_total = sum(w for _, _, w in prim_mst(adj))
-            assert mst_total == pytest.approx(min_spanning_weight(adj), rel=1e-9)
+            xs, ys = random_points(rng, size)
+            mst_total = sum(w for _, _, w in prim_edges(xs, ys))
+            assert mst_total == pytest.approx(
+                min_spanning_weight(distance_matrix(xs, ys)), rel=1e-9)
 
     def test_start_vertex_does_not_change_total(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             size = int(rng.integers(2, 8))
-            adj = random_point_matrix(rng, size)
+            xs, ys = random_points(rng, size)
             totals = {
-                round(sum(w for _, _, w in prim_mst(adj, start)), 9)
+                round(sum(w for _, _, w in prim_edges(xs, ys, start)), 9)
                 for start in range(size)
             }
             assert len(totals) == 1
@@ -77,7 +98,7 @@ class TestPrimMst:
         rng = np.random.default_rng(17)
         for _ in range(30):
             size = int(rng.integers(1, 9))
-            edges = prim_mst(random_point_matrix(rng, size))
+            edges = prim_edges(*random_points(rng, size))
             assert len(edges) == size - 1
             parent = list(range(size))
 
@@ -94,28 +115,85 @@ class TestPrimMst:
             assert len({find(v) for v in range(size)}) == 1
 
     def test_equal_weight_ties_break_low_indices(self):
-        adj = build_adjacency([0, 10, 0], [0, 0, 10])
-        assert prim_mst(adj) == [(0, 1, 10.0), (0, 2, 10.0)]
+        assert prim_edges([0, 10, 0], [0, 0, 10]) == [(0, 1, 10.0), (0, 2, 10.0)]
+        # from vertex 1 the 10 * sqrt(2) m edge to vertex 2 is never taken
+        assert prim_edges([0, 10, 0], [0, 0, 10], 1) == [(1, 0, 10.0), (0, 2, 10.0)]
 
     def test_coincident_positions_allowed(self):
-        adj = build_adjacency([1, 1, 4], [1, 1, 5])
-        edges = prim_mst(adj)
+        edges = prim_edges([1, 1, 4], [1, 1, 5])
         assert len(edges) == 2
         assert sum(w for _, _, w in edges) == pytest.approx(5.0, rel=1e-12)
 
     def test_rejects_non_square(self):
+        # a matrix, as an adjacency-matrix signature would take, is no point set
         with pytest.raises(ValueError):
-            prim_mst(np.zeros((2, 3)))
+            prim_mst(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_rejects_start_outside_the_points(self):
+        for xs, start in (([], 0), ([1.0, 2.0], 2), ([1.0], -1)):
+            with pytest.raises(ValueError) as err:
+                prim_mst(xs, xs, start)
+            assert str(err.value) == f"start must index a vertex, got {start}"
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError) as err:
+            prim_mst([0.0, 3.0], [0.0])
+        assert str(err.value) == "xs and ys must have one shape, got (2,) and (1,)"
 
     def test_matches_tie_rule_oracle(self):
         # lowest tree index, then lowest outside index, on exact weight ties
         rng = np.random.default_rng(2718)
         for trial in range(300):
             size = int(rng.integers(1, 25))
-            if trial % 2:
-                upper = np.triu(rng.integers(0, 4, size=(size, size)), 1).astype(float)
-                adj = upper + upper.T
+            if trial % 2:  # a 3 x 3 integer lattice: many coincident and tied points
+                xs, ys = rng.integers(0, 3, size=(2, size)).astype(float)
             else:
-                adj = random_point_matrix(rng, size)
+                xs, ys = random_points(rng, size)
             start = int(rng.integers(0, size))
-            assert prim_mst(adj, start) == triple_loop_prim(adj, start)
+            assert prim_edges(xs, ys, start) == triple_loop_prim(distance_matrix(xs, ys), start)
+
+
+@st.composite
+def point_sets(draw):
+    """Random, 10 m-lattice or coincident points, and a start vertex."""
+    size = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "lattice", "coincident"]))
+    if kind == "random":
+        xs, ys = random_points(rng, size)
+    elif kind == "lattice":
+        xs, ys = 10.0 * rng.integers(0, 6, size=(2, size))
+    else:  # a few distinct sites, each holding several points
+        sites = rng.uniform(0.0, 100.0, size=(2, max(1, size // 4)))
+        xs, ys = sites[:, rng.integers(0, sites.shape[1], size)]
+    return xs, ys, draw(st.integers(min_value=0, max_value=size - 1))
+
+
+class TestPrimOnPointsMatchesMatrix:
+    """Prim on the points builds exactly the tree of Prim on the full
+    distance matrix: the same insertion order and the same parents."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    def test_equals_matrix_oracle(self, case):
+        xs, ys, start = case
+        order, parent = prim_mst(xs, ys, start)
+        edges = matrix_prim(distance_matrix(xs, ys), start)
+        assert order.tolist() == [start] + [j for _, j, _ in edges]
+        want = np.full(xs.size, start)
+        for i, j, _ in edges:
+            want[j] = i
+        assert parent.tolist() == want.tolist()
+        assert prim_edges(xs, ys, start) == edges  # the weights too, bit for bit
+
+
+def test_memory_is_linear_in_the_points():
+    # a 2000 x 2000 distance matrix alone would be 30.5 MiB
+    xs, ys = random_points(np.random.default_rng(3), 2000)
+    tracemalloc.start()
+    try:
+        prim_mst(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"prim_mst peaked at {peak / 2**20:.2f} MiB"
