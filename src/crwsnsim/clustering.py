@@ -89,11 +89,13 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
     Returns the member ids in ascending order and each member's head id.
     Distances are the elementwise ``np.hypot`` of the coordinate differences;
     ties break toward the lower head id. From 64 heads (8 cells a side) the
-    heads are binned into square cells of about one head each. A member takes
-    the nearest head in the 3x3 cells around its own if it is strictly closer
-    than one cell side, else widens the ring (ring r accepts below r sides)
-    while a ring holds fewer than k candidate slots; whoever is left searches
-    every head. At most ``_CHUNK`` distances are held at once.
+    heads are binned into square cells of about one head each and sorted by
+    row-major cell, with per-cell offsets, so each row of a member's ring is
+    one slice. A member takes the nearest head in the 3x3 cells around its own
+    if it is strictly closer than one cell side, else widens the ring (ring r
+    accepts below r sides) while ``(2r+1)**2`` times the busiest cell's head
+    count stays below k; whoever is left searches every head. At most
+    ``_CHUNK`` distances are held at once.
     """
     if not cluster_heads:
         raise ValueError("assign_members requires at least one cluster head")
@@ -111,24 +113,31 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
         n_cols = cx.max() + 1
         cell = cy * n_cols + cx
         counts, order = np.bincount(cell), np.argsort(cell, kind="stable")
-        table = np.zeros((counts.size, counts.max()), dtype=np.intp)  # cell -> heads, ascending
-        table[cell[order], np.arange(k) - np.repeat(counts.cumsum() - counts, counts)] = order
+        ends = counts.cumsum()  # cell c holds heads order[ends[c] - counts[c] : ends[c]]
+        depth, last = counts.max(), counts.size - 1
         cell = (np.clip((my - y0) / side, 0, cy.max()).astype(np.intp) * n_cols
                 + np.clip((mx - x0) / side, 0, n_cols - 1).astype(np.intp))  # members', clamped
         ring = 1
-        while pending.size and (2 * ring + 1) ** 2 * table.shape[1] < k:
-            # Flat offsets: past the grid's edge they land on other cells, which, like
-            # the padding (head 0), only add candidates. Heads nearer than `ring` sides
-            # are all in the ring.
-            o, rejected = np.arange(-ring, ring + 1), []
-            offs = (o[:, None] * n_cols + o).ravel()
-            step = max(1, _CHUNK // (offs.size * table.shape[1]))
+        while pending.size and (2 * ring + 1) ** 2 * depth < k:
+            # Ring row dy is one slice, cells c + dy*n_cols - ring .. + ring (past the edge,
+            # other cells: extra candidates only). Heads nearer than `ring` sides are in it.
+            mid, rejected = np.arange(-ring, ring + 1) * n_cols, []
+            step = max(1, _CHUNK // ((2 * ring + 1) ** 2 * depth))
             for rows in (pending[i : i + step] for i in range(0, pending.size, step)):
-                cand = table.take(cell[rows, None] + offs, 0, mode="clip").reshape(rows.size, -1)
-                d = np.hypot(mx[rows, None] - hx[cand], my[rows, None] - hy[cand])
-                dist = d.min(axis=1)
+                start = (ends - counts)[np.clip(cell[rows, None] + mid - ring, 0, last)]
+                size = ends[np.clip(cell[rows, None] + mid + ring, 0, last)] - start
+                total = size.sum(axis=1)
+                has = total > 0  # reduceat would hand an empty segment the next element
+                rejected.append(rows[~has])
+                rows, total = rows[has], total[has]
+                start, size = start[has].ravel(), size[has].ravel()
+                cand = order[np.repeat(start - size.cumsum() + size, size) + np.arange(total.sum())]
+                who, first = np.repeat(rows, total), total.cumsum() - total
+                d = np.hypot(mx[who] - hx[cand], my[who] - hy[cand])
+                dist = np.minimum.reduceat(d, first)
                 ok = dist < (ring - 1e-9) * side  # margin: cell-index rounding
-                nearest[rows[ok]] = np.where(d == dist[:, None], cand, k).min(axis=1)[ok]
+                tie = np.minimum.reduceat(np.where(d == np.repeat(dist, total), cand, k), first)
+                nearest[rows[ok]] = tie[ok]
                 rejected.append(rows[~ok])
             pending, ring = np.concatenate(rejected), ring + 1
     step = max(1, _CHUNK // k)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crwsnsim import (
@@ -333,6 +333,80 @@ class TestAssignMembersMatchesDense:
         tracemalloc.start()
         try:
             assign_members(nodes, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _grid_depth(hx, hy):
+    """Heads in the busiest cell of the grid ``assign_members`` bins ``k``
+    heads into: square cells of ``max(ptp) / isqrt(k)`` metres."""
+    side = max(np.ptp(hx), np.ptp(hy)) / math.isqrt(hx.size)
+    cx, cy = ((hx - hx.min()) / side).astype(int), ((hy - hy.min()) / side).astype(int)
+    return np.bincount(cy * (cx.max() + 1) + cx).max()
+
+
+def _crowded(rng, head_count, member_count, stacked, box):
+    """Spread nodes whose first ``stacked`` heads (ids 0..) sit inside one
+    ``box``-metre square; the heads are ids ``0 .. head_count - 1``."""
+    xs, ys = _layout("random", rng, head_count + member_count)
+    corner = rng.uniform(20.0, 180.0, 2)
+    xs[:stacked] = corner[0] + rng.uniform(0.0, box, stacked)
+    ys[:stacked] = corner[1] + rng.uniform(0.0, box, stacked)
+    return xs, ys
+
+
+class TestAssignMembersCompactCells:
+    """Layouts where a padded cell table would be deepest, or a ring row empty."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=64, max_value=400),
+        st.integers(min_value=0, max_value=300),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([0.0, 1e-3, 1.0]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_crowded_cell_equals_dense_oracle(self, head_count, member_count, share, box, seed):
+        rng = np.random.default_rng(seed)
+        stacked = round(share * (head_count // 12))
+        xs, ys = _crowded(rng, head_count, member_count, stacked, box)
+        depth = _grid_depth(xs[:head_count], ys[:head_count])
+        assume(9 * depth < head_count)  # the ring search runs
+        nodes = nodes_at(xs, ys)
+        nodes.alive = rng.random(xs.size) < 0.9
+        nodes.alive[:head_count] = True
+        assert_matches_dense(nodes, list(range(head_count)))
+
+    def test_chunk_without_ring_candidates(self):
+        # 300 heads on a 20 x 20 lattice of 10 m pitch, less its central 10 x 10
+        # block, in 11.2 m cells of up to 4 heads: ring 1 takes 2^18 // 36 = 7281
+        # members a chunk. The first 8000 members sit at least 3 cells from every
+        # head, so the first chunk gathers no candidate at all and the second
+        # mixes empty rows with the 500 spread members' full ones.
+        grid = np.arange(20) * 10.0
+        hx, hy = np.repeat(grid, 20), np.tile(grid, 20)
+        keep = ~((50.0 <= hx) & (hx <= 140.0) & (50.0 <= hy) & (hy <= 140.0))
+        hx, hy = hx[keep], hy[keep]
+        assert hx.size == 300 and _grid_depth(hx, hy) == 4
+        rng = np.random.default_rng(11)
+        mx = np.concatenate((rng.uniform(80.0, 110.0, 8000), rng.uniform(0.0, 190.0, 500)))
+        my = np.concatenate((rng.uniform(80.0, 110.0, 8000), rng.uniform(0.0, 190.0, 500)))
+        nearest = np.hypot(mx[:8000, None] - hx, my[:8000, None] - hy).min(axis=1)
+        assert nearest.min() >= 3 * 190.0 / 17
+        assert_matches_dense(nodes_at(np.append(hx, mx), np.append(hy, my)),
+                             list(range(hx.size)))
+
+    def test_crowded_memory_stays_bounded(self):
+        rng = np.random.default_rng(13)
+        xs, ys = _crowded(rng, 1000, 9000, 1000 // 12, 1.0)
+        xs, ys = xs / 2.0, ys / 2.0  # the 0-100 m field of test_memory_stays_bounded
+        assert 9 * _grid_depth(xs[:1000], ys[:1000]) < 1000  # the ring search runs
+        nodes = nodes_at(xs, ys)
+        tracemalloc.start()
+        try:
+            assign_members(nodes, list(range(1000)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
