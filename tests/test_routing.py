@@ -154,18 +154,20 @@ class TestPrimMst:
 
 
 @st.composite
-def point_sets(draw):
-    """Random, 10 m-lattice or coincident points, and a start vertex."""
+def point_sets(draw, kinds=("random", "lattice", "coincident")):
+    """Random, 10 m-lattice, coincident or far points, and a start vertex."""
     size = draw(st.integers(min_value=1, max_value=40))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "lattice", "coincident"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         xs, ys = random_points(rng, size)
     elif kind == "lattice":
         xs, ys = 10.0 * rng.integers(0, 6, size=(2, size))
-    else:  # a few distinct sites, each holding several points
+    elif kind == "coincident":  # a few distinct sites, each holding several points
         sites = rng.uniform(0.0, 100.0, size=(2, max(1, size // 4)))
         xs, ys = sites[:, rng.integers(0, sites.shape[1], size)]
+    else:  # far: 2e308 m overflows to inf, so every outside key can be infinite at once
+        xs, ys = rng.choice([-1e308, 0.0, 1e308], size=(2, size))
     return xs, ys, draw(st.integers(min_value=0, max_value=size - 1))
 
 
@@ -185,6 +187,67 @@ class TestPrimOnPointsMatchesMatrix:
             want[j] = i
         assert parent.tolist() == want.tolist()
         assert prim_edges(xs, ys, start) == edges  # the weights too, bit for bit
+
+
+def assert_equals_matrix_prim(xs, ys, start):
+    order, parent = prim_mst(xs, ys, start)
+    edges = matrix_prim(distance_matrix(xs, ys), start)
+    assert order.tolist() == [start] + [j for _, j, _ in edges]
+    assert parent[order].tolist() == [start] + [i for i, _, _ in edges]
+    assert prim_edges(xs, ys, start) == edges
+
+
+class TestPrimFrontier:
+    """The swap-remove frontier and the lexicographic complex keys give the
+    matrix oracle's tree on overflowing and engine-sized layouts, touch no
+    input and keep ``np.hypot`` as the distance kernel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(kinds=("far",)))
+    def test_overflowing_distances(self, case):
+        with np.errstate(over="ignore"):
+            assert_equals_matrix_prim(*case)
+
+    @pytest.mark.parametrize("size", [100, 300])
+    def test_engine_sized_random_layouts(self, size):
+        rng = np.random.default_rng(size)
+        xs, ys = random_points(rng, size)
+        for start in (0, size // 2, size - 1, int(rng.integers(0, size))):
+            assert_equals_matrix_prim(xs, ys, start)
+
+    def test_lattice_with_duplicates(self):
+        xs, ys = np.random.default_rng(20).integers(0, 20, size=(2, 400)).astype(float)
+        assert len(set(zip(xs, ys))) < 400  # coincident points and many exact ties
+        for start in (0, 123, 399):
+            assert_equals_matrix_prim(xs, ys, start)
+
+    def test_inputs_stay_unchanged(self):
+        xs, ys = random_points(np.random.default_rng(8), 60)  # strided column views
+        before = xs.tobytes(), ys.tobytes()
+        prim_mst(xs, ys, 7)
+        assert (xs.tobytes(), ys.tobytes()) == before
+        lx, ly = xs.tolist(), ys.tolist()
+        prim_mst(lx, ly, 7)
+        assert (lx, ly) == (xs.tolist(), ys.tolist())
+
+    def test_distance_kernel_is_hypot(self):
+        # np.abs of a complex offset can differ from np.hypot in the last bit;
+        # find two near points that the two kernels order differently
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            px, py = rng.uniform(1.0, 100.0, size=(2, 1000))
+            qx, qy = np.nextafter(px, math.inf), np.nextafter(py, -math.inf)
+            hp, hq = np.hypot(0.0 - px, 0.0 - py), np.hypot(0.0 - qx, 0.0 - qy)
+            ap, aq = np.abs((0.0 - px) + 1j * (0.0 - py)), np.abs((0.0 - qx) + 1j * (0.0 - qy))
+            flips = np.flatnonzero((hp != hq) & (ap != aq) & ((hp < hq) != (ap < aq)))
+            if flips.size:
+                break
+        else:
+            pytest.skip("np.hypot and complex np.abs order every sampled pair alike here")
+        i = int(flips[0])
+        near = 1 if hp[i] < hq[i] else 2
+        order, _ = prim_mst([0.0, px[i], qx[i]], [0.0, py[i], qy[i]], 0)
+        assert order.tolist() == [0, near, 3 - near]
 
 
 def test_memory_is_linear_in_the_points():
