@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from operator import attrgetter
@@ -272,13 +273,17 @@ def _seeds_for(ns: argparse.Namespace, config: ScenarioConfig) -> list[int]:
 
 
 def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
     try:
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as err:
+        if out_path is None:  # the flush at exit would fail again on the unwritten bytes
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write standard output: {err}") from err
         raise ConfigError(f"cannot write output path {out_path!r}: {err}") from err
 
 

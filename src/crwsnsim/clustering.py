@@ -30,10 +30,9 @@ def election_threshold(ch_probability: float, round_index: int) -> float:
 
     Evaluates ``p / (1 - p * (r mod round(1/p)))`` clamped to 1.
     """
-    check_probability(ch_probability)
+    offset = round_index % epoch_length(ch_probability)  # checks the probability first
     if round_index < 0:
         raise ValueError(f"round_index must be >= 0, got {round_index}")
-    offset = round_index % epoch_length(ch_probability)
     denominator = 1.0 - ch_probability * offset
     if denominator <= 0.0:
         return 1.0
@@ -43,7 +42,7 @@ def election_threshold(ch_probability: float, round_index: int) -> float:
 def eligible_mask(nodes: Nodes, ch_probability: float, round_index: int) -> np.ndarray:
     """Eligible set: alive nodes that have not served in the current epoch."""
     epoch = epoch_length(ch_probability)
-    return nodes.alive & (nodes.last_ch_round < (round_index // epoch) * epoch)
+    return (nodes.energy > 0) & (nodes.last_ch_round < (round_index // epoch) * epoch)
 
 
 def elect_cluster_heads(
@@ -53,7 +52,7 @@ def elect_cluster_heads(
     clustering: str,
     cluster_count: int,
     rng: np.random.Generator,
-) -> list[int]:
+) -> np.ndarray:
     """Run one round's election; returns head ids in ascending order.
 
     Non-uniform mode keeps whatever the independent draws produce, including
@@ -63,7 +62,7 @@ def elect_cluster_heads(
     break toward the lower node id. Every head, elected or promoted, enters
     the cooldown via ``last_ch_round``.
     """
-    alive = np.flatnonzero(nodes.alive)
+    alive = np.flatnonzero(nodes.energy > 0)
     if not alive.size:
         raise ValueError("election requires at least one alive node")
     eligible = eligible_mask(nodes, ch_probability, round_index)[alive]
@@ -72,18 +71,17 @@ def elect_cluster_heads(
     heads = alive[elected]
     if clustering == CLUSTERING_UNIFORM:
         target = min(cluster_count, alive.size)
-        energy = nodes.energy
         if heads.size > target:
-            heads = heads[np.lexsort((heads, -energy[heads]))[:target]]
+            heads = heads[np.lexsort((heads, -nodes.energy[heads]))[:target]]
         elif heads.size < target:
             pool, pool_eligible = alive[~elected], eligible[~elected]
-            order = np.lexsort((pool, -energy[pool], ~pool_eligible))
+            order = np.lexsort((pool, -nodes.energy[pool], ~pool_eligible))
             heads = np.concatenate((heads, pool[order[: target - heads.size]]))
     nodes.last_ch_round[heads] = round_index
-    return sorted(heads.tolist())
+    return np.sort(heads)
 
 
-def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Attach every alive non-head node to its nearest head.
 
     Returns the member ids in ascending order and each member's head id.
@@ -97,10 +95,10 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
     count stays below k; whoever is left searches every head. At most
     ``_CHUNK`` distances are held at once.
     """
-    if not cluster_heads:
-        raise ValueError("assign_members requires at least one cluster head")
     heads = np.sort(cluster_heads)
-    is_member = nodes.alive.copy()
+    if not heads.size:
+        raise ValueError("assign_members requires at least one cluster head")
+    is_member = nodes.energy > 0
     is_member[heads] = False
     members = np.flatnonzero(is_member)
     mx, my, hx, hy = nodes.x[members], nodes.y[members], nodes.x[heads], nodes.y[heads]
@@ -113,7 +111,8 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
         n_cols = cx.max() + 1
         cell = cy * n_cols + cx
         counts, order = np.bincount(cell), np.argsort(cell, kind="stable")
-        ends = counts.cumsum()  # cell c holds heads order[ends[c] - counts[c] : ends[c]]
+        ends = counts.cumsum()
+        begins = ends - counts  # cell c holds heads order[begins[c] : ends[c]]
         depth, last = counts.max(), counts.size - 1
         cell = (np.clip((my - y0) / side, 0, cy.max()).astype(np.intp) * n_cols
                 + np.clip((mx - x0) / side, 0, n_cols - 1).astype(np.intp))  # members', clamped
@@ -124,7 +123,7 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
             mid, rejected = np.arange(-ring, ring + 1) * n_cols, []
             step = max(1, _CHUNK // ((2 * ring + 1) ** 2 * depth))
             for rows in (pending[i : i + step] for i in range(0, pending.size, step)):
-                start = (ends - counts)[np.clip(cell[rows, None] + mid - ring, 0, last)]
+                start = begins[np.clip(cell[rows, None] + mid - ring, 0, last)]
                 size = ends[np.clip(cell[rows, None] + mid + ring, 0, last)] - start
                 total = size.sum(axis=1)
                 has = total > 0  # reduceat would hand an empty segment the next element
@@ -134,10 +133,9 @@ def assign_members(nodes: Nodes, cluster_heads: list[int]) -> tuple[np.ndarray, 
                 cand = order[np.repeat(start - size.cumsum() + size, size) + np.arange(total.sum())]
                 who, first = np.repeat(rows, total), total.cumsum() - total
                 d = np.hypot(mx[who] - hx[cand], my[who] - hy[cand])
-                dist = np.minimum.reduceat(d, first)
-                ok = dist < (ring - 1e-9) * side  # margin: cell-index rounding
-                tie = np.minimum.reduceat(np.where(d == np.repeat(dist, total), cand, k), first)
-                nearest[rows[ok]] = tie[ok]
+                key = np.minimum.reduceat(d + 1j * cand, first)  # lexicographic: metres, index
+                ok = key.real < (ring - 1e-9) * side  # margin: cell-index rounding
+                nearest[rows[ok]] = key.imag[ok]
                 rejected.append(rows[~ok])
             pending, ring = np.concatenate(rejected), ring + 1
     step = max(1, _CHUNK // k)

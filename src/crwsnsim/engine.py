@@ -7,7 +7,7 @@ bit to its head (head pays reception plus aggregation per received bit);
 heads then deliver to the fusion centre either directly (baseline) or along
 a Prim spanning tree grown from the head nearest the fusion centre, with a
 per-head direct-vs-relay cost decision (proposed); finally every battery is
-floored at zero and the nodes that ran out of energy are marked dead. A
+floored at zero, and a node is dead once its battery reads zero. A
 round that elects no head has no members either: every alive node delivers
 its own bit directly, under both protocols, as a baseline head would.
 """
@@ -30,17 +30,17 @@ class RoundOutcome:
     """What happened in one round. ``round_index`` is 0-based; the arrays
     from ``senders`` to ``relay_cost`` are in transmission order, with -1
     for no tree parent and for a direct send; ``total_residual`` (J) and
-    ``alive`` are taken after the death sweep."""
+    ``alive`` are taken after the death sweep. Id arrays are ``intp``."""
 
     round_index: int
-    cluster_heads: list[int]
+    cluster_heads: np.ndarray
     senders: np.ndarray
     parent: np.ndarray
     relay_to: np.ndarray
     direct_cost: np.ndarray
     relay_cost: np.ndarray
     energy_spent: float
-    deaths: list[int]
+    deaths: np.ndarray
     total_residual: float
     alive: int
 
@@ -62,12 +62,12 @@ class SimulationResult:
     @property
     def first_death_round(self) -> int | None:
         """1-based round of the first death, None if no node died."""
-        return next((o.round_index + 1 for o in self.outcomes if o.deaths), None)
+        return next((o.round_index + 1 for o in self.outcomes if o.deaths.size), None)
 
 
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> list[float]:
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Distances (m) for coordinate differences, by scalar ``math.hypot``."""
-    return list(map(math.hypot, dx.tolist(), dy.tolist()))
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, dx.size)
 
 
 def _member_report_phase(
@@ -76,15 +76,15 @@ def _member_report_phase(
     """Each member sends its bit to its head, which receives and aggregates it."""
     params = config.energy
     d = _hypot(nodes.x[members] - nodes.x[member_head], nodes.y[members] - nodes.y[member_head])
-    nodes.energy[members] -= link_cost(params, 1, np.array(d))
+    nodes.energy[members] -= link_cost(params, 1, d)
     # one sequential subtraction per received bit, in member-id order
     np.subtract.at(nodes.energy, member_head, rx_energy(params, 1) + params.e_aggregation)
 
 
 def _head_phase(
-    nodes: Nodes, heads: list[int], tree: bool, config: ScenarioConfig
+    nodes: Nodes, ids: np.ndarray, tree: bool, config: ScenarioConfig
 ) -> tuple[np.ndarray, ...]:
-    """Every sender in ``heads`` delivers its table to the fusion centre,
+    """Every sender in ``ids`` delivers its table to the fusion centre,
     children first.
 
     Without ``tree`` (baseline heads, or every alive node in a zero-head
@@ -98,15 +98,14 @@ def _head_phase(
     """
     params = config.energy
     fc = config.fc_position
-    ids = np.array(heads)
     xs, ys = nodes.x[ids], nodes.y[ids]
-    fc_dists = np.array(_hypot(xs - fc.x, ys - fc.y))
-    order = parent = np.arange(len(heads))  # a sender without a parent is its own
+    fc_dists = _hypot(xs - fc.x, ys - fc.y)
+    order = parent = np.arange(ids.size)  # a sender without a parent is its own
     m_bits = 1
     if tree:
         root = int(fc_dists.argmin())  # first minimum: distance ties to the lower index
         inserted, parent = prim_mst(xs, ys, root)
-        order, m_bits = inserted[::-1], len(heads)
+        order, m_bits = inserted[::-1], ids.size
     parent = parent[order]
     orphan = parent == order
     # metres to the parent, else to the fusion centre; hypot ignores the sign
@@ -116,7 +115,7 @@ def _head_phase(
     # one cost call: every sender's direct link, then its uplink, in order; a
     # sender without a parent prices its direct link twice, so it goes direct
     costs = link_cost(params, m_bits, np.concatenate((fc_dists[order], uplink)))
-    direct, relay = costs[:len(heads)], costs[len(heads):]
+    direct, relay = costs[:ids.size], costs[ids.size:]
     relays = relay < direct  # cost ties favour the direct link
     if (relays & orphan).any():  # bits relayed to no one are lost
         raise RuntimeError("convergecast did not deliver every head's bit")
@@ -139,7 +138,7 @@ def run_round(
     receives, transmits and relays, and ends the round at 0.0 before the
     death sweep.
     """
-    alive = np.flatnonzero(nodes.alive)
+    alive = np.flatnonzero(nodes.energy > 0)
     if not alive.size:
         raise ValueError("run_round requires at least one alive node")
     start_energy = nodes.energy[alive]
@@ -150,22 +149,20 @@ def run_round(
         config.cluster_count, rng,
     )
 
-    tree = bool(heads) and config.protocol != PROTOCOL_BASELINE
+    tree = heads.size > 0 and config.protocol != PROTOCOL_BASELINE
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
-        if heads:
+        if heads.size:
             _member_report_phase(nodes, *assign_members(nodes, heads), config)
         # with no head elected, every alive node sends its own bit directly
-        routes = _head_phase(nodes, heads or alive.tolist(), tree, config)
+        routes = _head_phase(nodes, heads if heads.size else alive, tree, config)
 
     np.maximum(nodes.energy, 0.0, out=nodes.energy)
     end_energy = nodes.energy[alive]
     spent = math.fsum((start_energy - end_energy).tolist())
-    dead = end_energy <= 0.0
-    deaths = alive[dead]
-    nodes.alive[deaths] = False
-    return RoundOutcome(
-        round_index, heads, *routes, spent, deaths.tolist(),
-        math.fsum(end_energy[~dead].tolist()), alive.size - deaths.size,
+    deaths = alive[end_energy <= 0.0]
+    return RoundOutcome(  # the dead read +0.0, which adds nothing to the residual
+        round_index, heads, *routes, spent, deaths,
+        math.fsum(end_energy.tolist()), alive.size - deaths.size,
     )
 
 
@@ -182,7 +179,7 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
 
     outcomes: list[RoundOutcome] = []
     for r in range(config.rounds):
-        if not nodes.alive.any():
+        if not (nodes.energy > 0).any():
             break
         outcomes.append(run_round(nodes, config, r, rng))
     return SimulationResult(config, outcomes, initial)

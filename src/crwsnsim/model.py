@@ -35,15 +35,14 @@ class Position:
 class Nodes:
     """Per-sensor state as parallel arrays indexed by node id.
 
-    ``last_ch_round`` records the most recent round (0-based) in which the
-    node served as a cluster head, -1 if it never has; it drives the election
-    cooldown.
+    A node is alive while its ``energy`` is positive. ``last_ch_round``
+    records the most recent round (0-based) in which the node served as a
+    cluster head, -1 if it never has; it drives the election cooldown.
     """
 
     x: np.ndarray
     y: np.ndarray
     energy: np.ndarray
-    alive: np.ndarray
     last_ch_round: np.ndarray
 
 
@@ -164,4 +163,4 @@ def place_nodes(config: ScenarioConfig, rng: np.random.Generator) -> Nodes:
     ys = rng.uniform(0.0, config.field_height, n)
     energy = np.full(n, config.energy.initial_energy)
     energy[: int(config.advanced_fraction * n)] *= 1.0 + config.advanced_energy_factor
-    return Nodes(xs, ys, energy, np.ones(n, dtype=bool), np.full(n, -1))
+    return Nodes(xs, ys, energy, np.full(n, -1))

@@ -1,3 +1,7 @@
+import os
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
 import pytest
 
 from crwsnsim import Position, ScenarioConfig, run_simulation
@@ -16,18 +20,23 @@ FAR_FC_POSITION = Position(50.0, 400.0)
 
 
 def _sweep(**overrides):
-    """Run every variant over ``SWEEP_SEEDS``; other parameters at their defaults."""
-    return {
+    """Run every variant over ``SWEEP_SEEDS``; other parameters at their defaults.
+
+    The runs are independent and seeded, so they run in forked worker
+    processes, one per usable CPU, and come back in submission order.
+    """
+    configs = {
         name: [
-            run_simulation(
-                ScenarioConfig(
-                    protocol=protocol, clustering=clustering, rng_seed=seed, **overrides
-                )
-            )
+            ScenarioConfig(protocol=protocol, clustering=clustering, rng_seed=seed, **overrides)
             for seed in SWEEP_SEEDS
         ]
         for name, (protocol, clustering) in SWEEP_VARIANTS.items()
     }
+    runs = [config for variant in configs.values() for config in variant]
+    workers = min(len(os.sched_getaffinity(0)), len(runs))
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        results = iter(pool.map(run_simulation, runs))
+        return {name: [next(results) for _ in variant] for name, variant in configs.items()}
 
 
 @pytest.fixture(scope="session")

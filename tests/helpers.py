@@ -16,14 +16,14 @@ from crwsnsim import Nodes, prim_mst, rx_energy
 
 
 def nodes_at(xs, ys, energy=0.5):
-    """Alive nodes that never served as head, at the given coordinates."""
+    """Nodes that never served as head, at the given coordinates; those with
+    a positive ``energy`` are alive."""
     xs = np.asarray(xs, dtype=float)
     count = xs.size
     return Nodes(
         xs,
         np.asarray(ys, dtype=float),
         np.broadcast_to(np.asarray(energy, dtype=float), count).copy(),
-        np.ones(count, dtype=bool),
         np.full(count, -1),
     )
 
@@ -165,7 +165,7 @@ def dense_assign_members(nodes, cluster_heads):
     """Nearest head of every alive non-head node from the full members x heads
     distance matrix; ``argmin`` takes the first minimum, the lowest head id."""
     heads = np.sort(cluster_heads)
-    is_member = nodes.alive.copy()
+    is_member = nodes.energy > 0
     is_member[heads] = False
     members = np.flatnonzero(is_member)
     dists = np.hypot(

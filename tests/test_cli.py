@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crwsnsim
 from crwsnsim import ConfigError, ScenarioConfig, parse_config, run_simulation
 from crwsnsim.cli import (
     CSV_HEADER,
@@ -346,6 +350,21 @@ def test_out_of_memory_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: out of memory in the run: Unable to allocate 673. GiB"
+    ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_failed_stdout_write_ends_in_one_error_line():
+    # /dev/full refuses every write with ENOSPC; nothing may follow the error
+    # line, not even a failed flush when the interpreter exits
+    env = {**os.environ, "PYTHONPATH": str(Path(crwsnsim.__file__).resolve().parents[1])}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "crwsnsim", "compare", "--rounds", "5"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: cannot write standard output: [Errno 28] No space left on device"
     ]
 
 

@@ -94,26 +94,26 @@ class TestElectionState:
 
     def test_dead_nodes_excluded(self):
         nodes = make_nodes(3)
-        nodes.alive[2] = False
+        nodes.energy[2] = 0.0
         assert eligible(nodes, 0.1, 0) == frozenset({0, 1})
 
 
 class TestElectClusterHeads:
     def test_requires_alive_node(self):
         nodes = make_nodes(2)
-        nodes.alive[:] = False
+        nodes.energy[:] = 0.0
         with pytest.raises(ValueError):
             elect_cluster_heads(nodes, 0.1, 0, "nonuniform", 10, FixedDraws(0.5))
 
     def test_zero_heads_is_valid_nonuniform(self):
         nodes = make_nodes(5)
         heads = elect_cluster_heads(nodes, 0.1, 0, "nonuniform", 10, FixedDraws(0.999))
-        assert heads == []
+        assert heads.tolist() == []
 
     def test_single_node_forced_promotion(self):
         nodes = make_nodes(1)
         heads = elect_cluster_heads(nodes, 0.1, 0, "uniform", 1, FixedDraws(0.999))
-        assert heads == [0]
+        assert heads.tolist() == [0]
         assert nodes.last_ch_round[0] == 0
 
     def test_uniform_trims_to_highest_energy(self):
@@ -121,12 +121,12 @@ class TestElectClusterHeads:
         for i in range(5):
             nodes.energy[i] = 0.1 * (5 - i)  # ids 0..4 get 0.5 .. 0.1
         heads = elect_cluster_heads(nodes, 0.1, 0, "uniform", 2, FixedDraws(0.0))
-        assert heads == [0, 1]
+        assert heads.tolist() == [0, 1]
 
     def test_uniform_trim_ties_break_by_id(self):
         nodes = make_nodes(5)
         heads = elect_cluster_heads(nodes, 0.1, 0, "uniform", 3, FixedDraws(0.0))
-        assert heads == [0, 1, 2]
+        assert heads.tolist() == [0, 1, 2]
 
     def test_promotion_prefers_eligible_then_energy(self):
         nodes = make_nodes(4)
@@ -134,15 +134,15 @@ class TestElectClusterHeads:
         nodes.last_ch_round[1] = 2  # served this epoch: not eligible
         heads = elect_cluster_heads(nodes, 0.1, 5, "uniform", 3, FixedDraws(0.999))
         # eligible nodes first by descending energy (2 and 3 tie -> lower id), then 0
-        assert heads == [0, 2, 3]
+        assert heads.tolist() == [0, 2, 3]
         assert all(nodes.last_ch_round[i] == 5 for i in heads)
         assert nodes.last_ch_round[1] == 2
 
     def test_uniform_count_capped_by_alive(self):
         nodes = make_nodes(3)
-        nodes.alive[2] = False
+        nodes.energy[2] = 0.0
         heads = elect_cluster_heads(nodes, 0.5, 0, "uniform", 3, FixedDraws(0.0))
-        assert heads == [0, 1]
+        assert heads.tolist() == [0, 1]
 
     def test_each_node_serves_exactly_once_per_epoch(self):
         nodes = make_nodes(100)
@@ -162,7 +162,7 @@ class TestElectClusterHeads:
         rng = np.random.default_rng(1)
         served = []
         for r in range(3):
-            served += elect_cluster_heads(nodes, 0.3, r, "nonuniform", 10, rng)
+            served += elect_cluster_heads(nodes, 0.3, r, "nonuniform", 10, rng).tolist()
         assert len(served) == len(set(served))
         assert len(served) < 1000
 
@@ -180,7 +180,7 @@ class TestElectClusterHeads:
         for epoch in range(20):
             seen = set()
             for r in range(epoch * 10, epoch * 10 + 10):
-                heads = elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng)
+                heads = elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng).tolist()
                 assert not seen.intersection(heads)
                 seen.update(heads)
 
@@ -188,7 +188,7 @@ class TestElectClusterHeads:
         nodes = make_nodes(50)
         rng = np.random.default_rng(8)
         for r in range(200):
-            heads = elect_cluster_heads(nodes, 0.1, r, "uniform", 5, rng)
+            heads = elect_cluster_heads(nodes, 0.1, r, "uniform", 5, rng).tolist()
             assert len(heads) == 5
             assert len(set(heads)) == 5
 
@@ -199,7 +199,7 @@ class TestElectClusterHeads:
             rng = np.random.default_rng(42)
             history = []
             for r in range(50):
-                history.append(elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng))
+                history.append(elect_cluster_heads(nodes, 0.1, r, "nonuniform", 10, rng).tolist())
             histories.append(history)
         assert histories[0] == histories[1]
 
@@ -212,7 +212,7 @@ class TestAssignMembers:
     def test_tie_goes_to_lower_head_id(self):
         # live ids 0, 3, 5 and 7; the rest are dead
         nodes = nodes_at([0.0, 0.0, 0.0, 10.0, 0.0, 5.0, 0.0, 10.0], np.zeros(8))
-        nodes.alive[[1, 2, 4, 6]] = False
+        nodes.energy[[1, 2, 4, 6]] = 0.0
         assignment = member_of(nodes, [3, 7])
         assert assignment[5] == 3
         assert assignment[0] == 3
@@ -224,7 +224,7 @@ class TestAssignMembers:
 
     def test_dead_nodes_not_assigned(self):
         nodes = make_nodes(4)
-        nodes.alive[1] = False
+        nodes.energy[1] = 0.0
         assert 1 not in member_of(nodes, [0])
 
     def test_requires_heads(self):
@@ -235,6 +235,36 @@ class TestAssignMembers:
         members, heads = assign_members(make_nodes(3), [1])
         assert members.dtype.kind == heads.dtype.kind == "i"
         assert members.tolist() == [0, 2] and heads.tolist() == [1, 1]
+
+
+class TestDrainedBattery:
+    """A node whose battery reads 0.0 is dead: it is never eligible, elected,
+    promoted or assigned, whatever its draw or the head count asked for."""
+
+    def test_never_eligible_or_elected(self):
+        nodes = make_nodes(4, energy=[0.5, 0.0, 0.5, 0.0])
+        assert eligible(nodes, 1.0, 0) == frozenset({0, 2})
+        heads = elect_cluster_heads(nodes, 1.0, 0, "nonuniform", 10, FixedDraws(0.0))
+        assert heads.tolist() == [0, 2]
+        assert nodes.last_ch_round.tolist() == [0, -1, 0, -1]
+
+    def test_never_promoted(self):
+        # nobody draws below the threshold, so uniform mode promotes; only
+        # the two charged nodes can fill the four places asked for
+        nodes = make_nodes(4, energy=[0.0, 0.5, 0.0, 0.5])
+        heads = elect_cluster_heads(nodes, 0.5, 0, "uniform", 4, FixedDraws(0.999))
+        assert heads.tolist() == [1, 3]
+        assert nodes.last_ch_round.tolist() == [-1, 0, -1, 0]
+
+    def test_never_assigned(self):
+        nodes = make_nodes(4, energy=[0.5, 0.0, 0.5, 0.5])
+        assert member_of(nodes, [0]) == {2: 0, 3: 0}
+
+    def test_heads_are_a_sorted_intp_array(self):
+        nodes = make_nodes(30, energy=np.linspace(0.01, 0.3, 30))
+        heads = elect_cluster_heads(nodes, 0.1, 0, "uniform", 7, FixedDraws(0.0))
+        assert heads.dtype == np.intp
+        assert heads.tolist() == list(range(23, 30))
 
 
 def assert_matches_dense(nodes, cluster_heads):
@@ -278,15 +308,16 @@ class TestAssignMembersMatchesDense:
             xs[heads] = 100.0 + rng.uniform(0.0, 1e-3, head_count)
             ys[heads] = 100.0 + rng.uniform(0.0, 1e-3, head_count)
         nodes = nodes_at(xs, ys)
-        nodes.alive = rng.random(count) < 0.9  # some dead nodes
-        nodes.alive[heads] = True
+        dead = rng.random(count) >= 0.9  # some dead nodes
+        dead[heads] = False
+        nodes.energy[dead] = 0.0
         assert_matches_dense(nodes, heads.tolist())
 
     @pytest.mark.parametrize("head_count", [63, 64, 400])
     def test_zero_members(self, head_count):
         rng = np.random.default_rng(head_count)
         nodes = nodes_at(*_layout("random", rng, head_count + 3))
-        nodes.alive[head_count:] = False
+        nodes.energy[head_count:] = 0.0
         members, heads = assign_members(nodes, list(range(head_count)))
         assert members.size == heads.size == 0
 
@@ -375,8 +406,9 @@ class TestAssignMembersCompactCells:
         depth = _grid_depth(xs[:head_count], ys[:head_count])
         assume(9 * depth < head_count)  # the ring search runs
         nodes = nodes_at(xs, ys)
-        nodes.alive = rng.random(xs.size) < 0.9
-        nodes.alive[:head_count] = True
+        dead = rng.random(xs.size) >= 0.9
+        dead[:head_count] = False
+        nodes.energy[dead] = 0.0
         assert_matches_dense(nodes, list(range(head_count)))
 
     def test_chunk_without_ring_candidates(self):

@@ -38,7 +38,7 @@ class TestRunRound:
         nodes = nodes_at([0.0, 0.0], [0.0, 10.0])
         nodes.last_ch_round[1] = 4
         outcome = run_round(nodes, config, 5, np.random.default_rng(0))
-        assert outcome.cluster_heads == [0]
+        assert outcome.cluster_heads.tolist() == [0]
         assert 0.5 - nodes.energy[1] == pytest.approx(5.6e-8, rel=1e-12)
         assert 0.5 - nodes.energy[0] == pytest.approx(1.14e-7, rel=1e-12)
         assert outcome.energy_spent == pytest.approx(1.7e-7, rel=1e-12)
@@ -91,7 +91,7 @@ class TestRunRound:
     def test_requires_alive_node(self):
         config = ScenarioConfig(n_nodes=1)
         node = nodes_at([1.0], [1.0])
-        node.alive[0] = False
+        node.energy[0] = 0.0
         with pytest.raises(ValueError):
             run_round(node, config, 0, np.random.default_rng(0))
 
@@ -125,7 +125,7 @@ def all_heads_round(xs, ys, fc, energy=EnergyParams()):
                             ch_probability=1.0, protocol="proposed", rounds=1,
                             energy=energy)
     outcome = run_round(nodes_at(xs, ys), config, 0, np.random.default_rng(0))
-    assert outcome.cluster_heads == list(range(len(xs)))
+    assert outcome.cluster_heads.tolist() == list(range(len(xs)))
     return outcome
 
 
@@ -137,7 +137,7 @@ class TestHeadPhase:
     def test_root_is_head_nearest_fusion_centre(self, xs, ys, root):
         outcome = all_heads_round(xs, ys, (0.0, 300.0))
         children = {child for _, child in tree_edges(outcome)}
-        assert set(outcome.cluster_heads) - children == {root}
+        assert set(outcome.cluster_heads.tolist()) - children == {root}
         assert tree_edges(outcome)[0][0] == root
         assert (outcome.senders[-1], outcome.parent[-1], outcome.relay_to[-1]) == (root, -1, -1)
         assert outcome.relay_cost[-1] == outcome.direct_cost[-1]
@@ -150,7 +150,7 @@ class TestHeadPhase:
             parent_of = {child: parent for parent, child in tree_edges(outcome)}
             position = {h: i for i, h in enumerate(outcome.senders.tolist())}
             route = dict(zip(outcome.senders.tolist(), outcome.relay_to.tolist()))
-            assert sorted(position) == outcome.cluster_heads
+            assert sorted(position) == outcome.cluster_heads.tolist()
             for head, relay_to in route.items():
                 if relay_to == -1:
                     continue
@@ -268,12 +268,12 @@ class TestHeadPhaseMatchesLoop:
         energy = np.where(rng.random(count) < 0.5, 0.5, rng.uniform(0.0, 2e-6, count))
         alive = rng.random(count) < 0.9
         alive[rng.integers(count)] = True
+        energy[~alive] = 0.0
         # round 3 with every node served in this epoch elects nobody
         round_index = 3 if kind == "zero-head" else 0
         runs = []
         for head_phase in (engine._head_phase, loop_head_phase):
             nodes = nodes_at(xs, ys, energy)
-            nodes.alive[:] = alive
             if kind == "zero-head":
                 nodes.last_ch_round[:] = 3
             with mock.patch.object(engine, "_head_phase", head_phase):
@@ -281,7 +281,7 @@ class TestHeadPhaseMatchesLoop:
             runs.append((outcome, nodes))
         (got, got_nodes), (want, want_nodes) = runs
         if kind == "zero-head":
-            assert got.cluster_heads == []
+            assert got.cluster_heads.tolist() == []
         assert same_outcome(got, want)
         assert got_nodes.energy.tobytes() == want_nodes.energy.tobytes()
 
@@ -307,7 +307,7 @@ class TestDrainedHead:
     def test_drained_head_receives_transmits_and_relays(self):
         nodes, before, outcome = self.run(1e-9)  # less than one bit's reception
         full_nodes, _, full = self.run(0.5)
-        assert outcome.cluster_heads == [0, 1, 2]
+        assert outcome.cluster_heads.tolist() == [0, 1, 2]
         routes = dict(zip(outcome.senders.tolist(), outcome.relay_to.tolist()))
         assert routes == {0: 1, 1: 2, 2: -1}  # head 1 relays head 0's bits
         # the tree, routes and costs are those of the well-charged run; only
@@ -320,9 +320,46 @@ class TestDrainedHead:
         # head 0's 3-bit table (150 nJ), its own 3-bit relay over 10 m (168 nJ)
         assert 0.5 - full_nodes.energy[1] == pytest.approx(3.73e-7, rel=1e-12)
         assert nodes.energy[1] == 0.0
-        assert outcome.deaths == [1]
-        assert nodes.alive.tolist() == [True, False, True, True]
+        assert outcome.deaths.tolist() == [1]
+        assert (nodes.energy > 0).tolist() == [True, False, True, True]
         assert outcome.energy_spent == math.fsum(before - nodes.energy)
+
+
+class TestEmptyBattery:
+    """A node whose battery reads 0.0 is dead before the round starts."""
+
+    def test_takes_no_part_in_the_round(self):
+        # the two-node worked example with a third, drained node beside the head
+        config = ScenarioConfig(n_nodes=3, fc_position=Position(20.0, 0.0), ch_probability=0.5,
+                                clustering="uniform", cluster_count=1, rounds=10)
+        nodes = nodes_at([0.0, 0.0, 1.0], [0.0, 10.0, 0.0], [0.5, 0.5, 0.0])
+        nodes.last_ch_round[1:] = 4
+        outcome = run_round(nodes, config, 5, np.random.default_rng(0))
+        assert outcome.cluster_heads.tolist() == [0]
+        assert outcome.senders.tolist() == [0]
+        assert 0.5 - nodes.energy[1] == pytest.approx(5.6e-8, rel=1e-12)
+        assert 0.5 - nodes.energy[0] == pytest.approx(1.14e-7, rel=1e-12)  # one member's bit
+        assert outcome.energy_spent == pytest.approx(1.7e-7, rel=1e-12)
+        assert nodes.energy[2] == 0.0
+        assert outcome.deaths.tolist() == []
+        assert outcome.alive == 2
+
+    def test_every_battery_empty(self):
+        config = ScenarioConfig(n_nodes=3, rounds=5)
+        nodes = nodes_at([0.0, 10.0, 20.0], [0.0] * 3, 0.0)
+        with pytest.raises(ValueError, match="run_round requires at least one alive node"):
+            run_round(nodes, config, 0, np.random.default_rng(0))
+        result = run_simulation(config, nodes=nodes)
+        assert result.outcomes == []
+        assert result.initial_energy == 0.0
+
+    def test_id_sets_are_intp_arrays(self):
+        config = ScenarioConfig(n_nodes=8, rounds=120, rng_seed=3, energy=TINY_BATTERY)
+        outcomes = run_simulation(config).outcomes
+        assert any(o.deaths.size for o in outcomes)
+        for outcome in outcomes:
+            for ids in (outcome.cluster_heads, outcome.deaths):
+                assert isinstance(ids, np.ndarray) and ids.dtype == np.intp
 
 
 class TestNoChFallback:
@@ -338,10 +375,10 @@ class TestNoChFallback:
                                 clustering="nonuniform", rounds=10)
         nodes = nodes_at(xs, ys)
         nodes.last_ch_round[:] = 3
-        nodes.alive[list(dead)] = False
+        nodes.energy[list(dead)] = 0.0
         before = nodes.energy.copy()
         outcome = run_round(nodes, config, 3, np.random.default_rng(0))
-        assert outcome.cluster_heads == []
+        assert outcome.cluster_heads.tolist() == []
         assert np.all(outcome.parent == -1)
         return config, nodes, before, outcome
 
@@ -375,7 +412,7 @@ class TestNoChFallback:
         config = ScenarioConfig(n_nodes=2, clustering="nonuniform", rounds=40,
                                 rng_seed=11)
         result = run_simulation(config)
-        fallback_rounds = [o for o in result.outcomes if not o.cluster_heads]
+        fallback_rounds = [o for o in result.outcomes if not o.cluster_heads.size]
         assert fallback_rounds, "expected at least one zero-head round"
         assert result.first_death_round is None
         for outcome in fallback_rounds:
@@ -438,9 +475,9 @@ class TestRunSimulation:
         assert result.first_death_round is not None
         dead_after = {}
         for outcome in result.outcomes:
-            for head in outcome.cluster_heads:
+            for head in outcome.cluster_heads.tolist():
                 assert head not in dead_after, "dead node elected head"
-            for node_id in outcome.deaths:
+            for node_id in outcome.deaths.tolist():
                 assert node_id not in dead_after, "node died twice"
                 dead_after[node_id] = outcome.round_index
         assert dead_after, "expected deaths with a tiny battery"
@@ -460,10 +497,10 @@ class TestRunSimulation:
         result = run_simulation(config)
         first = result.first_death_round
         assert first is not None
-        with_deaths = [o for o in result.outcomes if o.deaths]
+        with_deaths = [o for o in result.outcomes if o.deaths.size]
         assert first == with_deaths[0].round_index + 1
         for outcome in result.outcomes[: first - 1]:
-            assert outcome.deaths == []
+            assert outcome.deaths.tolist() == []
             assert outcome.alive == 8
         assert result.outcomes[first - 1].alive == 8 - len(with_deaths[0].deaths)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from crwsnsim import (
     EnergyParams,
+    Nodes,
     Position,
     ScenarioConfig,
     place_nodes,
@@ -34,7 +36,9 @@ def test_placement_deterministic():
     config = ScenarioConfig(n_nodes=100)
     first = place_nodes(config, np.random.default_rng(123))
     second = place_nodes(config, np.random.default_rng(123))
-    for name in ("x", "y", "energy", "alive", "last_ch_round"):
+    names = [field.name for field in fields(Nodes)]
+    assert names == ["x", "y", "energy", "last_ch_round"]  # liveness is energy > 0
+    for name in names:
         assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
@@ -44,7 +48,7 @@ def test_positions_inside_field():
     assert np.all((0.0 <= nodes.x) & (nodes.x <= 30.0))
     assert np.all((0.0 <= nodes.y) & (nodes.y <= 7.5))
     assert nodes.x.shape == nodes.y.shape == nodes.energy.shape == (250,)
-    assert nodes.alive.all() and np.all(nodes.last_ch_round == -1)
+    assert np.all(nodes.energy > 0) and np.all(nodes.last_ch_round == -1)
 
 
 def test_advanced_split_energy_bookkeeping():
