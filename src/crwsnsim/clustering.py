@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import CLUSTERING_UNIFORM, Nodes, check_probability
 
-_CHUNK = 1 << 18  # candidate distances held at once by assign_members
+_CHUNK = 1 << 18  # candidates held at once by assign_members
 
 
 def epoch_length(ch_probability: float) -> int:
@@ -88,12 +88,15 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
     Distances are the elementwise ``np.hypot`` of the coordinate differences;
     ties break toward the lower head id. From 64 heads (8 cells a side) the
     heads are binned into square cells of about one head each and sorted by
-    row-major cell, with per-cell offsets, so each row of a member's ring is
-    one slice. A member takes the nearest head in the 3x3 cells around its own
-    if it is strictly closer than one cell side, else widens the ring (ring r
-    accepts below r sides) while ``(2r+1)**2`` times the busiest cell's head
-    count stays below k; whoever is left searches every head. At most
-    ``_CHUNK`` distances are held at once.
+    row-major cell. A member takes the nearest head in the 3x3 cells around
+    its own if it is strictly closer than one cell side, else widens the ring
+    (ring r accepts below r sides) while ``(2r+1)**2`` times the busiest cell's
+    head count stays below k; whoever is left searches every head. A ring
+    pass holds at most ``_CHUNK`` candidates: per occupied cell, one block of
+    the ring's 2r+1 row slices. As a square ``dx*dx + dy*dy`` errs by at most
+    2**-51 relative plus 2**-1073 and ``np.hypot`` by one ulp, only squares
+    within 2**-40 relative plus 2**-1000 of the least (all, if it is inf) can
+    hold the dense argmin; only those get ``np.hypot``.
     """
     heads = np.sort(cluster_heads)
     if not heads.size:
@@ -123,17 +126,26 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
             mid, rejected = np.arange(-ring, ring + 1) * n_cols, []
             step = max(1, _CHUNK // ((2 * ring + 1) ** 2 * depth))
             for rows in (pending[i : i + step] for i in range(0, pending.size, step)):
-                start = begins[np.clip(cell[rows, None] + mid - ring, 0, last)]
-                size = ends[np.clip(cell[rows, None] + mid + ring, 0, last)] - start
-                total = size.sum(axis=1)
-                has = total > 0  # reduceat would hand an empty segment the next element
+                used = np.bincount(cell[rows]) > 0  # one candidate block per occupied cell
+                centre = np.flatnonzero(used)[:, None] + mid  # middle cell of each ring row
+                start = begins[np.clip(centre - ring, 0, last)]
+                size = ends[np.clip(centre + ring, 0, last)] - start
+                total, start, size = size.sum(axis=1), start.ravel(), size.ravel()
+                block = order[np.repeat(start - size.cumsum() + size, size) + np.arange(size.sum())]
+                own = used.cumsum()[cell[rows]] - 1  # a member's block: its cell's
+                has = total[own] > 0  # reduceat would hand an empty segment the next element
                 rejected.append(rows[~has])
-                rows, total = rows[has], total[has]
-                start, size = start[has].ravel(), size[has].ravel()
-                cand = order[np.repeat(start - size.cumsum() + size, size) + np.arange(total.sum())]
-                who, first = np.repeat(rows, total), total.cumsum() - total
-                d = np.hypot(mx[who] - hx[cand], my[who] - hy[cand])
-                key = np.minimum.reduceat(d + 1j * cand, first)  # lexicographic: metres, index
+                rows, n = rows[has], total[own[has]]
+                first = n.cumsum() - n
+                at = np.repeat((total.cumsum() - total)[own[has]] - first, n) + np.arange(n.sum())
+                with np.errstate(over="ignore"):  # an inf least square keeps every candidate
+                    dx = np.repeat(mx[rows], n) - hx[block][at]
+                    dy = np.repeat(my[rows], n) - hy[block][at]
+                    sq = dx * dx + dy * dy
+                    slack = np.minimum.reduceat(sq, first) * (1 + 2.0**-40) + 2.0**-1000
+                near = np.flatnonzero(sq <= np.repeat(slack, n))  # usually one per member
+                d = np.hypot(dx[near], dy[near])  # complex keys order lexicographically
+                key = np.minimum.reduceat(d + 1j * block[at[near]], np.searchsorted(near, first))
                 ok = key.real < (ring - 1e-9) * side  # margin: cell-index rounding
                 nearest[rows[ok]] = key.imag[ok]
                 rejected.append(rows[~ok])

@@ -50,6 +50,7 @@ class SimulationResult:
     config: ScenarioConfig
     outcomes: list[RoundOutcome]
     initial_energy: float
+    initial_alive: int
 
     @property
     def final_residual(self) -> float:
@@ -57,7 +58,7 @@ class SimulationResult:
 
     @property
     def final_alive(self) -> int:
-        return self.outcomes[-1].alive if self.outcomes else self.config.n_nodes
+        return self.outcomes[-1].alive if self.outcomes else self.initial_alive
 
     @property
     def first_death_round(self) -> int | None:
@@ -169,17 +170,19 @@ def run_round(
 def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> SimulationResult:
     """Run ``config.rounds`` rounds (or until extinction), deterministically.
 
-    Passing ``nodes`` bypasses the seeded uniform placement (and its RNG
-    draws); the per-round stream then starts at the generator's origin.
+    Passed ``nodes`` (``n_nodes`` of them) replace the seeded placement and its
+    RNG draws; the per-round stream then starts at the generator's origin.
     """
     rng = np.random.default_rng(config.rng_seed)
     if nodes is None:
         nodes = place_nodes(config, rng)
-    initial = math.fsum(nodes.energy.tolist())
+    if nodes.x.size != config.n_nodes:
+        raise ValueError(f"nodes has {nodes.x.size} entries but n_nodes is {config.n_nodes}")
+    initial, alive = math.fsum(nodes.energy.tolist()), int(np.count_nonzero(nodes.energy > 0))
 
     outcomes: list[RoundOutcome] = []
     for r in range(config.rounds):
         if not (nodes.energy > 0).any():
             break
         outcomes.append(run_round(nodes, config, r, rng))
-    return SimulationResult(config, outcomes, initial)
+    return SimulationResult(config, outcomes, initial, alive)

@@ -286,15 +286,22 @@ def _layout(kind, rng, count):
         return sites[0][pick], sites[1][pick]
     if kind == "strip":
         return rng.uniform(0.0, 1000.0, count), rng.uniform(0.0, 1.0, count)
+    if kind == "huge":  # squared metres overflow to inf
+        xs, ys = _layout("random", rng, count)
+        return xs * 1e160, ys * 1e160
+    if kind == "tiny":  # squared metres fall into and below the subnormals
+        xs, ys = _layout("random", rng, count)
+        return xs * 3e-163, ys * 3e-163
     raise AssertionError(kind)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAssignMembersMatchesDense:
     """The grid search returns the dense search's members and heads exactly."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(["random", "lattice", "coincident", "strip", "one-cell"]),
+        st.sampled_from(["random", "lattice", "coincident", "strip", "one-cell", "huge", "tiny"]),
         st.integers(min_value=1, max_value=400),
         st.integers(min_value=0, max_value=300),
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -343,6 +350,28 @@ class TestAssignMembersMatchesDense:
         assert np.sum(dists == dists.min()) > 1  # the tie rule decides
         assert_matches_dense(nodes_at(np.append(hx, 45.0), np.append(hy, 45.0)),
                              list(range(hx.size)))
+
+    def test_square_near_tie_is_settled_by_hypot(self):
+        # A seeded search for heads a and b 3 m from a member whose squared
+        # metres tie or put a first while np.hypot puts a strictly farther. With
+        # the lower id, a wins any ranking by squares alone; b is the nearest.
+        rng = np.random.default_rng(0)
+        while True:
+            px, py = rng.uniform(40.0, 50.0, 2)
+            angle = rng.uniform(0.0, 2.0 * math.pi, (2, 1000))
+            ax, ay = px + 3.0 * np.cos(angle), py + 3.0 * np.sin(angle)
+            dx, dy = px - ax, py - ay
+            dists, squares = np.hypot(dx, dy), dx * dx + dy * dy
+            found = np.flatnonzero((dists[0] > dists[1]) & (squares[0] <= squares[1]))
+            if found.size:
+                break
+        pair = found[0]
+        hx, hy = self._holed_lattice(4)  # 84 heads, 10 m cells, none within 20 m
+        nodes = nodes_at(np.concatenate((hx, ax[:, pair], [px])),
+                         np.concatenate((hy, ay[:, pair], [py])))
+        members, heads = assign_members(nodes, list(range(hx.size + 2)))
+        assert members.tolist() == [hx.size + 2] and heads.tolist() == [hx.size + 1]
+        assert_matches_dense(nodes, list(range(hx.size + 2)))
 
     def test_far_members_fall_back_to_every_head(self):
         hx, hy = self._holed_lattice(4)
@@ -415,8 +444,8 @@ class TestAssignMembersCompactCells:
         # 300 heads on a 20 x 20 lattice of 10 m pitch, less its central 10 x 10
         # block, in 11.2 m cells of up to 4 heads: ring 1 takes 2^18 // 36 = 7281
         # members a chunk. The first 8000 members sit at least 3 cells from every
-        # head, so the first chunk gathers no candidate at all and the second
-        # mixes empty rows with the 500 spread members' full ones.
+        # head, so every block of the first chunk is empty and the second mixes
+        # empty blocks with the 500 spread members' full ones.
         grid = np.arange(20) * 10.0
         hx, hy = np.repeat(grid, 20), np.tile(grid, 20)
         keep = ~((50.0 <= hx) & (hx <= 140.0) & (50.0 <= hy) & (hy <= 140.0))
@@ -443,3 +472,28 @@ class TestAssignMembersCompactCells:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_deep_ring_memory_stays_chunk_local(self):
+        # 9804 heads on a 100 x 100 lattice of 1 m pitch, less a 14 x 14 hole
+        # (43 to 56 m), in 1 m cells. The 2000 members in its middle 2 m are
+        # 6.5 to 7.6 sides from every head, so the search reaches ring 7 or 8.
+        # Blocks for every cell of that ring would take over 60 MiB.
+        grid = np.arange(100.0)
+        hx, hy = np.repeat(grid, 100), np.tile(grid, 100)
+        keep = ~((43.0 <= hx) & (hx <= 56.0) & (43.0 <= hy) & (hy <= 56.0))
+        hx, hy = hx[keep], hy[keep]
+        assert hx.size == 9804 and max(np.ptp(hx), np.ptp(hy)) / math.isqrt(hx.size) == 1.0
+        rng = np.random.default_rng(17)
+        mx, my = rng.uniform(48.5, 50.5, 2000), rng.uniform(48.5, 50.5, 2000)
+        nodes = nodes_at(np.append(hx, mx), np.append(hy, my))
+        tracemalloc.start()
+        try:
+            _, heads = assign_members(nodes, np.arange(hx.size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        ids = np.flatnonzero((np.abs(hx - 49.5) < 12.0) & (np.abs(hy - 49.5) < 12.0))
+        dists = np.hypot(mx[:, None] - hx[ids], my[:, None] - hy[ids])
+        assert dists.min() >= 6.5
+        assert heads.tolist() == ids[dists.argmin(axis=1)].tolist()  # the nearest are near the hole

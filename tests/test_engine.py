@@ -352,6 +352,7 @@ class TestEmptyBattery:
         result = run_simulation(config, nodes=nodes)
         assert result.outcomes == []
         assert result.initial_energy == 0.0
+        assert result.final_alive == 0  # no round ran: the nodes' own count
 
     def test_id_sets_are_intp_arrays(self):
         config = ScenarioConfig(n_nodes=8, rounds=120, rng_seed=3, energy=TINY_BATTERY)
@@ -510,3 +511,15 @@ class TestRunSimulation:
         result = run_simulation(config, nodes=nodes)
         assert result.initial_energy == pytest.approx(1.5, rel=1e-12)
         assert len(result.outcomes) == 5
+
+    def test_zero_rounds_on_custom_nodes_count_their_alive(self):
+        nodes = nodes_at([0.0, 10.0, 20.0], [0.0] * 3, [0.5, 0.0, 0.5])
+        result = run_simulation(ScenarioConfig(n_nodes=3, rounds=0), nodes=nodes)
+        assert result.outcomes == []
+        assert result.final_alive == 2
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_nodes_must_number_n_nodes(self, count):
+        nodes = nodes_at(np.arange(count, dtype=float), np.zeros(count))
+        with pytest.raises(ValueError, match=f"nodes has {count} entries but n_nodes is 3"):
+            run_simulation(ScenarioConfig(n_nodes=3, rounds=5), nodes=nodes)
