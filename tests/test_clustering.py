@@ -497,3 +497,84 @@ class TestAssignMembersCompactCells:
         dists = np.hypot(mx[:, None] - hx[ids], my[:, None] - hy[ids])
         assert dists.min() >= 6.5
         assert heads.tolist() == ids[dists.argmin(axis=1)].tolist()  # the nearest are near the hole
+
+
+def _small_chunk_layout(kind, rng):
+    """Coordinates and head count (heads are ids ``0 .. k - 1``) of a layout
+    run with a tiny ``_CHUNK``."""
+    if kind == "lattice":  # exact distance ties and coincident nodes
+        return *_layout("lattice", rng, 300), 100
+    if kind == "hole":
+        # 84 heads on the 10 m lattice less its 40 m hole, in 10 m cells. The
+        # first 150 members sit in the hole's middle cells, whose ring 1 holds
+        # no head, so a chunk of them has only empty blocks.
+        hx, hy = TestAssignMembersMatchesDense()._holed_lattice(4)
+        mx = np.concatenate((rng.uniform(40.0, 50.0, 150), rng.uniform(0.0, 90.0, 150)))
+        my = np.concatenate((rng.uniform(40.0, 50.0, 150), rng.uniform(0.0, 90.0, 150)))
+        return np.append(hx, mx), np.append(hy, my), hx.size
+    if kind == "crowded":
+        return *_crowded(rng, 300, 300, 300 // 12, 1.0), 300
+    raise AssertionError(kind)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAssignMembersWorkspace:
+    """The ring pass writes its candidates into one workspace kept between
+    calls; no result may depend on what an earlier call left there."""
+
+    @pytest.mark.parametrize("chunk", [1, 64, 512])
+    @pytest.mark.parametrize("kind", ["lattice", "hole", "crowded"])
+    def test_small_chunks_equal_dense_oracle(self, monkeypatch, kind, chunk):
+        # At 1 a chunk holds one member, whose block alone exceeds it; in the
+        # hole, such a chunk holds only an empty block. At 64 and 512 a chunk
+        # holds one to a few dozen members, and in the hole some chunks mix
+        # empty blocks with full ones. Every pass takes many chunks.
+        monkeypatch.setattr("crwsnsim.clustering._CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        xs, ys, head_count = _small_chunk_layout(kind, rng)
+        assert 9 * _grid_depth(xs[:head_count], ys[:head_count]) < head_count  # rings run
+        nodes = nodes_at(xs, ys)
+        nodes.energy[rng.random(xs.size) >= 0.9] = 0.0
+        nodes.energy[:head_count] = 0.5
+        assert_matches_dense(nodes, list(range(head_count)))
+
+    def test_growing_then_shrinking_candidates_equal_dense_oracle(self):
+        rng = np.random.default_rng(19)
+        for member_count in (200, 3000, 50, 3000, 600):
+            nodes = nodes_at(*_layout("random", rng, 100 + member_count))
+            assert_matches_dense(nodes, list(range(100)))
+
+    def test_results_do_not_share_memory_with_later_calls(self):
+        rng = np.random.default_rng(29)
+        first = nodes_at(*_layout("random", rng, 2000))
+        members, member_head = assign_members(first, list(range(200)))
+        want = members.tolist(), member_head.tolist()
+        assign_members(nodes_at(*_layout("random", rng, 3000)), list(range(300)))
+        assert (members.tolist(), member_head.tolist()) == want
+        members[:], member_head[:] = -1, -1
+        again = assign_members(first, list(range(200)))
+        assert (again[0].tolist(), again[1].tolist()) == want
+
+    def test_steady_state_holds_no_candidate_sized_array(self):
+        # 3000 nodes, the first 300 of them heads, in a 100 x 20 m strip: the
+        # heads fill 18 x 4 cells of about 4 heads, so ring 1 gives a member
+        # about 35 candidates, and one float64 array of them outweighs the
+        # member-sized arrays a call holds at once.
+        rng = np.random.default_rng(23)
+        xs, ys = rng.uniform(0.0, 100.0, 3000), rng.uniform(0.0, 20.0, 3000)
+        nodes, heads = nodes_at(xs, ys), np.arange(300)
+        assert 9 * _grid_depth(xs[:300], ys[:300]) < 300  # the ring search runs
+        # no more than ring 1 gathers: (member, head) pairs in adjacent cells
+        side = max(np.ptp(xs[:300]), np.ptp(ys[:300])) / math.isqrt(300)
+        cx, cy = ((xs - xs[:300].min()) / side).astype(int), ((ys - ys[:300].min()) / side).astype(int)
+        cx, cy = cx.clip(0, cx[:300].max()), cy.clip(0, cy[:300].max())
+        candidates = np.sum((np.abs(cx[300:, None] - cx[:300]) <= 1)
+                            & (np.abs(cy[300:, None] - cy[:300]) <= 1))
+        assign_members(nodes, heads)
+        tracemalloc.start()
+        try:
+            assign_members(nodes, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * candidates, f"peak {peak} B, {candidates} candidates"

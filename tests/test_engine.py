@@ -523,3 +523,10 @@ class TestRunSimulation:
         nodes = nodes_at(np.arange(count, dtype=float), np.zeros(count))
         with pytest.raises(ValueError, match=f"nodes has {count} entries but n_nodes is 3"):
             run_simulation(ScenarioConfig(n_nodes=3, rounds=5), nodes=nodes)
+
+    def test_repr_does_not_grow_with_rounds(self):
+        # 10 and 90 rounds print the config with as many digits
+        short, long = (run_simulation(ScenarioConfig(rounds=r)) for r in (10, 90))
+        assert len(long.outcomes) == 90
+        assert len(repr(short)) == len(repr(long)) < 1000
+        assert "RoundOutcome" not in repr(long)

@@ -81,6 +81,20 @@ CASES["proposed-3000-nodes"] = (
 CASES["compare-depletion"] = (
     ["compare", "--seeds", "1,2,3", "--rounds", "250"], "initial_energy = 2e-4\nfc_y = 250\n"
 )
+# The three workloads of perfbench/run.py not pinned above, at its digests
+# (its large-baseline workload is baseline-3000-nodes): the headline compare
+# over 100 rounds, 1000 proposed nodes of ~100 heads a round, and three
+# depletion seeds in one CSV.
+CASES["compare-100-rounds"] = (["compare", "--seeds", "1", "--rounds", "100"], "")
+CASES["proposed-1000-nodes"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform",
+     "--seed", "1", "--rounds", "10"],
+    "nodes = 1000\n",
+)
+CASES["depletion-3-seeds"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform", "--seeds", "3,4,5"],
+    "initial_energy = 2e-4\nfc_y = 250\n",
+)
 
 GOLDEN = {
     "baseline-seed1-fc50":
@@ -127,6 +141,12 @@ GOLDEN = {
         "943427ddf66cbdb82faed1b026e8efbbf2094b227fcf4810ccc7ab51a46c3280",
     "proposed-3000-nodes":
         "be9e0346146325d968775b7a8e1111f999b85839dc19d6cced2d896196aeeb45",
+    "compare-100-rounds":
+        "b068d2efd49949469a8e05e4ef8373bd12684593221814320fd036968abdd990",
+    "proposed-1000-nodes":
+        "7397c810f4d3cb0025518dcc861fa417251a4915fbaac5b533d8d73738448b33",
+    "depletion-3-seeds":
+        "aac4d9db0124f548a920555bb0c896d2800993a12b3abe7a147cdf55f9c96097",
 }
 
 
