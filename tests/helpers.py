@@ -209,7 +209,7 @@ def loop_head_phase(nodes, heads, tree, config):
     same arguments, charges and return value as ``engine._head_phase``."""
     params = config.energy
     fc = config.fc_position
-    fc_dists = [math.hypot(nodes.x[h] - fc.x, nodes.y[h] - fc.y) for h in heads]
+    fc_dists = np.hypot(nodes.x[heads] - fc.x, nodes.y[heads] - fc.y).tolist()
     edges = []
     order = list(range(len(heads)))
     m_bits = 1

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -199,7 +200,7 @@ class TestHeadPhase:
         params = EnergyParams()
         for head, direct, relay in zip(outcome.senders.tolist(), outcome.direct_cost,
                                        outcome.relay_cost):
-            d_fc = math.hypot(xs[head] - fc[0], ys[head] - fc[1])
+            d_fc = np.hypot(xs[head] - fc[0], ys[head] - fc[1])
             assert direct == link_cost(params, 5, d_fc)
             assert relay == link_cost(params, 5, uplink.get(head, d_fc))
         assert (outcome.relay_to >= 0).any()
@@ -391,7 +392,7 @@ class TestNoChFallback:
         assert outcome.senders.tolist() == [0, 1, 2, 4]
         assert outcome.relay_to.tolist() == [-1] * 4
         for node, direct in zip(outcome.senders.tolist(), outcome.direct_cost):
-            d_fc = math.hypot(xs[node] - fc[0], ys[node] - fc[1])
+            d_fc = np.hypot(xs[node] - fc[0], ys[node] - fc[1])
             cost = link_cost(config.energy, 1, d_fc)  # one bit, not a four-bit table
             assert direct == cost
             assert nodes.energy[node] == before[node] - cost
@@ -420,6 +421,43 @@ class TestNoChFallback:
             assert outcome.senders.tolist() == [0, 1]
             assert outcome.relay_to.tolist() == [-1, -1]
             assert outcome.energy_spent > 0.0
+
+
+def test_distance_kernel_is_hypot():
+    # math.hypot can differ from np.hypot in the last bit; find an offset
+    # whose multipath one-bit cost (d^4 shows the bit) differs between them
+    params = EnergyParams()
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        dx, dy = rng.uniform(70.0, 100.0, (2, 1000))
+        metres = np.hypot(dx, dy)
+        scalar = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+        moved = np.flatnonzero(link_cost(params, 1, metres) != link_cost(params, 1, scalar))
+        if moved.size:
+            break
+    else:
+        pytest.skip("math.hypot and np.hypot price every sampled offset alike here")
+    i = int(moved[0])
+    dx, dy, cost = float(dx[i]), float(dy[i]), link_cost(params, 1, float(metres[i]))
+    # a battery of twice the cost drops to exactly the cost (Sterbenz), and to
+    # another value under any other cost; head 0 sits at the origin, member 1
+    # at the offset, and at round 5 with p = 0.5 node 1 sat out the epoch
+    config = ScenarioConfig(n_nodes=2, fc_position=Position(0.0, 0.0), ch_probability=0.5,
+                            clustering="uniform", cluster_count=1, rounds=10)
+    nodes = nodes_at([0.0, dx], [0.0, dy], [0.5, 2 * cost])
+    nodes.last_ch_round[1] = 4
+    outcome = run_round(nodes, config, 5, np.random.default_rng(0))
+    assert outcome.cluster_heads.tolist() == [0]
+    assert nodes.energy[1] == cost
+    # a lone node at the offset from the fusion centre, in a round that elects no head
+    config = ScenarioConfig(n_nodes=1, fc_position=Position(0.0, 0.0),
+                            clustering="nonuniform", rounds=10)
+    nodes = nodes_at([dx], [dy], 2 * cost)
+    nodes.last_ch_round[:] = 3
+    outcome = run_round(nodes, config, 3, np.random.default_rng(0))
+    assert outcome.cluster_heads.tolist() == []
+    assert outcome.direct_cost.tolist() == [cost]
+    assert nodes.energy[0] == cost
 
 
 class TestRunSimulation:
@@ -523,6 +561,16 @@ class TestRunSimulation:
         nodes = nodes_at(np.arange(count, dtype=float), np.zeros(count))
         with pytest.raises(ValueError, match=f"nodes has {count} entries but n_nodes is 3"):
             run_simulation(ScenarioConfig(n_nodes=3, rounds=5), nodes=nodes)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("x", (6, 1)), ("y", (7,)), ("energy", (12,)), ("energy", (6, 1)),
+        ("last_ch_round", (4,)),
+    ])
+    def test_every_node_array_must_hold_n_nodes(self, name, shape):
+        nodes = nodes_at(np.arange(6, dtype=float), np.zeros(6))
+        setattr(nodes, name, np.ones(shape, dtype=getattr(nodes, name).dtype))
+        with pytest.raises(ValueError, match=re.escape(f"nodes.{name} has shape {shape}, not (6,)")):
+            run_simulation(ScenarioConfig(n_nodes=6, rounds=5), nodes=nodes)
 
     def test_repr_does_not_grow_with_rounds(self):
         # 10 and 90 rounds print the config with as many digits

@@ -95,6 +95,13 @@ CASES["depletion-3-seeds"] = (
     ["run", "--protocol", "proposed", "--clustering", "nonuniform", "--seeds", "3,4,5"],
     "initial_energy = 2e-4\nfc_y = 250\n",
 )
+# Seed 2 of the depletion scenario over 300 rounds: scalar math.hypot and
+# np.hypot distances give residuals that differ in the last digit on 3 rows.
+CASES["depletion-seed2-300-rounds"] = (
+    ["run", "--protocol", "proposed", "--clustering", "nonuniform",
+     "--seed", "2", "--rounds", "300"],
+    "initial_energy = 2e-4\nfc_y = 250\n",
+)
 
 GOLDEN = {
     "baseline-seed1-fc50":
@@ -147,6 +154,8 @@ GOLDEN = {
         "7397c810f4d3cb0025518dcc861fa417251a4915fbaac5b533d8d73738448b33",
     "depletion-3-seeds":
         "aac4d9db0124f548a920555bb0c896d2800993a12b3abe7a147cdf55f9c96097",
+    "depletion-seed2-300-rounds":
+        "c4e145c542bf0093e53737b6927033564b29e7d183d693ff1130628af33dc661",
 }
 
 
