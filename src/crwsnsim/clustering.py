@@ -17,7 +17,6 @@ import numpy as np
 from .model import CLUSTERING_UNIFORM, Nodes, check_probability
 
 _CHUNK = 1 << 18  # candidates held at once by assign_members
-_work = np.empty((6, 0))  # assign_members' ring-pass workspace, 6 x candidates
 
 
 def epoch_length(ch_probability: float) -> int:
@@ -94,16 +93,13 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
     (ring r accepts below r sides) while ``(2r+1)**2`` times the busiest cell's
     head count stays below k; whoever is left searches every head. A ring
     pass holds at most ``_CHUNK`` candidates: per occupied cell, one block of
-    the ring's 2r+1 row slices. Its six candidate-sized arrays are rows of
-    ``_work``, kept between calls (at most about 6 * ``_CHUNK`` * 8 B): a repeat
-    call allocates none, and the function is not reentrant across threads. As
-    a square ``dx*dx + dy*dy`` errs by at most 2**-51 relative plus 2**-1073
-    and ``np.hypot`` by one ulp, only squares within 2**-40 relative plus
-    2**-1000 of the least (all, if it is inf) can hold the dense argmin; only
-    those get ``np.hypot``. Squares are never negative or NaN, so their bits
-    order as integers do, and the least is taken over those.
+    the ring's 2r+1 row slices. A call keeps no state, so threads may run it
+    at once. As a square ``dx*dx + dy*dy`` errs by at most 2**-51 relative
+    plus 2**-1073 and ``np.hypot`` by one ulp, only squares within 2**-40
+    relative plus 2**-1000 of the least (all, if it is inf) can hold the dense
+    argmin; only those get ``np.hypot``. Squares are never negative or NaN,
+    so their bits order as integers do, and the least is taken over those.
     """
-    global _work
     heads = np.sort(cluster_heads)
     if not heads.size:
         raise ValueError("assign_members requires at least one cluster head")
@@ -143,8 +139,8 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
                 rejected.append(rows[~has])
                 rows, n = rows[has], total[own[has]]
                 first, count = n.cumsum() - n, n.sum()
-                _work = _work if _work.shape[1] >= count else np.empty((6, count))
-                at, member, dx, dy, sq, slack = *_work[:2, :count].view(np.intp), *_work[2:, :count]
+                work = np.empty((6, count))  # one block, not six: reused whole, so no page faults
+                at, member, dx, dy, sq, slack = *work[:2].view(np.intp), *work[2:]
                 code = (total.cumsum() - total)[own[has]] - first + (np.arange(rows.size) << 32)
                 code[1:] -= code[:-1] - 1  # steps whose cumsum is block offset + member * 2**32
                 at[:], at[first] = 1, code
@@ -157,7 +153,7 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
                     np.add(np.multiply(dx, dx, out=sq), np.multiply(dy, dy, out=slack), out=sq)
                     least = np.minimum.reduceat(sq.view(np.intp), first).view(float)  # int: faster
                     (least * (1 + 2.0**-40) + 2.0**-1000).take(member, out=slack, mode="clip")
-                near = np.flatnonzero(np.less_equal(sq, slack, out=member.view(bool)[:count]))
+                near = np.flatnonzero(sq <= slack)
                 d = np.hypot(dx[near], dy[near])  # complex keys order lexicographically
                 key = np.minimum.reduceat(d + 1j * block[at[near]], np.searchsorted(near, first))
                 ok = key.real < (ring - 1e-9) * side  # margin: cell-index rounding

@@ -66,6 +66,16 @@ class SimulationResult:
         return next((o.round_index + 1 for o in self.outcomes if o.deaths.size), None)
 
 
+def _check_nodes(nodes: Nodes, n_nodes: int) -> None:
+    """Reject ``nodes`` unless each of its arrays has shape ``(n_nodes,)``."""
+    if nodes.x.size != n_nodes:
+        raise ValueError(f"nodes has {nodes.x.size} entries but n_nodes is {n_nodes}")
+    for item in fields(nodes):
+        shape = np.shape(getattr(nodes, item.name))
+        if shape != (n_nodes,):
+            raise ValueError(f"nodes.{item.name} has shape {shape}, not ({n_nodes},)")
+
+
 def _member_report_phase(
     nodes: Nodes, members: np.ndarray, member_head: np.ndarray, config: ScenarioConfig
 ) -> None:
@@ -134,6 +144,7 @@ def run_round(
     receives, transmits and relays, and ends the round at 0.0 before the
     death sweep.
     """
+    _check_nodes(nodes, config.n_nodes)
     alive = np.flatnonzero(nodes.energy > 0)
     if not alive.size:
         raise ValueError("run_round requires at least one alive node")
@@ -171,12 +182,7 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
     rng = np.random.default_rng(config.rng_seed)
     if nodes is None:
         nodes = place_nodes(config, rng)
-    if nodes.x.size != config.n_nodes:
-        raise ValueError(f"nodes has {nodes.x.size} entries but n_nodes is {config.n_nodes}")
-    for item in fields(nodes):
-        shape = np.shape(getattr(nodes, item.name))
-        if shape != (config.n_nodes,):
-            raise ValueError(f"nodes.{item.name} has shape {shape}, not ({config.n_nodes},)")
+    _check_nodes(nodes, config.n_nodes)
     initial, alive = math.fsum(nodes.energy.tolist()), int(np.count_nonzero(nodes.energy > 0))
 
     outcomes: list[RoundOutcome] = []

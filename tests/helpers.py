@@ -4,9 +4,11 @@ the greedy implementation under test, the original triple-loop Prim as the
 oracle of its tie rule, the original distance-matrix Prim as the oracle of
 the points form, the original dense nearest-head search as the oracle of
 member assignment, and the original scalar link cost and per-head route
-decision as the oracles of the array cost kernel and the head phase."""
+decision as the oracles of the array cost kernel and the head phase, and a
+page-fault counter."""
 
 import math
+import resource
 from dataclasses import fields
 from itertools import combinations
 
@@ -26,6 +28,13 @@ def nodes_at(xs, ys, energy=0.5):
         np.broadcast_to(np.asarray(energy, dtype=float), count).copy(),
         np.full(count, -1),
     )
+
+
+def minor_faults(call):
+    """Minor page faults the process takes while ``call()`` runs."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 def same_outcome(a, b):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -559,8 +561,11 @@ class TestRunSimulation:
     @pytest.mark.parametrize("count", [2, 4])
     def test_nodes_must_number_n_nodes(self, count):
         nodes = nodes_at(np.arange(count, dtype=float), np.zeros(count))
+        config = ScenarioConfig(n_nodes=3, rounds=5)
         with pytest.raises(ValueError, match=f"nodes has {count} entries but n_nodes is 3"):
-            run_simulation(ScenarioConfig(n_nodes=3, rounds=5), nodes=nodes)
+            run_simulation(config, nodes=nodes)
+        with pytest.raises(ValueError, match=f"nodes has {count} entries but n_nodes is 3"):
+            run_round(nodes, config, 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("name, shape", [
         ("x", (6, 1)), ("y", (7,)), ("energy", (12,)), ("energy", (6, 1)),
@@ -569,8 +574,11 @@ class TestRunSimulation:
     def test_every_node_array_must_hold_n_nodes(self, name, shape):
         nodes = nodes_at(np.arange(6, dtype=float), np.zeros(6))
         setattr(nodes, name, np.ones(shape, dtype=getattr(nodes, name).dtype))
+        config = ScenarioConfig(n_nodes=6, rounds=5)
         with pytest.raises(ValueError, match=re.escape(f"nodes.{name} has shape {shape}, not (6,)")):
-            run_simulation(ScenarioConfig(n_nodes=6, rounds=5), nodes=nodes)
+            run_simulation(config, nodes=nodes)
+        with pytest.raises(ValueError, match=re.escape(f"nodes.{name} has shape {shape}, not (6,)")):
+            run_round(nodes, config, 0, np.random.default_rng(0))
 
     def test_repr_does_not_grow_with_rounds(self):
         # 10 and 90 rounds print the config with as many digits
@@ -578,3 +586,23 @@ class TestRunSimulation:
         assert len(long.outcomes) == 90
         assert len(repr(short)) == len(repr(long)) < 1000
         assert "RoundOutcome" not in repr(long)
+
+
+@pytest.mark.parametrize("n_nodes", [1000, 100], ids=["ring-search", "dense-search"])
+def test_threaded_runs_equal_serial_runs(n_nodes):
+    # One election epoch of four seeds; at 1000 nodes ~100 heads take the ring
+    # search of assign_members, at 100 nodes ~10 heads the dense one. A short
+    # switch interval interleaves the threads inside every numpy-heavy step.
+    configs = [ScenarioConfig(n_nodes=n_nodes, rounds=10, rng_seed=seed) for seed in range(1, 5)]
+    serial = [run_simulation(config).outcomes for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(run_simulation, configs, timeout=60))
+            for result, want in zip(threaded, serial):
+                assert len(result.outcomes) == len(want)
+                assert all(map(same_outcome, result.outcomes, want))
+    finally:
+        sys.setswitchinterval(interval)
