@@ -15,7 +15,7 @@ its own bit directly, under both protocols, as a baseline head would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,10 +70,9 @@ def _check_nodes(nodes: Nodes, n_nodes: int) -> None:
     """Reject ``nodes`` unless each of its arrays has shape ``(n_nodes,)``."""
     if nodes.x.size != n_nodes:
         raise ValueError(f"nodes has {nodes.x.size} entries but n_nodes is {n_nodes}")
-    for item in fields(nodes):
-        shape = np.shape(getattr(nodes, item.name))
-        if shape != (n_nodes,):
-            raise ValueError(f"nodes.{item.name} has shape {shape}, not ({n_nodes},)")
+    for name, array in vars(nodes).items():  # the fields in order, cheaper than fields()
+        if array.shape != (n_nodes,):
+            raise ValueError(f"nodes.{name} has shape {array.shape}, not ({n_nodes},)")
 
 
 def _member_report_phase(

@@ -6,25 +6,24 @@ import math
 
 import numpy as np
 
+_COMPACT = 32  # joins between compactions: each costs about a step; <= 31 dead slots add little
+
 
 def prim_mst(xs: np.ndarray, ys: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum spanning tree of the points (``xs``, ``ys``) grown from ``start``.
+    """Minimum spanning tree of the finite points (``xs``, ``ys``) grown from ``start``.
 
     Returns the vertices in insertion order (``start`` first) and each
-    vertex's parent (``start`` is its own). Weight ties break toward the
+    vertex's parent (``start`` is its own); weight ties break toward the
     lower tree-side index, then the lower outside index. Dense O(n^2) Prim in
-    O(n) memory: each outside vertex ``v`` holds one complex key, its metres
-    to the tree plus ``1j * (parent * n + v)`` with ``parent`` the lowest tree
-    index reaching it. NumPy orders complex numbers lexicographically, so one
-    ``np.minimum`` against a joining vertex's row of ``np.hypot`` distances
-    keeps the shorter edge (on equal metres the lower parent), and one
-    ``argmin`` takes the lightest edge under the tie rule. The codes are exact
-    in float64 while ``n * n < 2**53``. The outside vertices form a frontier
-    that shrinks by swap-remove: a joining vertex's slot takes the last live
-    slot's coordinates, key and id, so every step works on ``[:m]`` views of
-    copies of the inputs.
+    O(n) memory on fixed slots in vertex order, each holding a complex point
+    and a key: metres to the tree plus ``1j * parent``, the lowest tree index
+    reaching it. Keys order lexicographically, so ``np.fmin`` with a joining
+    vertex's ``np.hypot`` row keeps the shorter edge (then the lower parent)
+    and ``argmin`` takes the lightest, on ties the first slot: the lowest
+    vertex. A joined slot holds a nan point, which ``fmin`` skips, under key
+    ``inf + inf j``; every ``_COMPACT`` joins a mask drops those slots.
     """
-    xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError(f"xs and ys must have one shape, got {xs.shape} and {ys.shape}")
     if xs.ndim != 1:
@@ -32,21 +31,28 @@ def prim_mst(xs: np.ndarray, ys: np.ndarray, start: int = 0) -> tuple[np.ndarray
     n = xs.size
     if not (0 <= start < n):
         raise ValueError(f"start must index a vertex, got {start}")
-    ids = np.arange(n, dtype=float)
-    key = np.full(n, complex(math.inf, math.inf))  # above every (metres, code) key
-    key[start] = complex(0.0, start * n + start)  # the root joins first, as its own parent
-    cand = np.empty(n, dtype=complex)
-    parent = np.empty(n, dtype=np.intp)
-    order = np.empty(n, dtype=np.intp)
-    live = key
-    for m in range(n - 1, -1, -1):
-        s = int(live.argmin())
-        p, j = divmod(int(live[s].imag), n)
-        order[n - 1 - m], parent[j] = j, p
-        x, y = xs[s], ys[s]
-        xs[s], ys[s], key[s], ids[s] = xs[m], ys[m], key[m], ids[m]
-        live, row = key[:m], cand[:m]
-        np.hypot(x - xs[:m], y - ys[:m], out=row.real)
-        np.add(ids[:m], j * n, out=row.imag)
-        np.minimum(live, row, out=live)
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = xs, ys
+    if not np.isfinite(z).all():  # a nan point marks a joined slot
+        raise ValueError("positions must be finite")
+    joined = complex(math.inf, math.inf)  # above every (metres, parent) key
+    ids, key = np.arange(n), np.full(n, joined)
+    key[start] = complex(0.0, start)  # the root joins first, as its own parent
+    parent, order = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    diff, row = np.empty((2, n), dtype=complex)  # a joining point's offsets, then its keys
+    dx, dy, metres, via = diff.real, diff.imag, row.real, row.imag
+    for t in range(n):
+        if t and not t % _COMPACT:  # drop the joined slots, keeping slot order
+            live = key != joined
+            z, key, ids = z[live], key[live], ids[live]
+            diff, row = diff[:z.size], row[:z.size]
+            dx, dy, metres, via = diff.real, diff.imag, row.real, row.imag
+        s = key.argmin()
+        order[t] = j = ids.item(s)
+        parent[j] = key.item(s).imag
+        p, z[s], key[s] = z.item(s), math.nan, joined
+        np.subtract(p, z, out=diff)
+        np.hypot(dx, dy, out=metres)
+        via.fill(j)
+        np.fmin(key, row, out=key)
     return order, parent

@@ -140,6 +140,16 @@ class TestPrimMst:
             prim_mst([0.0, 3.0], [0.0])
         assert str(err.value) == "xs and ys must have one shape, got (2,) and (1,)"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["xs", "ys"])
+    def test_rejects_non_finite_positions(self, bad, axis):
+        # prim_mst marks a joined vertex with a nan point, so no input may hold one
+        points = {"xs": [0.0, 1.0, 2.0], "ys": [0.0, 0.0, 0.0]}
+        points[axis][1] = bad
+        with pytest.raises(ValueError) as err:
+            prim_mst(points["xs"], points["ys"])
+        assert str(err.value) == "positions must be finite"
+
     def test_matches_tie_rule_oracle(self):
         # lowest tree index, then lowest outside index, on exact weight ties
         rng = np.random.default_rng(2718)
@@ -156,7 +166,7 @@ class TestPrimMst:
 @st.composite
 def point_sets(draw, kinds=("random", "lattice", "coincident")):
     """Random, 10 m-lattice, coincident or far points, and a start vertex."""
-    size = draw(st.integers(min_value=1, max_value=40))
+    size = draw(st.integers(min_value=1, max_value=80))  # two frontier compactions
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     kind = draw(st.sampled_from(kinds))
     if kind == "random":
@@ -198,9 +208,10 @@ def assert_equals_matrix_prim(xs, ys, start):
 
 
 class TestPrimFrontier:
-    """The swap-remove frontier and the lexicographic complex keys give the
-    matrix oracle's tree on overflowing and engine-sized layouts, touch no
-    input and keep ``np.hypot`` as the distance kernel."""
+    """The compacted fixed-slot frontier and the lexicographic complex keys
+    give the matrix oracle's tree on overflowing and engine-sized layouts
+    (on either side of each compaction), touch no input and keep
+    ``np.hypot`` as the distance kernel."""
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets(kinds=("far",)))
@@ -208,7 +219,7 @@ class TestPrimFrontier:
         with np.errstate(over="ignore"):
             assert_equals_matrix_prim(*case)
 
-    @pytest.mark.parametrize("size", [100, 300])
+    @pytest.mark.parametrize("size", [31, 32, 33, 64, 65, 100, 300])
     def test_engine_sized_random_layouts(self, size):
         rng = np.random.default_rng(size)
         xs, ys = random_points(rng, size)
