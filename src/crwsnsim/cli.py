@@ -38,7 +38,6 @@ class ConfigError(ValueError):
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
-        self.column = column
         if line is not None and column is not None:
             message = f"line {line}, column {column}: {message}"
         elif line is not None:
@@ -289,8 +288,8 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def _add_shared_flags(parser: argparse.ArgumentParser, with_protocol: bool) -> None:
     if with_protocol:
-        parser.add_argument("--protocol", choices=PROTOCOLS)
-        parser.add_argument("--clustering", choices=CLUSTERING_MODES)
+        parser.add_argument("--protocol", type=str.lower, choices=PROTOCOLS)
+        parser.add_argument("--clustering", type=str.lower, choices=CLUSTERING_MODES)
     parser.add_argument("--k", type=int, help="uniform-mode cluster count (default 10)")
     parser.add_argument("--rounds", type=int)
     parser.add_argument("--seed", type=int)

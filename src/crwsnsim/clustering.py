@@ -4,8 +4,8 @@ Election follows the rotating-threshold rule: each alive node draws a
 uniform value and claims cluster-head duty when the draw falls below a
 threshold that rises over the epoch. A node serves at most once per
 ``round(1/p)``-round epoch while it stays alive, and exactly once when the
-last round's threshold reaches 1 (as at p = 0.1). The uniform mode then trims
-or promotes by residual energy to hit a fixed head count.
+last round's threshold reaches 1 (as at p = 0.1). The uniform mode then ranks
+the alive nodes to keep a fixed head count.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ def elect_cluster_heads(
     """Run one round's election; returns head ids in ascending order.
 
     Non-uniform mode keeps whatever the independent draws produce, including
-    zero heads. Uniform mode trims an over-election to the ``cluster_count``
-    highest-energy heads and fills an under-election by promoting alive
-    candidates in descending energy order, preferring eligible nodes; ties
-    break toward the lower node id. Every head, elected or promoted, enters
-    the cooldown via ``last_ch_round``.
+    zero heads. Uniform mode ranks the alive nodes elected first, then
+    eligible, then by descending energy and ascending id, and keeps the first
+    ``cluster_count``: an over-election keeps its highest-energy heads, an
+    under-election keeps them all and fills up from the rest. Every head
+    enters the cooldown via ``last_ch_round``.
     """
     alive = np.flatnonzero(nodes.energy > 0)
     if not alive.size:
@@ -70,13 +70,8 @@ def elect_cluster_heads(
     elected = (draws < election_threshold(ch_probability, round_index)) & eligible
     heads = alive[elected]
     if clustering == CLUSTERING_UNIFORM:
-        target = min(cluster_count, alive.size)
-        if heads.size > target:
-            heads = heads[np.lexsort((heads, -nodes.energy[heads]))[:target]]
-        elif heads.size < target:
-            pool, pool_eligible = alive[~elected], eligible[~elected]
-            order = np.lexsort((pool, -nodes.energy[pool], ~pool_eligible))
-            heads = np.concatenate((heads, pool[order[: target - heads.size]]))
+        rank = np.lexsort((alive, -nodes.energy[alive], ~eligible, ~elected))
+        heads = alive[rank[:cluster_count]]
     nodes.last_ch_round[heads] = round_index
     return np.sort(heads)
 

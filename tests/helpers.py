@@ -2,7 +2,8 @@
 round records, a brute-force spanning tree oracle that is independent of
 the greedy implementation under test, the original triple-loop Prim as the
 oracle of its tie rule, the original distance-matrix Prim as the oracle of
-the points form, the original dense nearest-head search as the oracle of
+the points form, the original trim-or-promote uniform election as the oracle
+of the ranking, the original dense nearest-head search as the oracle of
 member assignment, and the original scalar link cost and per-head route
 decision as the oracles of the array cost kernel and the head phase, and a
 page-fault counter."""
@@ -14,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from crwsnsim import Nodes, prim_mst, rx_energy
+from crwsnsim import Nodes, election_threshold, eligible_mask, prim_mst, rx_energy
 
 
 def nodes_at(xs, ys, energy=0.5):
@@ -168,6 +169,28 @@ def triple_loop_prim(adj, start=0):
         edges.append(best)
         in_tree[best[1]] = True
     return edges
+
+
+def trim_promote_election(nodes, ch_probability, round_index, cluster_count, rng):
+    """Uniform election in two branches: an over-election is trimmed to the
+    highest-energy elected heads, an under-election is filled from the rest,
+    eligible first, by descending energy; ties go to the lower id. Same
+    arguments, draws, cooldown writes and return value as
+    ``elect_cluster_heads`` in uniform mode."""
+    alive = np.flatnonzero(nodes.energy > 0)
+    eligible = eligible_mask(nodes, ch_probability, round_index)[alive]
+    draws = rng.random(alive.size)
+    elected = (draws < election_threshold(ch_probability, round_index)) & eligible
+    heads = alive[elected]
+    target = min(cluster_count, alive.size)
+    if heads.size > target:
+        heads = heads[np.lexsort((heads, -nodes.energy[heads]))[:target]]
+    elif heads.size < target:
+        pool, pool_eligible = alive[~elected], eligible[~elected]
+        order = np.lexsort((pool, -nodes.energy[pool], ~pool_eligible))
+        heads = np.concatenate((heads, pool[order[: target - heads.size]]))
+    nodes.last_ch_round[heads] = round_index
+    return np.sort(heads)
 
 
 def dense_assign_members(nodes, cluster_heads):

@@ -189,6 +189,16 @@ class TestRunCommand:
         assert code != 0
         assert "--protocol" in capsys.readouterr().err
 
+    def test_choice_flags_are_case_insensitive(self, tmp_path):
+        # as in a config file, where `protocol = Proposed` runs
+        args = ["run", "--k", "10", "--seed", "3", "--rounds", "40"]
+        mixed, lower = tmp_path / "mixed.csv", tmp_path / "lower.csv"
+        assert main(args + ["--protocol", "Proposed", "--clustering", "UNIFORM",
+                            "--out", str(mixed)]) == 0
+        assert main(args + ["--protocol", "proposed", "--clustering", "uniform",
+                            "--out", str(lower)]) == 0
+        assert mixed.read_bytes() == lower.read_bytes()
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         target = tmp_path / "not_a_dir" / "out.csv"
         code = main(["run", "--rounds", "1", "--out", str(target)])
@@ -321,6 +331,20 @@ ERROR_CASES = {
     # 1 / 5e-309 overflows, so the epoch length round(1/p) cannot be formed
     "p-epoch-overflow": (
         ["run", "--rounds", "2"], "p = 5e-309\n", "line 1: p must be in (0, 1] with 1/p finite"
+    ),
+    "zero-nodes": (
+        ["run", "--rounds", "3"], "nodes = 0\n", "line 1: nodes must be >= 1, got 0"
+    ),
+    "negative-rounds": (["run"], "rounds = -1\n", "line 1: rounds must be >= 0, got -1"),
+    "advanced-fraction-above-one": (
+        ["run", "--rounds", "3"], "advanced_fraction = 1.5\n",
+        "line 1: advanced_fraction must be in [0, 1], got 1.5",
+    ),
+    "seeds-not-integers": (
+        ["run", "--seeds", "x", "--rounds", "3"], "", "invalid --seeds list 'x'"
+    ),
+    "seeds-empty": (
+        ["run", "--seeds", ",", "--rounds", "3"], "", "--seeds must list at least one seed"
     ),
     "unknown-protocol": (
         ["run", "--rounds", "3"], "protocol = flood\n",

@@ -17,7 +17,7 @@ from crwsnsim import (
     epoch_length,
 )
 
-from helpers import dense_assign_members, minor_faults, nodes_at
+from helpers import dense_assign_members, minor_faults, nodes_at, trim_promote_election
 
 
 def make_nodes(count, energy=0.5, spacing=1.0):
@@ -57,6 +57,8 @@ class TestElectionThreshold:
     def test_clamped_to_one(self):
         # p = 0.6 -> epoch 2, offset 1 gives 0.6 / 0.4 = 1.5 before the clamp
         assert election_threshold(0.6, 1) == 1.0
+        # p * (round(1/p) - 1) rounds to 1.0: a zero denominator at the epoch's end
+        assert election_threshold(1e-20, epoch_length(1e-20) - 1) == 1.0
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -194,6 +196,34 @@ class TestElectClusterHeads:
             heads = elect_cluster_heads(nodes, 0.1, r, "uniform", 5, rng).tolist()
             assert len(heads) == 5
             assert len(set(heads)) == 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.integers(1, 60).flatmap(lambda n: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.5]), min_size=n, max_size=n),
+            st.lists(st.integers(-1, 59), min_size=n, max_size=n),
+            st.integers(1, n + 2),
+        )),
+        ch_probability=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
+        round_index=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_uniform_ranking_equals_trim_and_promote(self, layout, ch_probability,
+                                                     round_index, seed):
+        # energies from a small set, so ties occur, and 0.0 is a dead node;
+        # each node last served in this epoch, an earlier one, or never (-1)
+        energies, served, cluster_count = layout
+        assume(any(energies))
+        ours, oracle = (make_nodes(len(energies), energies) for _ in range(2))
+        for nodes in (ours, oracle):
+            nodes.last_ch_round[:] = np.minimum(served, round_index - 1)
+        heads = elect_cluster_heads(ours, ch_probability, round_index, "uniform",
+                                    cluster_count, np.random.default_rng(seed))
+        expected = trim_promote_election(oracle, ch_probability, round_index,
+                                         cluster_count, np.random.default_rng(seed))
+        assert heads.dtype == expected.dtype
+        assert heads.tolist() == expected.tolist()
+        assert ours.last_ch_round.tolist() == oracle.last_ch_round.tolist()
 
     def test_same_seed_same_sequence(self):
         histories = []
