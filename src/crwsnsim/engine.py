@@ -2,14 +2,15 @@
 protocol-dependent delivery to the fusion centre, and death processing.
 
 Each round runs, in order: every alive node senses one bit; heads are
-elected and members attach to their nearest head; every member reports its
-bit to its head (head pays reception plus aggregation per received bit);
-heads then deliver to the fusion centre either directly (baseline) or along
-a Prim spanning tree grown from the head nearest the fusion centre, with a
-per-head direct-vs-relay cost decision (proposed); finally every battery is
-floored at zero, and a node is dead once its battery reads zero. A
-round that elects no head has no members either: every alive node delivers
-its own bit directly, under both protocols, as a baseline head would.
+elected and members attach to their nearest head; heads deliver to the
+fusion centre either directly (baseline) or along a Prim spanning tree
+grown from the head nearest the fusion centre, with a per-head
+direct-vs-relay cost decision (proposed); with no head elected, every alive
+node sends its own bit directly. One block charges the round, receptions
+first, then one send per alive node: heads receive their members' bits
+(reception plus aggregation) and their children's relayed tables, then
+members pay the link to their head and senders the link onward. Finally
+every battery is floored at zero; a node is dead once its battery reads 0.
 """
 
 from __future__ import annotations
@@ -75,17 +76,6 @@ def _check_nodes(nodes: Nodes, n_nodes: int) -> None:
             raise ValueError(f"nodes.{name} has shape {array.shape}, not ({n_nodes},)")
 
 
-def _member_report_phase(
-    nodes: Nodes, members: np.ndarray, member_head: np.ndarray, config: ScenarioConfig
-) -> None:
-    """Each member sends its bit to its head, which receives and aggregates it."""
-    params = config.energy
-    d = np.hypot(nodes.x[members] - nodes.x[member_head], nodes.y[members] - nodes.y[member_head])
-    nodes.energy[members] -= link_cost(params, 1, d)
-    # one sequential subtraction per received bit, in member-id order
-    np.subtract.at(nodes.energy, member_head, rx_energy(params, 1) + params.e_aggregation)
-
-
 def _head_phase(
     nodes: Nodes, ids: np.ndarray, tree: bool, config: ScenarioConfig
 ) -> tuple[np.ndarray, ...]:
@@ -97,11 +87,10 @@ def _head_phase(
     heads form Prim's tree grown from the head nearest the fusion centre
     (ties: lower index) and transmit in reverse insertion order, each with
     the full table width (one bit per head); a head relays when the link to
-    its parent is strictly cheaper, and the parent pays the reception.
+    its parent is strictly cheaper. Reads positions only and charges no one.
     Returns, in transmission order, the senders, their tree parents and
     relay targets (-1 for none) and their direct and uplink costs.
     """
-    params = config.energy
     fc = config.fc_position
     xs, ys = nodes.x[ids], nodes.y[ids]
     fc_dists = np.hypot(xs - fc.x, ys - fc.y)
@@ -119,16 +108,13 @@ def _head_phase(
                       np.hypot(xs[order] - xs[parent], ys[order] - ys[parent]))
     # one cost call: every sender's direct link, then its uplink, in order; a
     # sender without a parent prices its direct link twice, so it goes direct
-    costs = link_cost(params, m_bits, np.concatenate((fc_dists[order], uplink)))
+    costs = link_cost(config.energy, m_bits, np.concatenate((fc_dists[order], uplink)))
     direct, relay = costs[:ids.size], costs[ids.size:]
     relays = relay < direct  # cost ties favour the direct link
     if (relays & orphan).any():  # bits relayed to no one are lost
         raise RuntimeError("convergecast did not deliver every head's bit")
-    senders, parents = ids[order], np.where(orphan, -1, ids[parent])
-    # every child sends before its parent: receptions land before own sends
-    np.subtract.at(nodes.energy, parents[relays], rx_energy(params, m_bits))
-    nodes.energy[senders] -= np.where(relays, relay, direct)
-    return senders, parents, np.where(relays, parents, -1), direct, relay
+    parents = np.where(orphan, -1, ids[parent])
+    return ids[order], parents, np.where(relays, parents, -1), direct, relay
 
 
 def run_round(
@@ -139,9 +125,10 @@ def run_round(
 ) -> RoundOutcome:
     """Execute one full round, mutating node state in place.
 
-    Charges are not floored as they land: a node drained mid-round still
-    receives, transmits and relays, and ends the round at 0.0 before the
-    death sweep.
+    One block charges the round, receptions first, then one send per alive
+    node. Charges are not floored as they land: a node drained mid-round
+    still receives, transmits and relays, and ends the round at 0.0 before
+    the death sweep.
     """
     _check_nodes(nodes, config.n_nodes)
     alive = np.flatnonzero(nodes.energy > 0)
@@ -155,15 +142,27 @@ def run_round(
         config.cluster_count, rng,
     )
 
+    params, energy = config.energy, nodes.energy
     tree = heads.size > 0 and config.protocol != PROTOCOL_BASELINE
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
-        if heads.size:
-            _member_report_phase(nodes, *assign_members(nodes, heads), config)
         # with no head elected, every alive node sends its own bit directly
         routes = _head_phase(nodes, heads if heads.size else alive, tree, config)
+        senders, _, relay_to, direct, relay = routes
+        relays = relay_to >= 0
+        # receptions: each member's bit plus aggregation to its head in member-id
+        # order, then each relayed table (one bit per sender) in transmission order
+        if heads.size:
+            members, member_head = assign_members(nodes, heads)
+            np.subtract.at(energy, member_head, rx_energy(params, 1) + params.e_aggregation)
+        np.subtract.at(energy, relay_to[relays], rx_energy(params, senders.size))
+        # then each alive node's one send: members to their heads, senders onward
+        if heads.size:
+            energy[members] -= link_cost(params, 1, np.hypot(
+                nodes.x[members] - nodes.x[member_head], nodes.y[members] - nodes.y[member_head]))
+        energy[senders] -= np.where(relays, relay, direct)
 
-    np.maximum(nodes.energy, 0.0, out=nodes.energy)
-    end_energy = nodes.energy[alive]
+    np.maximum(energy, 0.0, out=energy)
+    end_energy = energy[alive]
     spent = math.fsum((start_energy - end_energy).tolist())
     deaths = alive[end_energy <= 0.0]
     return RoundOutcome(  # the dead read +0.0, which adds nothing to the residual

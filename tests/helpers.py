@@ -1,12 +1,18 @@
-"""Shared test utilities: a node builder, a field-for-field comparison of
-round records, a brute-force spanning tree oracle that is independent of
-the greedy implementation under test, the original triple-loop Prim as the
-oracle of its tie rule, the original distance-matrix Prim as the oracle of
-the points form, the original trim-or-promote uniform election as the oracle
-of the ranking, the original dense nearest-head search as the oracle of
-member assignment, and the original scalar link cost and per-head route
-decision as the oracles of the array cost kernel and the head phase, and a
-page-fault counter."""
+"""Shared test utilities and loop oracles: a node builder, a field-for-field
+comparison of round records, a page-fault counter, and the oracles each
+independent of the code under test:
+
+- a brute-force spanning tree enumeration, for the greedy tree's weight;
+- the original triple-loop Prim, for its tie rule;
+- the original distance-matrix Prim, for the points form;
+- the original trim-or-promote uniform election, for the ranking;
+- the original dense nearest-head search, for member assignment;
+- the original scalar link cost and per-head route decision, for the array
+  cost kernel, and the loop head phase built on them, for the head phase;
+- ``reference_run``, a whole run from the oracles above, one node at a time,
+  charged by the one rule of a round: receptions first, then one send per
+  alive node.
+"""
 
 import math
 import resource
@@ -15,7 +21,17 @@ from itertools import combinations
 
 import numpy as np
 
-from crwsnsim import Nodes, election_threshold, eligible_mask, prim_mst, rx_energy
+from crwsnsim import (
+    CLUSTERING_UNIFORM,
+    PROTOCOL_BASELINE,
+    Nodes,
+    RoundOutcome,
+    election_threshold,
+    eligible_mask,
+    place_nodes,
+    prim_mst,
+    rx_energy,
+)
 
 
 def nodes_at(xs, ys, energy=0.5):
@@ -237,8 +253,10 @@ def route_decision(params, m_bits, d_fc, d_parent, parent_id):
 
 
 def loop_head_phase(nodes, heads, tree, config):
-    """The head phase one sender at a time, two scalar costs per sender;
-    same arguments, charges and return value as ``engine._head_phase``."""
+    """The head phase one sender at a time, two scalar costs per sender:
+    same arguments and return value as ``engine._head_phase``. Unlike it,
+    each sender also pays its send, and the parent it relays to the
+    reception, in transmission order."""
     params = config.energy
     fc = config.fc_position
     fc_dists = np.hypot(nodes.x[heads] - fc.x, nodes.y[heads] - fc.y).tolist()
@@ -271,3 +289,52 @@ def loop_head_phase(nodes, heads, tree, config):
     if delivered != len(heads):
         raise RuntimeError("convergecast did not deliver every head's bit")
     return tuple(np.array(column) for column in zip(*rows))
+
+
+def reference_run(config, nodes=None):
+    """``run_simulation(config, nodes).outcomes`` by plain loops: the same
+    draws, the election oracles (``trim_promote_election`` for uniform
+    clustering, a per-node threshold test for nonuniform),
+    ``dense_assign_members`` and ``loop_head_phase``. Each member pays its
+    ``scalar_link_cost`` and its head the reception plus aggregation of its
+    bit, in member-id order; then the head phase charges each sender and the
+    parent it relays to; then every battery is floored at zero and the
+    empty ones die. Mutates ``nodes`` as the engine does."""
+    rng = np.random.default_rng(config.rng_seed)
+    if nodes is None:
+        nodes = place_nodes(config, rng)
+    params, energy, p = config.energy, nodes.energy, config.ch_probability
+    outcomes = []
+    for r in range(config.rounds):
+        alive = [i for i in range(energy.size) if energy[i] > 0]
+        if not alive:
+            break
+        start = [float(energy[i]) for i in alive]
+        rng.integers(0, 2, size=len(alive))  # the engine's unread sensing draw
+        if config.clustering == CLUSTERING_UNIFORM:
+            heads = trim_promote_election(nodes, p, r, config.cluster_count, rng).tolist()
+        else:
+            eligible, threshold = eligible_mask(nodes, p, r), election_threshold(p, r)
+            draws = rng.random(len(alive)).tolist()
+            heads = [i for i, draw in zip(alive, draws) if eligible[i] and draw < threshold]
+            nodes.last_ch_round[heads] = r
+        with np.errstate(over="ignore"):  # a drained battery may reach -inf
+            if heads:
+                members, member_head = dense_assign_members(nodes, np.array(heads))
+                for m, h in zip(members.tolist(), member_head.tolist()):
+                    d = float(np.hypot(nodes.x[m] - nodes.x[h], nodes.y[m] - nodes.y[h]))
+                    energy[m] -= scalar_link_cost(params, 1, d)
+                    energy[h] -= rx_energy(params, 1) + params.e_aggregation
+            tree = bool(heads) and config.protocol != PROTOCOL_BASELINE
+            routes = loop_head_phase(nodes, np.array(heads or alive), tree, config)
+        for i in alive:
+            if energy[i] < 0.0:
+                energy[i] = 0.0
+        end = [float(energy[i]) for i in alive]
+        deaths = [i for i, e in zip(alive, end) if e <= 0.0]
+        outcomes.append(RoundOutcome(
+            r, np.array(heads, dtype=np.intp), *routes,
+            math.fsum(s - e for s, e in zip(start, end)), np.array(deaths, dtype=np.intp),
+            math.fsum(end), len(alive) - len(deaths),
+        ))
+    return outcomes

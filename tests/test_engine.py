@@ -2,25 +2,34 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crwsnsim import (
     EnergyParams,
     Position,
+    RoundOutcome,
     ScenarioConfig,
     link_cost,
+    place_nodes,
     run_round,
     run_simulation,
 )
 from crwsnsim import engine
 
-from helpers import distance_matrix, loop_head_phase, nodes_at, prim_edges, same_outcome
+from helpers import (
+    distance_matrix,
+    loop_head_phase,
+    nodes_at,
+    prim_edges,
+    reference_run,
+    same_outcome,
+)
 
 TINY_BATTERY = EnergyParams(initial_energy=2e-7)
 
@@ -252,8 +261,9 @@ def _scenario(kind, rng, count):
 
 
 class TestHeadPhaseMatchesLoop:
-    """The array head phase charges, decides and builds the tree exactly as
-    the scalar loop, one sender and two scalar costs at a time."""
+    """The array head phase builds the tree, prices and decides exactly as
+    the scalar loop, one sender and two scalar costs at a time, and reads
+    the nodes without writing them."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -266,27 +276,101 @@ class TestHeadPhaseMatchesLoop:
     def test_equals_loop_oracle(self, kind, protocol, p, count, seed):
         rng = np.random.default_rng(seed)
         xs, ys, fc = _scenario("far" if kind == "zero-head" else kind, rng, count)
-        config = ScenarioConfig(n_nodes=count, fc_position=Position(*fc), ch_probability=p,
-                                protocol=protocol, rounds=10)
-        energy = np.where(rng.random(count) < 0.5, 0.5, rng.uniform(0.0, 2e-6, count))
-        alive = rng.random(count) < 0.9
-        alive[rng.integers(count)] = True
-        energy[~alive] = 0.0
-        # round 3 with every node served in this epoch elects nobody
-        round_index = 3 if kind == "zero-head" else 0
-        runs = []
-        for head_phase in (engine._head_phase, loop_head_phase):
-            nodes = nodes_at(xs, ys, energy)
-            if kind == "zero-head":
-                nodes.last_ch_round[:] = 3
-            with mock.patch.object(engine, "_head_phase", head_phase):
-                outcome = run_round(nodes, config, round_index, np.random.default_rng(seed))
-            runs.append((outcome, nodes))
-        (got, got_nodes), (want, want_nodes) = runs
-        if kind == "zero-head":
-            assert got.cluster_heads.tolist() == []
-        assert same_outcome(got, want)
-        assert got_nodes.energy.tobytes() == want_nodes.energy.tobytes()
+        config = ScenarioConfig(n_nodes=count, fc_position=Position(*fc), protocol=protocol)
+        # a share p of the nodes as heads, or in a zero-head round every
+        # node as a one-bit direct sender
+        ids = np.arange(count) if kind == "zero-head" else np.flatnonzero(rng.random(count) < p)
+        if not ids.size:
+            ids = rng.integers(count, size=1)
+        tree = protocol == "proposed" and kind != "zero-head"
+        nodes = nodes_at(xs, ys)
+        before = [array.copy() for array in vars(nodes).values()]
+        got = engine._head_phase(nodes, ids, tree, config)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(vars(nodes).values(), before))
+        want = loop_head_phase(nodes, ids, tree, config)
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _reference_scenario(kind, protocol, clustering, seed):
+    """A drawn config for the whole-run reference test and the coordinates
+    and batteries of its nodes: a lattice, or the config's own placement."""
+    rng = np.random.default_rng(seed)
+    near = Position(*rng.uniform(0.0, 100.0, 2).tolist())
+    far = Position(float(rng.uniform(0.0, 100.0)), float(rng.uniform(150.0, 400.0)))
+    fc = far if kind == "depletion" or rng.random() < 0.5 else near
+    n, p, rounds, battery = int(rng.integers(1, 60)), 0.1, int(rng.integers(1, 12)), 0.5
+    lattice = None
+    if kind == "ring":  # 64 heads or more: assign_members searches rings of cells
+        n, p, rounds = int(rng.integers(100, 150)), 0.5, int(rng.integers(2, 4))
+    elif kind == "zero-head":  # few nodes, low p: rounds that elect nobody
+        n, p, rounds = int(rng.integers(1, 12)), 0.1, int(rng.integers(10, 40))
+    elif kind == "depletion":  # deaths mid-round, heads drained in their own round
+        battery = float(rng.choice([2e-7, 1e-6, 5e-6]))
+        p, rounds = float(rng.choice([0.1, 0.3])), int(rng.integers(10, 40))
+    else:  # "lattice" (20 m grid points: distance and cost ties) or "mixed"
+        p, battery = float(rng.choice([0.05, 0.1, 0.3, 1.0])), float(rng.choice([0.5, 5e-6, 2e-7]))
+        if kind == "lattice":
+            n = int(rng.integers(1, 150))
+            # batteries differ, so a charge moved to another node moves the sums' last bits
+            lattice = np.vstack((rng.integers(0, 6, (2, n)) * 20.0, rng.uniform(0.5, 1.0, n)))
+            fc = Position(20.0 * int(rng.integers(0, 6)), 20.0 * int(rng.integers(0, 21)))
+    if clustering == "uniform":
+        n = max(n, math.ceil(1.0 / p))
+        if lattice is not None:
+            lattice = np.pad(lattice, ((0, 0), (0, n - lattice.shape[1])), mode="edge")
+    count = int(rng.integers(64, n - 5)) if kind == "ring" else int(rng.integers(1, n + 1))
+    advanced = float(rng.choice([0.0, 0.2, 0.5]))
+    config = ScenarioConfig(
+        n_nodes=n, fc_position=fc, ch_probability=p, rounds=rounds, protocol=protocol,
+        clustering=clustering, cluster_count=count, advanced_fraction=advanced,
+        advanced_energy_factor=float(rng.choice([1.0, 3.0])) if advanced else 0.0,
+        rng_seed=int(rng.integers(2**32)), energy=EnergyParams(initial_energy=battery),
+    )
+    if lattice is None:
+        placed = place_nodes(config, np.random.default_rng(config.rng_seed))
+        return config, (placed.x, placed.y, placed.energy)
+    xs, ys, share = lattice
+    return config, (xs, ys, share * battery)
+
+
+class TestRunMatchesReference:
+    """``run_simulation`` equals ``reference_run``, the whole run one node
+    at a time from the loop oracles, on every field of every round (ids as
+    integer lists, floats byte for byte) and on every node's final state.
+    This is the independent check of every charge of a round and of their
+    order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["ring", "zero-head", "depletion", "lattice", "mixed"]),
+        st.sampled_from(["baseline", "proposed"]),
+        st.sampled_from(["uniform", "nonuniform"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example("ring", "proposed", "uniform", 0)
+    @example("ring", "baseline", "nonuniform", 2)
+    @example("depletion", "proposed", "uniform", 0)
+    @example("zero-head", "proposed", "nonuniform", 0)
+    @example("lattice", "proposed", "nonuniform", 0)
+    @example("lattice", "baseline", "uniform", 0)
+    def test_every_field_equals_reference_run(self, kind, protocol, clustering, seed):
+        config, layout = _reference_scenario(kind, protocol, clustering, seed)
+        got_nodes, want_nodes = nodes_at(*layout), nodes_at(*layout)
+        got = run_simulation(config, got_nodes).outcomes
+        want = reference_run(config, want_nodes)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for name in (f.name for f in fields(RoundOutcome)):
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, np.ndarray) and x.dtype.kind != "f":
+                    x, y = x.tolist(), y.tolist()
+                elif isinstance(x, (np.ndarray, float)):
+                    x, y = np.asarray(x, float).tobytes(), np.asarray(y, float).tobytes()
+                assert x == y, (a.round_index, name)
+        for name, array in vars(got_nodes).items():  # every node's battery and last head round
+            assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
 
 
 class TestDrainedHead:

@@ -3,8 +3,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from crwsnsim import (
     EnergyParams,
@@ -13,8 +11,6 @@ from crwsnsim import (
     ScenarioConfig,
     place_nodes,
 )
-
-from helpers import distance_matrix
 
 
 def test_single_node_placement():
@@ -126,42 +122,3 @@ class TestConfigValidation:
             EnergyParams(e_fs=0.0)
         with pytest.raises(ValueError, match="e_mp"):
             EnergyParams(e_mp=-1e-15)
-
-
-class TestDistance:
-    """Euclidean distance as ``distance_matrix`` computes it between nodes,
-    the weight ``prim_mst`` gives their edge."""
-
-    @staticmethod
-    def distance(a, b):
-        return distance_matrix([a[0], b[0]], [a[1], b[1]])[0, 1]
-
-    def test_identity(self):
-        assert self.distance((0, 0), (0, 0)) == 0.0
-
-    def test_pythagorean_triple(self):
-        assert self.distance((0, 0), (3, 4)) == 5.0
-
-    def test_direct_arithmetic(self):
-        expected = math.sqrt(40.0**2 + 155.0**2)  # 160.0781059358212
-        assert self.distance((10, 20), (50, 175)) == pytest.approx(expected, rel=1e-12)
-
-    coords = st.floats(
-        min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
-    )
-
-    @given(coords, coords, coords, coords)
-    def test_symmetry(self, ax, ay, bx, by):
-        a, b = (ax, ay), (bx, by)
-        assert self.distance(a, b) == self.distance(b, a)
-
-    @given(coords, coords, coords, coords, coords, coords)
-    def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
-        a, b, c = (ax, ay), (bx, by), (cx, cy)
-        lhs = self.distance(a, c)
-        rhs = self.distance(a, b) + self.distance(b, c)
-        assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
-
-    @given(coords, coords)
-    def test_identity_of_indiscernibles(self, x, y):
-        assert self.distance((x, y), (x, y)) == 0.0

@@ -20,33 +20,21 @@ from helpers import (
 
 
 class TestBuildAdjacency:
-    """The pairwise distances ``build_adjacency`` returned, now the
-    ``distance_matrix`` oracle; each ``prim_mst`` tree edge must weigh
-    exactly its entry."""
+    """The layouts that the deleted ``build_adjacency`` was tested on: the
+    tree ``prim_mst`` grows on each, edge by edge with exact weights."""
 
     def test_single_vertex(self):
-        adj = distance_matrix([4.0], [2.0])
-        assert adj.shape == (1, 1)
-        assert adj[0, 0] == 0.0
         assert prim_edges([4.0], [2.0]) == []
 
     def test_pythagorean_pair(self):
-        adj = distance_matrix([0, 3], [0, 4])
-        assert adj[0, 1] == 5.0
-        assert adj[1, 0] == 5.0
         assert prim_edges([0, 3], [0, 4], start=1) == [(1, 0, 5.0)]
 
     def test_three_vertices(self):
+        # legs of 10 m from vertex 0, a 10*sqrt(2) m hypotenuse between 1 and 2
         xs, ys = [0, 10, 0], [0, 0, 10]
-        adj = distance_matrix(xs, ys)
-        assert adj[0, 1] == pytest.approx(10.0, rel=1e-12)
-        assert adj[0, 2] == pytest.approx(10.0, rel=1e-12)
-        assert adj[1, 2] == pytest.approx(10.0 * math.sqrt(2.0), rel=1e-12)
-        assert np.allclose(adj, adj.T)
-        assert np.all(np.diag(adj) == 0.0)
-        for start in range(3):
-            for i, j, w in prim_edges(xs, ys, start):
-                assert w == adj[i, j]
+        assert prim_edges(xs, ys, 0) == [(0, 1, 10.0), (0, 2, 10.0)]
+        assert prim_edges(xs, ys, 1) == [(1, 0, 10.0), (0, 2, 10.0)]
+        assert prim_edges(xs, ys, 2) == [(2, 0, 10.0), (0, 1, 10.0)]
 
 
 class TestPrimMst:
