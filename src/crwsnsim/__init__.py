@@ -10,7 +10,6 @@ from .model import (
     PROTOCOLS,
     EnergyParams,
     Nodes,
-    Position,
     ScenarioConfig,
     place_nodes,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ConfigError",
     "EnergyParams",
     "Nodes",
-    "Position",
     "RoundOutcome",
     "ScenarioConfig",
     "SimulationResult",

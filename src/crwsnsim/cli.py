@@ -8,9 +8,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
-from operator import attrgetter
-from typing import Callable
+from dataclasses import fields, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .model import (
     PROTOCOL_BASELINE,
     PROTOCOL_PROPOSED,
     PROTOCOLS,
+    EnergyParams,
     ScenarioConfig,
 )
 from .engine import run_simulation
@@ -45,75 +45,42 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-# One row per config key, in echo order: (key, ScenarioConfig field path,
-# value parser). Parsing, the CSV header echo, command-line flag overrides
-# (each flag is named like its key) and error naming all derive from it.
-_SCHEMA: tuple[tuple[str, str, Callable[[str], object]], ...] = (
-    ("protocol", "protocol", str.lower),
-    ("clustering", "clustering", str.lower),
-    ("k", "cluster_count", int),
-    ("nodes", "n_nodes", int),
-    ("rounds", "rounds", int),
-    ("p", "ch_probability", float),
-    ("field_width", "field_width", float),
-    ("field_height", "field_height", float),
-    ("fc_x", "fc_position.x", float),
-    ("fc_y", "fc_position.y", float),
-    ("advanced_fraction", "advanced_fraction", float),
-    ("advanced_energy_factor", "advanced_energy_factor", float),
-    ("initial_energy", "energy.initial_energy", float),
-    ("e_tx", "energy.e_tx", float),
-    ("e_aggregation", "energy.e_aggregation", float),
-    ("e_rx", "energy.e_rx", float),
-    ("e_fs", "energy.e_fs", float),
-    ("e_mp", "energy.e_mp", float),
-    ("e_elec", "energy.e_elec", float),
-    ("e_prop", "energy.e_prop", float),
-    ("path_loss", "energy.path_loss", float),
-    ("seed", "rng_seed", int),
-)
+def _key_values(config: ScenarioConfig) -> Iterator[tuple[str, object]]:
+    """Every config key with its value in ``config``, in echo order: the
+    fields of ``ScenarioConfig``, with ``energy`` expanded into its own."""
+    for item in fields(config):
+        value = getattr(config, item.name)
+        if isinstance(value, EnergyParams):
+            yield from ((leaf.name, getattr(value, leaf.name)) for leaf in fields(value))
+        else:
+            yield item.name, value
 
-_ROWS = {key: (path, parser) for key, path, parser in _SCHEMA}
 
-# The seed is echoed on the ``seeds`` line, which lists every seed a run used.
-_ECHOED = tuple((key, attrgetter(path)) for key, path, _ in _SCHEMA if key != "seed")
-
-# Validation messages start with the field they reject: its path, or its name
-# inside a nested dataclass (``e_tx`` for ``energy.e_tx``).
-_FIELD_TO_KEY = {
-    name: key for key, path, _ in _SCHEMA for name in (path, path.rpartition(".")[2])
+# Each key's value parser, from the type of its default; choices are case-insensitive.
+_PARSERS: dict[str, Callable[[str], object]] = {
+    key: str.lower if isinstance(value, str) else type(value)
+    for key, value in _key_values(ScenarioConfig())
 }
 
 
-def _config_error(err: ValueError, lines: dict[str, int]) -> ConfigError:
-    """``err`` as a ConfigError naming the config key, and its line if known."""
-    if isinstance(err, ConfigError):
-        return err
-    message = str(err)
-    field = message.partition(" ")[0]
-    key = _FIELD_TO_KEY.get(field)
-    if key is None:
-        return ConfigError(message)
-    return ConfigError(key + message[len(field):], line=lines.get(key))
-
-
 def _build_config(values: dict[str, object], lines: dict[str, int]) -> ScenarioConfig:
-    """The defaults with ``values`` (config key -> value) applied in one step.
+    """The defaults with ``values`` (key -> value) applied.
 
-    A nested field is replaced inside its parent first, so the scenario is
-    validated once, as a whole.
+    Energy keys are applied one at a time, in input order, so of several bad
+    ones the first is named; the scenario is then validated once, as a whole.
+    A rejection names the line of the key its message starts with.
     """
-    default = ScenarioConfig()
-    changes: dict[str, object] = {}
+    energy, changes = EnergyParams(), {}
     try:
         for key, value in values.items():
-            name, _, leaf = _ROWS[key][0].partition(".")
-            if leaf:
-                value = replace(changes.get(name, getattr(default, name)), **{leaf: value})
-            changes[name] = value
-        return replace(default, **changes)
+            if hasattr(energy, key):
+                energy = replace(energy, **{key: value})
+            else:
+                changes[key] = value
+        return ScenarioConfig(**changes, energy=energy)
     except ValueError as err:
-        raise _config_error(err, lines) from err
+        message = str(err)
+        raise ConfigError(message, line=lines.get(message.partition(" ")[0])) from err
 
 
 def _read_config(text: str) -> tuple[dict[str, object], dict[str, int]]:
@@ -132,12 +99,12 @@ def _read_config(text: str) -> tuple[dict[str, object], dict[str, int]]:
         key, _, value_text = stripped.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _ROWS:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         try:
-            values[key] = _ROWS[key][1](value_text)
+            values[key] = _PARSERS[key](value_text)
         except ValueError as err:
             raise ConfigError(f"invalid value for {key!r}: {err}", line=lineno) from err
         lines[key] = lineno
@@ -160,21 +127,22 @@ def _fmt(value: float) -> str:
 
 def config_echo_lines(config: ScenarioConfig, seeds: list[int]) -> list[str]:
     """Comment lines restating every effective parameter, config-file syntax."""
-    out = [f"# {key} = {get(config)}" for key, get in _ECHOED]
+    # the seed is echoed on the ``seeds`` line, which lists every seed a run used
+    out = [f"# {key} = {value}" for key, value in _key_values(config) if key != "seed"]
     out.append(f"# seeds = {','.join(str(s) for s in seeds)}")
     return out
 
 
 def render_run_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     """Run every seed and render the per-round CSV (rows grouped by seed)."""
-    configs = [replace(config, rng_seed=seed) for seed in seeds]  # all valid before any run
+    configs = [replace(config, seed=seed) for seed in seeds]  # all valid before any run
     chunks = config_echo_lines(config, seeds)
     chunks.append(CSV_HEADER)
     for seed_config in configs:
         for o in run_simulation(seed_config).outcomes:
             chunks.append(
                 f"{o.round_index + 1},{config.protocol},{config.clustering},"
-                f"{seed_config.rng_seed},{_fmt(o.total_residual)},"
+                f"{seed_config.seed},{_fmt(o.total_residual)},"
                 f"{o.alive},{len(o.cluster_heads)}"
             )
     return "\n".join(chunks) + "\n"
@@ -200,7 +168,7 @@ def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     first-death round (right-censored).
     """
     runs = [  # every variant and seed is valid before the first run starts
-        (name, [replace(config, protocol=protocol, clustering=clustering, rng_seed=seed)
+        (name, [replace(config, protocol=protocol, clustering=clustering, seed=seed)
                 for seed in seeds])
         for name, protocol, clustering in _COMPARE_VARIANTS
     ]
@@ -249,7 +217,7 @@ def _effective_config(ns: argparse.Namespace) -> ScenarioConfig:
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config file {ns.config!r}: {err}") from err
         values, lines = _read_config(text)
-    for key in _ROWS:
+    for key in _PARSERS:
         flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
@@ -259,7 +227,7 @@ def _effective_config(ns: argparse.Namespace) -> ScenarioConfig:
 
 def _seeds_for(ns: argparse.Namespace, config: ScenarioConfig) -> list[int]:
     if ns.seeds is None:
-        return [config.rng_seed]
+        return [config.seed]
     if ns.seed is not None:
         raise ConfigError("--seed and --seeds are mutually exclusive")
     try:
@@ -288,11 +256,11 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def _add_shared_flags(parser: argparse.ArgumentParser, with_protocol: bool) -> None:
     if with_protocol:
-        parser.add_argument("--protocol", type=str.lower, choices=PROTOCOLS)
-        parser.add_argument("--clustering", type=str.lower, choices=CLUSTERING_MODES)
-    parser.add_argument("--k", type=int, help="uniform-mode cluster count (default 10)")
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--seed", type=int)
+        parser.add_argument("--protocol", type=_PARSERS["protocol"], choices=PROTOCOLS)
+        parser.add_argument("--clustering", type=_PARSERS["clustering"], choices=CLUSTERING_MODES)
+    parser.add_argument("--k", type=_PARSERS["k"], help="uniform-mode cluster count (default 10)")
+    parser.add_argument("--rounds", type=_PARSERS["rounds"])
+    parser.add_argument("--seed", type=_PARSERS["seed"])
     parser.add_argument("--seeds", help="comma-separated seed list")
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
@@ -331,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as err:
         message = f"out of memory in the run: {err}"
     except ValueError as err:
-        message = str(_config_error(err, {}))
+        message = str(err)
     print(f"error: {message}", file=sys.stderr)
     return 2
 

@@ -67,13 +67,14 @@ class SimulationResult:
         return next((o.round_index + 1 for o in self.outcomes if o.deaths.size), None)
 
 
-def _check_nodes(nodes: Nodes, n_nodes: int) -> None:
-    """Reject ``nodes`` unless each of its arrays has shape ``(n_nodes,)``."""
-    if nodes.x.size != n_nodes:
-        raise ValueError(f"nodes has {nodes.x.size} entries but n_nodes is {n_nodes}")
+def _check_nodes(nodes: Nodes, config: ScenarioConfig) -> None:
+    """Reject ``nodes`` unless each of its arrays has shape ``(config.nodes,)``."""
+    count = config.nodes
+    if nodes.x.size != count:
+        raise ValueError(f"nodes has {nodes.x.size} entries but config.nodes is {count}")
     for name, array in vars(nodes).items():  # the fields in order, cheaper than fields()
-        if array.shape != (n_nodes,):
-            raise ValueError(f"nodes.{name} has shape {array.shape}, not ({n_nodes},)")
+        if array.shape != (count,):
+            raise ValueError(f"nodes.{name} has shape {array.shape}, not ({count},)")
 
 
 def _head_phase(
@@ -91,9 +92,8 @@ def _head_phase(
     Returns, in transmission order, the senders, their tree parents and
     relay targets (-1 for none) and their direct and uplink costs.
     """
-    fc = config.fc_position
     xs, ys = nodes.x[ids], nodes.y[ids]
-    fc_dists = np.hypot(xs - fc.x, ys - fc.y)
+    fc_dists = np.hypot(xs - config.fc_x, ys - config.fc_y)
     order = parent = np.arange(ids.size)  # a sender without a parent is its own
     m_bits = 1
     if tree:
@@ -130,7 +130,7 @@ def run_round(
     still receives, transmits and relays, and ends the round at 0.0 before
     the death sweep.
     """
-    _check_nodes(nodes, config.n_nodes)
+    _check_nodes(nodes, config)
     alive = np.flatnonzero(nodes.energy > 0)
     if not alive.size:
         raise ValueError("run_round requires at least one alive node")
@@ -138,8 +138,7 @@ def run_round(
 
     rng.integers(0, 2, size=alive.size)  # sensed bits: drawn to keep the RNG stream, never read
     heads = elect_cluster_heads(
-        nodes, config.ch_probability, round_index, config.clustering,
-        config.cluster_count, rng,
+        nodes, config.p, round_index, config.clustering, config.k, rng,
     )
 
     params, energy = config.energy, nodes.energy
@@ -174,13 +173,13 @@ def run_round(
 def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> SimulationResult:
     """Run ``config.rounds`` rounds (or until extinction), deterministically.
 
-    Passed ``nodes`` (``n_nodes`` of them) replace the seeded placement and its
+    Passed ``nodes`` (``config.nodes`` of them) replace the seeded placement and its
     RNG draws; the per-round stream then starts at the generator's origin.
     """
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(config.seed)
     if nodes is None:
         nodes = place_nodes(config, rng)
-    _check_nodes(nodes, config.n_nodes)
+    _check_nodes(nodes, config)
     initial, alive = math.fsum(nodes.energy.tolist()), int(np.count_nonzero(nodes.energy > 0))
 
     outcomes: list[RoundOutcome] = []

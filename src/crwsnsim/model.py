@@ -20,15 +20,7 @@ CLUSTERING_MODES = (CLUSTERING_UNIFORM, CLUSTERING_NONUNIFORM)
 def check_probability(p: float) -> None:
     """Reject a head-election probability whose epoch, ``round(1/p)``, is undefined."""
     if not (0.0 < p <= 1.0 and math.isfinite(1.0 / p)):
-        raise ValueError(f"ch_probability must be in (0, 1] with 1/p finite, got {p}")
-
-
-@dataclass(frozen=True)
-class Position:
-    """A point in the deployment field, metres."""
-
-    x: float
-    y: float
+        raise ValueError(f"p must be in (0, 1] with 1/p finite, got {p}")
 
 
 @dataclass(eq=False)
@@ -74,30 +66,35 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one simulation run."""
+    """Everything needed to reproduce one simulation run.
 
-    n_nodes: int = 100
-    field_width: float = 100.0
-    field_height: float = 100.0
-    fc_position: Position = Position(50.0, 50.0)
-    ch_probability: float = 0.1
-    rounds: int = 1500
+    Each field, and each field of ``energy``, is the config-file key of the
+    same name; the fields are in the order a run's CSV header echoes them.
+    """
+
     protocol: str = PROTOCOL_BASELINE
     clustering: str = CLUSTERING_NONUNIFORM
-    cluster_count: int = 10
+    k: int = 10                       # uniform-mode cluster-head count
+    nodes: int = 100                  # sensor count (``Nodes`` holds their state)
+    rounds: int = 1500
+    p: float = 0.1                    # head-election probability
+    field_width: float = 100.0        # metres
+    field_height: float = 100.0
+    fc_x: float = 50.0                # fusion centre position, metres
+    fc_y: float = 50.0
     advanced_fraction: float = 0.0
     advanced_energy_factor: float = 0.0
-    rng_seed: int = 42
     energy: EnergyParams = field(default_factory=EnergyParams)
+    seed: int = 42                    # RNG seed
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if self.nodes < 1:
+            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
         for name in ("field_width", "field_height"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        check_probability(self.ch_probability)
+        check_probability(self.p)
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.protocol not in PROTOCOLS:
@@ -107,14 +104,11 @@ class ScenarioConfig:
                 f"clustering must be one of {CLUSTERING_MODES}, got {self.clustering!r}"
             )
         if self.clustering == CLUSTERING_UNIFORM:
-            if not (1 <= self.cluster_count <= self.n_nodes):
+            if not (1 <= self.k <= self.nodes):
+                raise ValueError(f"k must be in [1, nodes], got {self.k}")
+            if self.p * self.nodes < 1.0:
                 raise ValueError(
-                    f"cluster_count must be in [1, n_nodes], got {self.cluster_count}"
-                )
-            if self.ch_probability * self.n_nodes < 1.0:
-                raise ValueError(
-                    "ch_probability * n_nodes must be >= 1 for uniform clustering, "
-                    f"got {self.ch_probability * self.n_nodes}"
+                    f"p * nodes must be >= 1 for uniform clustering, got {self.p * self.nodes}"
                 )
         if not (0.0 <= self.advanced_fraction <= 1.0):
             raise ValueError(
@@ -123,42 +117,41 @@ class ScenarioConfig:
         factor = self.advanced_energy_factor
         if not (math.isfinite(factor) and factor >= 0.0):
             raise ValueError(f"advanced_energy_factor must be finite and >= 0, got {factor}")
-        total = self.n_nodes * self.energy.initial_energy * (1.0 + factor)
+        total = self.nodes * self.energy.initial_energy * (1.0 + factor)
         if not math.isfinite(total):
             raise ValueError(
-                "initial_energy * (1 + advanced_energy_factor) * n_nodes must be finite, "
+                "initial_energy * (1 + advanced_energy_factor) * nodes must be finite, "
                 f"got {total}"
             )
-        for axis in ("x", "y"):
-            value = getattr(self.fc_position, axis)
+        for name in ("fc_x", "fc_y"):
+            value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"fc_position.{axis} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {value!r}")
         diagonal = math.hypot(self.field_width, self.field_height)
         if not math.isfinite(diagonal):
             raise ValueError(
                 f"field_width and field_height must span a finite diagonal, got {diagonal}"
             )
-        fc = self.fc_position
-        dx = max(abs(fc.x), abs(fc.x - self.field_width))
-        dy = max(abs(fc.y), abs(fc.y - self.field_height))
+        dx = max(abs(self.fc_x), abs(self.fc_x - self.field_width))
+        dy = max(abs(self.fc_y), abs(self.fc_y - self.field_height))
         far = math.hypot(dx, dy)
         if not math.isfinite(far):
             raise ValueError(
-                f"fc_position.{'x' if dx >= dy else 'y'} must leave the farthest field "
-                f"corner a finite distance from the fusion centre, got {far}"
+                f"fc_{'x' if dx >= dy else 'y'} must leave the farthest field corner "
+                f"a finite distance from the fusion centre, got {far}"
             )
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def place_nodes(config: ScenarioConfig, rng: np.random.Generator) -> Nodes:
-    """Place ``n_nodes`` sensors i.i.d. uniformly over the field.
+    """Place ``config.nodes`` sensors i.i.d. uniformly over the field.
 
-    The first ``floor(advanced_fraction * n_nodes)`` node ids are advanced
+    The first ``floor(advanced_fraction * nodes)`` node ids are advanced
     nodes with initial energy scaled by ``1 + advanced_energy_factor``.
     Identical (config, generator state) gives identical nodes.
     """
-    n = config.n_nodes
+    n = config.nodes
     xs = rng.uniform(0.0, config.field_width, n)
     ys = rng.uniform(0.0, config.field_height, n)
     energy = np.full(n, config.energy.initial_energy)

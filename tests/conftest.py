@@ -4,7 +4,7 @@ from multiprocessing import get_context
 
 import pytest
 
-from crwsnsim import Position, ScenarioConfig, run_simulation
+from crwsnsim import ScenarioConfig, run_simulation
 
 SWEEP_SEEDS = tuple(range(20))
 
@@ -16,7 +16,7 @@ SWEEP_VARIANTS = {
 
 # The README's far-fusion-centre example: every head is at least 300 m from
 # the centre, beyond the ~87.7 m crossover distance, so a relay hop can pay.
-FAR_FC_POSITION = Position(50.0, 400.0)
+FAR_FC = {"fc_x": 50.0, "fc_y": 400.0}
 
 
 def _sweep(**overrides):
@@ -27,7 +27,7 @@ def _sweep(**overrides):
     """
     configs = {
         name: [
-            ScenarioConfig(protocol=protocol, clustering=clustering, rng_seed=seed, **overrides)
+            ScenarioConfig(protocol=protocol, clustering=clustering, seed=seed, **overrides)
             for seed in SWEEP_SEEDS
         ]
         for name, (protocol, clustering) in SWEEP_VARIANTS.items()
@@ -51,10 +51,10 @@ def default_sweep():
 
 @pytest.fixture(scope="session")
 def far_fc_sweep():
-    """The same 60 paired runs with the fusion centre at ``FAR_FC_POSITION``.
+    """The same 60 paired runs with the fusion centre at ``FAR_FC``.
 
     Acceptance criteria 1 and 2 read it: there the head-to-centre links are
     in the multipath regime, where the documented radio model lets a relay
     hop save energy.
     """
-    return _sweep(fc_position=FAR_FC_POSITION)
+    return _sweep(**FAR_FC)

@@ -28,7 +28,6 @@ from crwsnsim import (
     RoundOutcome,
     election_threshold,
     eligible_mask,
-    place_nodes,
     prim_mst,
     rx_energy,
 )
@@ -258,8 +257,7 @@ def loop_head_phase(nodes, heads, tree, config):
     each sender also pays its send, and the parent it relays to the
     reception, in transmission order."""
     params = config.energy
-    fc = config.fc_position
-    fc_dists = np.hypot(nodes.x[heads] - fc.x, nodes.y[heads] - fc.y).tolist()
+    fc_dists = np.hypot(nodes.x[heads] - config.fc_x, nodes.y[heads] - config.fc_y).tolist()
     edges = []
     order = list(range(len(heads)))
     m_bits = 1
@@ -291,7 +289,7 @@ def loop_head_phase(nodes, heads, tree, config):
     return tuple(np.array(column) for column in zip(*rows))
 
 
-def reference_run(config, nodes=None):
+def reference_run(config, nodes):
     """``run_simulation(config, nodes).outcomes`` by plain loops: the same
     draws, the election oracles (``trim_promote_election`` for uniform
     clustering, a per-node threshold test for nonuniform),
@@ -300,10 +298,8 @@ def reference_run(config, nodes=None):
     bit, in member-id order; then the head phase charges each sender and the
     parent it relays to; then every battery is floored at zero and the
     empty ones die. Mutates ``nodes`` as the engine does."""
-    rng = np.random.default_rng(config.rng_seed)
-    if nodes is None:
-        nodes = place_nodes(config, rng)
-    params, energy, p = config.energy, nodes.energy, config.ch_probability
+    rng = np.random.default_rng(config.seed)
+    params, energy, p = config.energy, nodes.energy, config.p
     outcomes = []
     for r in range(config.rounds):
         alive = [i for i in range(energy.size) if energy[i] > 0]
@@ -312,7 +308,7 @@ def reference_run(config, nodes=None):
         start = [float(energy[i]) for i in alive]
         rng.integers(0, 2, size=len(alive))  # the engine's unread sensing draw
         if config.clustering == CLUSTERING_UNIFORM:
-            heads = trim_promote_election(nodes, p, r, config.cluster_count, rng).tolist()
+            heads = trim_promote_election(nodes, p, r, config.k, rng).tolist()
         else:
             eligible, threshold = eligible_mask(nodes, p, r), election_threshold(p, r)
             draws = rng.random(len(alive)).tolist()

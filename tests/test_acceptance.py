@@ -71,7 +71,7 @@ def _mean_first_death(runs):
 
 def test_criterion_1_energy_ratio(default_sweep, far_fc_sweep):
     config = far_fc_sweep["baseline"][0].config
-    nearest = config.fc_position.y - config.field_height
+    nearest = config.fc_y - config.field_height
     assert nearest > config.energy.crossover_distance, (
         f"the field's nearest point is {nearest} m from the fusion centre, inside "
         f"the free-space regime where a relay hop cannot save energy"

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crwsnsim
-from crwsnsim import ConfigError, ScenarioConfig, parse_config, run_simulation
+from crwsnsim import ConfigError, EnergyParams, ScenarioConfig, parse_config, run_simulation
 from crwsnsim.cli import (
     CSV_HEADER,
     _effective_config,
@@ -38,23 +38,23 @@ class TestParseConfig:
         config = parse_config("")
         assert config == ScenarioConfig()
         assert config.energy.initial_energy == 0.5
-        assert config.ch_probability == 0.1
+        assert config.p == 0.1
         assert config.rounds == 1500
-        assert config.n_nodes == 100
-        assert (config.fc_position.x, config.fc_position.y) == (50.0, 50.0)
+        assert config.nodes == 100
+        assert (config.fc_x, config.fc_y) == (50.0, 50.0)
 
     def test_overrides_applied(self):
         config = parse_config("rounds = 10\nnodes = 4")
         assert config.rounds == 10
-        assert config.n_nodes == 4
-        assert config.ch_probability == 0.1  # untouched default
+        assert config.nodes == 4
+        assert config.p == 0.1  # untouched default
 
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\nrounds = 7  # trailing comment\n"
         assert parse_config(text).rounds == 7
 
     def test_out_of_range_value_names_key(self):
-        with pytest.raises(ConfigError, match="p") as info:
+        with pytest.raises(ConfigError, match=r"^line 1: p must be in \(0, 1\]") as info:
             parse_config("p = 1.5")
         assert info.value.line == 1
 
@@ -85,14 +85,14 @@ class TestParseConfig:
         )
         assert config.energy.initial_energy == 2.0
         assert config.energy.e_fs == 2e-11
-        assert config.fc_position.y == 175.0
+        assert config.fc_y == 175.0
         assert config.protocol == "proposed"
         assert config.clustering == "uniform"
-        assert config.cluster_count == 4
-        assert config.rng_seed == 19
+        assert config.k == 4
+        assert config.seed == 19
 
     def test_cross_field_violation_named(self):
-        with pytest.raises(ConfigError, match="k"):
+        with pytest.raises(ConfigError, match=r"^line 2: k must be in \[1, nodes\]"):
             parse_config("nodes = 5\nk = 9\nclustering = uniform\n")
 
 
@@ -112,12 +112,12 @@ class TestFlagPrecedence:
         ns = self._namespace(config=str(config_file))
         effective = _effective_config(ns)
         assert effective.rounds == 7
-        assert effective.n_nodes == 12
+        assert effective.nodes == 12
         # flag beats config file
         ns = self._namespace(config=str(config_file), rounds=3)
         effective = _effective_config(ns)
         assert effective.rounds == 3
-        assert effective.n_nodes == 12
+        assert effective.nodes == 12
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="missing.cfg"):
@@ -154,9 +154,9 @@ class TestRunCommand:
 
     def test_csv_round_trip_recovers_metrics(self):
         # 17 significant digits: float() recovers each residual exactly
-        config = ScenarioConfig(n_nodes=10, rounds=60, rng_seed=3,
+        config = ScenarioConfig(nodes=10, rounds=60, seed=3,
                                 protocol="proposed", clustering="uniform",
-                                cluster_count=2)
+                                k=2)
         config = replace(
             config, energy=replace(config.energy, initial_energy=2e-7)
         )
@@ -165,7 +165,7 @@ class TestRunCommand:
                 if not line.startswith("#") and line != CSV_HEADER]
         parsed = [(int(r[0]), float(r[4]), int(r[5]), int(r[6])) for r in rows]
         expected = [(o.round_index + 1, o.total_residual, o.alive, len(o.cluster_heads))
-                    for o in run_simulation(replace(config, rng_seed=3)).outcomes]
+                    for o in run_simulation(replace(config, seed=3)).outcomes]
         assert parsed == expected
         assert {(r[1], r[2], r[3]) for r in rows} == {("proposed", "uniform", "3")}
         assert parsed[-1][2] < 10  # deaths happened, so residuals are not all equal
@@ -210,7 +210,7 @@ class TestRunCommand:
         bad.write_text("p = 40\n")
         code = main(["run", "--config", str(bad), "--rounds", "1"])
         assert code == 2
-        assert "p" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: line 1: p must be in (0, 1]")
 
     def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"
@@ -262,12 +262,63 @@ def test_paired_seed_alive_dominance(default_sweep):
 def test_echo_lines_parse_back():
     # the echoed header is itself valid config syntax (seed travels via
     # the seeds line and the per-row seed column)
-    config = ScenarioConfig(rounds=9, n_nodes=17)
+    config = ScenarioConfig(rounds=9, nodes=17)
     echoed = "\n".join(
         line[1:].strip() for line in config_echo_lines(config, [4])
         if not line.startswith("# seeds")
     )
     assert parse_config(echoed) == config
+
+
+# key -> (config-file text, the value it parses to): one valid, non-default
+# value per key, in echo order
+KEY_VALUES = {
+    "protocol": ("Proposed", "proposed"),
+    "clustering": ("UNIFORM", "uniform"),
+    "k": ("7", 7),
+    "nodes": ("12", 12),
+    "rounds": ("9", 9),
+    "p": ("0.25", 0.25),
+    "field_width": ("80", 80.0),
+    "field_height": ("60.5", 60.5),
+    "fc_x": ("-3", -3.0),
+    "fc_y": ("400", 400.0),
+    "advanced_fraction": ("0.2", 0.2),
+    "advanced_energy_factor": ("1.5", 1.5),
+    "initial_energy": ("2", 2.0),
+    "e_tx": ("4e-8", 4e-8),
+    "e_aggregation": ("6e-9", 6e-9),
+    "e_rx": ("3e-8", 3e-8),
+    "e_fs": ("2e-11", 2e-11),
+    "e_mp": ("1e-15", 1e-15),
+    "e_elec": ("4e-8", 4e-8),
+    "e_prop": ("2e-11", 2e-11),
+    "path_loss": ("0.4", 0.4),
+    "seed": ("19", 19),
+}
+
+
+@pytest.mark.parametrize("key", list(KEY_VALUES))
+def test_each_key_is_the_field_of_its_name(key):
+    # one vocabulary: a key sets the ScenarioConfig field (or, for the radio
+    # constants, the EnergyParams field) of the same name, as a keyword does
+    text, value = KEY_VALUES[key]
+    config = parse_config(f"{key} = {text}")
+    if key in {item.name for item in fields(EnergyParams)}:
+        parsed, keywords = getattr(config.energy, key), {"energy": EnergyParams(**{key: value})}
+    else:
+        parsed, keywords = getattr(config, key), {key: value}
+    assert type(parsed) is type(value) and parsed == value
+    assert ScenarioConfig(**keywords) == config
+
+
+def test_echo_lists_keys_in_field_order():
+    names = [item.name for item in fields(ScenarioConfig)]
+    at = names.index("energy")
+    names[at:at + 1] = [item.name for item in fields(EnergyParams)]
+    assert names == list(KEY_VALUES)
+    echoed = [line[2:].split(" = ")[0] for line in config_echo_lines(ScenarioConfig(), [1])]
+    assert echoed == [name for name in names if name != "seed"] + ["seeds"] == ECHO_KEYS
 
 
 def _cli(directory, argv, config_text):
@@ -302,7 +353,7 @@ ERROR_CASES = {
         ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 9\n", "k must be in"
     ),
     "compare-uniform-p": (
-        ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 10\np = 0.05\n", "p * n_nodes"
+        ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 10\np = 0.05\n", "p * nodes"
     ),
     "multipath-overflow": (
         ["run", "--rounds", "3"], "e_mp = 1e300\nfc_y = 1e80\n",
@@ -336,6 +387,15 @@ ERROR_CASES = {
         ["run", "--rounds", "3"], "nodes = 0\n", "line 1: nodes must be >= 1, got 0"
     ),
     "negative-rounds": (["run"], "rounds = -1\n", "line 1: rounds must be >= 0, got -1"),
+    # bad radio constants are named in file order, ahead of the scenario's checks
+    "energy-keys-in-file-order": (
+        ["run", "--rounds", "3"], "e_rx = -1\ne_tx = -1\n",
+        "line 1: e_rx must be a positive finite number",
+    ),
+    "energy-key-before-scenario-key": (
+        ["run", "--rounds", "3"], "nodes = 0\ne_rx = -1\n",
+        "line 2: e_rx must be a positive finite number",
+    ),
     "advanced-fraction-above-one": (
         ["run", "--rounds", "3"], "advanced_fraction = 1.5\n",
         "line 1: advanced_fraction must be in [0, 1], got 1.5",

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from crwsnsim import (
     EnergyParams,
-    Position,
     RoundOutcome,
     ScenarioConfig,
     link_cost,
@@ -40,11 +39,11 @@ class TestRunRound:
         # at round 5 with p = 0.5 the threshold is 1, and node 1 sat out the
         # epoch, so node 0 is always the head
         config = ScenarioConfig(
-            n_nodes=2,
-            fc_position=Position(20.0, 0.0),
-            ch_probability=0.5,
+            nodes=2,
+            fc_x=20.0, fc_y=0.0,
+            p=0.5,
             clustering="uniform",
-            cluster_count=1,
+            k=1,
             rounds=10,
         )
         nodes = nodes_at([0.0, 0.0], [0.0, 10.0])
@@ -59,12 +58,12 @@ class TestRunRound:
         results = []
         for protocol in ("baseline", "proposed"):
             config = ScenarioConfig(
-                n_nodes=2,
-                fc_position=Position(20.0, 0.0),
-                ch_probability=0.5,
+                nodes=2,
+                fc_x=20.0, fc_y=0.0,
+                p=0.5,
                 protocol=protocol,
                 clustering="uniform",
-                cluster_count=1,
+                k=1,
                 rounds=10,
             )
             nodes = nodes_at([0.0, 0.0], [0.0, 10.0])
@@ -76,12 +75,12 @@ class TestRunRound:
     @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
     def test_colocated_nodes_pay_only_electronics(self, protocol):
         config = ScenarioConfig(
-            n_nodes=3,
-            fc_position=Position(50.0, 50.0),
-            ch_probability=0.5,
+            nodes=3,
+            fc_x=50.0, fc_y=50.0,
+            p=0.5,
             protocol=protocol,
             clustering="uniform",
-            cluster_count=1,
+            k=1,
             rounds=1,
         )
         nodes = nodes_at([50.0] * 3, [50.0] * 3)
@@ -92,7 +91,7 @@ class TestRunRound:
         assert outcome.energy_spent == pytest.approx(expected, rel=1e-12)
 
     def test_spent_matches_node_deltas(self):
-        config = ScenarioConfig(n_nodes=30, protocol="proposed", clustering="uniform")
+        config = ScenarioConfig(nodes=30, protocol="proposed", clustering="uniform")
         rng = np.random.default_rng(7)
         nodes = nodes_at(*zip(*(divmod(i * 37 % 100, 10) for i in range(30))))
         before = nodes.energy.copy()
@@ -101,14 +100,14 @@ class TestRunRound:
         assert outcome.energy_spent == pytest.approx(delta, rel=1e-12)
 
     def test_requires_alive_node(self):
-        config = ScenarioConfig(n_nodes=1)
+        config = ScenarioConfig(nodes=1)
         node = nodes_at([1.0], [1.0])
         node.energy[0] = 0.0
         with pytest.raises(ValueError):
             run_round(node, config, 0, np.random.default_rng(0))
 
     def test_proposed_records_tree_and_decisions(self):
-        config = ScenarioConfig(n_nodes=40, protocol="proposed", clustering="uniform")
+        config = ScenarioConfig(nodes=40, protocol="proposed", clustering="uniform")
         result = run_simulation(replace(config, rounds=3))
         for outcome in result.outcomes:
             assert len(tree_edges(outcome)) == len(outcome.cluster_heads) - 1
@@ -118,7 +117,7 @@ class TestRunRound:
             assert np.all(outcome.relay_cost[relays] < outcome.direct_cost[relays])
 
     def test_baseline_decisions_all_direct(self):
-        config = ScenarioConfig(n_nodes=40, protocol="baseline", clustering="uniform")
+        config = ScenarioConfig(nodes=40, protocol="baseline", clustering="uniform")
         result = run_simulation(replace(config, rounds=3))
         for outcome in result.outcomes:
             assert tree_edges(outcome) == []
@@ -133,8 +132,8 @@ def tree_edges(outcome):
 
 def all_heads_round(xs, ys, fc, energy=EnergyParams()):
     """One proposed round in which every node is a head (p = 1, round 0)."""
-    config = ScenarioConfig(n_nodes=len(xs), fc_position=Position(*fc),
-                            ch_probability=1.0, protocol="proposed", rounds=1,
+    config = ScenarioConfig(nodes=len(xs), fc_x=fc[0], fc_y=fc[1],
+                            p=1.0, protocol="proposed", rounds=1,
                             energy=energy)
     outcome = run_round(nodes_at(xs, ys), config, 0, np.random.default_rng(0))
     assert outcome.cluster_heads.tolist() == list(range(len(xs)))
@@ -155,8 +154,8 @@ class TestHeadPhase:
         assert outcome.relay_cost[-1] == outcome.direct_cost[-1]
 
     def test_relays_transmit_before_parents_and_chains_end_direct(self):
-        config = ScenarioConfig(n_nodes=100, fc_position=Position(50.0, 400.0),
-                                protocol="proposed", rounds=30, rng_seed=4)
+        config = ScenarioConfig(nodes=100, fc_x=50.0, fc_y=400.0,
+                                protocol="proposed", rounds=30, seed=4)
         relays = 0
         for outcome in run_simulation(config).outcomes:
             parent_of = {child: parent for parent, child in tree_edges(outcome)}
@@ -241,7 +240,7 @@ class TestHeadPhase:
             cost[cost.size // 2:] = direct / 2
             return cost
 
-        config = ScenarioConfig(n_nodes=4, ch_probability=1.0, protocol="proposed", rounds=1)
+        config = ScenarioConfig(nodes=4, p=1.0, protocol="proposed", rounds=1)
         nodes = nodes_at([10.0, 30.0, 60.0, 80.0], [5.0, 40.0, 20.0, 70.0])
         with mock.patch.object(engine, "link_cost", cheap_relays), \
                 pytest.raises(RuntimeError) as err:
@@ -276,7 +275,7 @@ class TestHeadPhaseMatchesLoop:
     def test_equals_loop_oracle(self, kind, protocol, p, count, seed):
         rng = np.random.default_rng(seed)
         xs, ys, fc = _scenario("far" if kind == "zero-head" else kind, rng, count)
-        config = ScenarioConfig(n_nodes=count, fc_position=Position(*fc), protocol=protocol)
+        config = ScenarioConfig(nodes=count, fc_x=fc[0], fc_y=fc[1], protocol=protocol)
         # a share p of the nodes as heads, or in a zero-head round every
         # node as a one-bit direct sender
         ids = np.arange(count) if kind == "zero-head" else np.flatnonzero(rng.random(count) < p)
@@ -297,8 +296,8 @@ def _reference_scenario(kind, protocol, clustering, seed):
     """A drawn config for the whole-run reference test and the coordinates
     and batteries of its nodes: a lattice, or the config's own placement."""
     rng = np.random.default_rng(seed)
-    near = Position(*rng.uniform(0.0, 100.0, 2).tolist())
-    far = Position(float(rng.uniform(0.0, 100.0)), float(rng.uniform(150.0, 400.0)))
+    near = tuple(rng.uniform(0.0, 100.0, 2).tolist())
+    far = (float(rng.uniform(0.0, 100.0)), float(rng.uniform(150.0, 400.0)))
     fc = far if kind == "depletion" or rng.random() < 0.5 else near
     n, p, rounds, battery = int(rng.integers(1, 60)), 0.1, int(rng.integers(1, 12)), 0.5
     lattice = None
@@ -315,7 +314,7 @@ def _reference_scenario(kind, protocol, clustering, seed):
             n = int(rng.integers(1, 150))
             # batteries differ, so a charge moved to another node moves the sums' last bits
             lattice = np.vstack((rng.integers(0, 6, (2, n)) * 20.0, rng.uniform(0.5, 1.0, n)))
-            fc = Position(20.0 * int(rng.integers(0, 6)), 20.0 * int(rng.integers(0, 21)))
+            fc = (20.0 * int(rng.integers(0, 6)), 20.0 * int(rng.integers(0, 21)))
     if clustering == "uniform":
         n = max(n, math.ceil(1.0 / p))
         if lattice is not None:
@@ -323,13 +322,13 @@ def _reference_scenario(kind, protocol, clustering, seed):
     count = int(rng.integers(64, n - 5)) if kind == "ring" else int(rng.integers(1, n + 1))
     advanced = float(rng.choice([0.0, 0.2, 0.5]))
     config = ScenarioConfig(
-        n_nodes=n, fc_position=fc, ch_probability=p, rounds=rounds, protocol=protocol,
-        clustering=clustering, cluster_count=count, advanced_fraction=advanced,
+        nodes=n, fc_x=fc[0], fc_y=fc[1], p=p, rounds=rounds, protocol=protocol,
+        clustering=clustering, k=count, advanced_fraction=advanced,
         advanced_energy_factor=float(rng.choice([1.0, 3.0])) if advanced else 0.0,
-        rng_seed=int(rng.integers(2**32)), energy=EnergyParams(initial_energy=battery),
+        seed=int(rng.integers(2**32)), energy=EnergyParams(initial_energy=battery),
     )
     if lattice is None:
-        placed = place_nodes(config, np.random.default_rng(config.rng_seed))
+        placed = place_nodes(config, np.random.default_rng(config.seed))
         return config, (placed.x, placed.y, placed.energy)
     xs, ys, share = lattice
     return config, (xs, ys, share * battery)
@@ -380,8 +379,8 @@ class TestDrainedHead:
     # heads 0, 1 and 2 on a line toward a far fusion centre, member 3 beside
     # head 1; at round 5 with p = 0.5 the threshold is 1 and node 3 sat out
     # the epoch, so exactly nodes 0-2 are elected
-    CONFIG = ScenarioConfig(n_nodes=4, fc_position=Position(0.0, 300.0),
-                            ch_probability=0.5, protocol="proposed", rounds=10)
+    CONFIG = ScenarioConfig(nodes=4, fc_x=0.0, fc_y=300.0,
+                            p=0.5, protocol="proposed", rounds=10)
 
     def run(self, middle_battery):
         nodes = nodes_at([0.0, 0.0, 0.0, 1.0], [0.0, 10.0, 20.0, 10.0])
@@ -417,8 +416,8 @@ class TestEmptyBattery:
 
     def test_takes_no_part_in_the_round(self):
         # the two-node worked example with a third, drained node beside the head
-        config = ScenarioConfig(n_nodes=3, fc_position=Position(20.0, 0.0), ch_probability=0.5,
-                                clustering="uniform", cluster_count=1, rounds=10)
+        config = ScenarioConfig(nodes=3, fc_x=20.0, fc_y=0.0, p=0.5,
+                                clustering="uniform", k=1, rounds=10)
         nodes = nodes_at([0.0, 0.0, 1.0], [0.0, 10.0, 0.0], [0.5, 0.5, 0.0])
         nodes.last_ch_round[1:] = 4
         outcome = run_round(nodes, config, 5, np.random.default_rng(0))
@@ -432,7 +431,7 @@ class TestEmptyBattery:
         assert outcome.alive == 2
 
     def test_every_battery_empty(self):
-        config = ScenarioConfig(n_nodes=3, rounds=5)
+        config = ScenarioConfig(nodes=3, rounds=5)
         nodes = nodes_at([0.0, 10.0, 20.0], [0.0] * 3, 0.0)
         with pytest.raises(ValueError, match="run_round requires at least one alive node"):
             run_round(nodes, config, 0, np.random.default_rng(0))
@@ -442,7 +441,7 @@ class TestEmptyBattery:
         assert result.final_alive == 0  # no round ran: the nodes' own count
 
     def test_id_sets_are_intp_arrays(self):
-        config = ScenarioConfig(n_nodes=8, rounds=120, rng_seed=3, energy=TINY_BATTERY)
+        config = ScenarioConfig(nodes=8, rounds=120, seed=3, energy=TINY_BATTERY)
         outcomes = run_simulation(config).outcomes
         assert any(o.deaths.size for o in outcomes)
         for outcome in outcomes:
@@ -458,8 +457,8 @@ class TestNoChFallback:
     def zero_head_round(protocol, xs, ys, fc, field=100.0, dead=()):
         # nonuniform election at round 3, where every node already served in
         # this epoch, so no node is eligible and nobody is elected
-        config = ScenarioConfig(n_nodes=len(xs), field_width=field, field_height=field,
-                                fc_position=Position(*fc), protocol=protocol,
+        config = ScenarioConfig(nodes=len(xs), field_width=field, field_height=field,
+                                fc_x=fc[0], fc_y=fc[1], protocol=protocol,
                                 clustering="nonuniform", rounds=10)
         nodes = nodes_at(xs, ys)
         nodes.last_ch_round[:] = 3
@@ -497,8 +496,8 @@ class TestNoChFallback:
 
     def test_zero_head_round_uses_fallback(self):
         # nonuniform election with 2 nodes frequently elects nobody
-        config = ScenarioConfig(n_nodes=2, clustering="nonuniform", rounds=40,
-                                rng_seed=11)
+        config = ScenarioConfig(nodes=2, clustering="nonuniform", rounds=40,
+                                seed=11)
         result = run_simulation(config)
         fallback_rounds = [o for o in result.outcomes if not o.cluster_heads.size]
         assert fallback_rounds, "expected at least one zero-head round"
@@ -528,15 +527,15 @@ def test_distance_kernel_is_hypot():
     # a battery of twice the cost drops to exactly the cost (Sterbenz), and to
     # another value under any other cost; head 0 sits at the origin, member 1
     # at the offset, and at round 5 with p = 0.5 node 1 sat out the epoch
-    config = ScenarioConfig(n_nodes=2, fc_position=Position(0.0, 0.0), ch_probability=0.5,
-                            clustering="uniform", cluster_count=1, rounds=10)
+    config = ScenarioConfig(nodes=2, fc_x=0.0, fc_y=0.0, p=0.5,
+                            clustering="uniform", k=1, rounds=10)
     nodes = nodes_at([0.0, dx], [0.0, dy], [0.5, 2 * cost])
     nodes.last_ch_round[1] = 4
     outcome = run_round(nodes, config, 5, np.random.default_rng(0))
     assert outcome.cluster_heads.tolist() == [0]
     assert nodes.energy[1] == cost
     # a lone node at the offset from the fusion centre, in a round that elects no head
-    config = ScenarioConfig(n_nodes=1, fc_position=Position(0.0, 0.0),
+    config = ScenarioConfig(nodes=1, fc_x=0.0, fc_y=0.0,
                             clustering="nonuniform", rounds=10)
     nodes = nodes_at([dx], [dy], 2 * cost)
     nodes.last_ch_round[:] = 3
@@ -555,12 +554,12 @@ class TestRunSimulation:
         assert result.first_death_round is None
 
     def test_row_count_and_numbering(self):
-        result = run_simulation(ScenarioConfig(rounds=20, n_nodes=30))
+        result = run_simulation(ScenarioConfig(rounds=20, nodes=30))
         assert [o.round_index for o in result.outcomes] == list(range(20))
 
     def test_deterministic_rerun(self):
-        config = ScenarioConfig(rounds=120, n_nodes=50, protocol="proposed",
-                                clustering="uniform", rng_seed=9)
+        config = ScenarioConfig(rounds=120, nodes=50, protocol="proposed",
+                                clustering="uniform", seed=9)
         first = run_simulation(config)
         second = run_simulation(config)
         assert len(first.outcomes) == len(second.outcomes) == 120
@@ -574,7 +573,7 @@ class TestRunSimulation:
         ):
             for seed in (0, 1, 2):
                 config = ScenarioConfig(rounds=300, protocol=protocol,
-                                        clustering=clustering, rng_seed=seed)
+                                        clustering=clustering, seed=seed)
                 result = run_simulation(config)
                 residuals = np.array([o.total_residual for o in result.outcomes])
                 alive = np.array([o.alive for o in result.outcomes])
@@ -585,8 +584,8 @@ class TestRunSimulation:
                 assert np.allclose(drained, spent, rtol=1e-9, atol=0.0)
 
     def test_single_head_proposed_equals_baseline(self):
-        base = ScenarioConfig(rounds=250, n_nodes=40, clustering="uniform",
-                              cluster_count=1, rng_seed=21)
+        base = ScenarioConfig(rounds=250, nodes=40, clustering="uniform",
+                              k=1, seed=21)
         baseline = run_simulation(replace(base, protocol="baseline"))
         proposed = run_simulation(replace(base, protocol="proposed"))
         assert [o.total_residual for o in baseline.outcomes] == [
@@ -594,7 +593,7 @@ class TestRunSimulation:
         ]
 
     def test_dead_nodes_stay_dead(self):
-        config = ScenarioConfig(n_nodes=8, rounds=120, rng_seed=3,
+        config = ScenarioConfig(nodes=8, rounds=120, seed=3,
                                 energy=TINY_BATTERY)
         result = run_simulation(config)
         assert result.first_death_round is not None
@@ -608,7 +607,7 @@ class TestRunSimulation:
         assert dead_after, "expected deaths with a tiny battery"
 
     def test_extinction_terminates_early(self):
-        config = ScenarioConfig(n_nodes=4, rounds=500, rng_seed=3,
+        config = ScenarioConfig(nodes=4, rounds=500, seed=3,
                                 energy=TINY_BATTERY)
         result = run_simulation(config)
         assert len(result.outcomes) < 500
@@ -617,7 +616,7 @@ class TestRunSimulation:
         assert result.final_alive == 0
 
     def test_first_death_round_recorded(self):
-        config = ScenarioConfig(n_nodes=8, rounds=120, rng_seed=3,
+        config = ScenarioConfig(nodes=8, rounds=120, seed=3,
                                 energy=TINY_BATTERY)
         result = run_simulation(config)
         first = result.first_death_round
@@ -630,7 +629,7 @@ class TestRunSimulation:
         assert result.outcomes[first - 1].alive == 8 - len(with_deaths[0].deaths)
 
     def test_custom_nodes_override_placement(self):
-        config = ScenarioConfig(n_nodes=3, rounds=5)
+        config = ScenarioConfig(nodes=3, rounds=5)
         nodes = nodes_at([0.0, 10.0, 20.0], [0.0] * 3)
         result = run_simulation(config, nodes=nodes)
         assert result.initial_energy == pytest.approx(1.5, rel=1e-12)
@@ -638,17 +637,17 @@ class TestRunSimulation:
 
     def test_zero_rounds_on_custom_nodes_count_their_alive(self):
         nodes = nodes_at([0.0, 10.0, 20.0], [0.0] * 3, [0.5, 0.0, 0.5])
-        result = run_simulation(ScenarioConfig(n_nodes=3, rounds=0), nodes=nodes)
+        result = run_simulation(ScenarioConfig(nodes=3, rounds=0), nodes=nodes)
         assert result.outcomes == []
         assert result.final_alive == 2
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_nodes_must_number_n_nodes(self, count):
         nodes = nodes_at(np.arange(count, dtype=float), np.zeros(count))
-        config = ScenarioConfig(n_nodes=3, rounds=5)
-        with pytest.raises(ValueError, match=f"nodes has {count} entries but n_nodes is 3"):
+        config = ScenarioConfig(nodes=3, rounds=5)
+        with pytest.raises(ValueError, match=f"nodes has {count} entries but config.nodes is 3"):
             run_simulation(config, nodes=nodes)
-        with pytest.raises(ValueError, match=f"nodes has {count} entries but n_nodes is 3"):
+        with pytest.raises(ValueError, match=f"nodes has {count} entries but config.nodes is 3"):
             run_round(nodes, config, 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("name, shape", [
@@ -658,7 +657,7 @@ class TestRunSimulation:
     def test_every_node_array_must_hold_n_nodes(self, name, shape):
         nodes = nodes_at(np.arange(6, dtype=float), np.zeros(6))
         setattr(nodes, name, np.ones(shape, dtype=getattr(nodes, name).dtype))
-        config = ScenarioConfig(n_nodes=6, rounds=5)
+        config = ScenarioConfig(nodes=6, rounds=5)
         with pytest.raises(ValueError, match=re.escape(f"nodes.{name} has shape {shape}, not (6,)")):
             run_simulation(config, nodes=nodes)
         with pytest.raises(ValueError, match=re.escape(f"nodes.{name} has shape {shape}, not (6,)")):
@@ -672,12 +671,12 @@ class TestRunSimulation:
         assert "RoundOutcome" not in repr(long)
 
 
-@pytest.mark.parametrize("n_nodes", [1000, 100], ids=["ring-search", "dense-search"])
-def test_threaded_runs_equal_serial_runs(n_nodes):
+@pytest.mark.parametrize("count", [1000, 100], ids=["ring-search", "dense-search"])
+def test_threaded_runs_equal_serial_runs(count):
     # One election epoch of four seeds; at 1000 nodes ~100 heads take the ring
     # search of assign_members, at 100 nodes ~10 heads the dense one. A short
     # switch interval interleaves the threads inside every numpy-heavy step.
-    configs = [ScenarioConfig(n_nodes=n_nodes, rounds=10, rng_seed=seed) for seed in range(1, 5)]
+    configs = [ScenarioConfig(nodes=count, rounds=10, seed=seed) for seed in range(1, 5)]
     serial = [run_simulation(config).outcomes for config in configs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

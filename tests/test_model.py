@@ -7,14 +7,13 @@ import pytest
 from crwsnsim import (
     EnergyParams,
     Nodes,
-    Position,
     ScenarioConfig,
     place_nodes,
 )
 
 
 def test_single_node_placement():
-    config = ScenarioConfig(n_nodes=1)
+    config = ScenarioConfig(nodes=1)
     nodes = place_nodes(config, np.random.default_rng(5))
     assert nodes.x.size == 1
     assert nodes.energy[0] == 0.5
@@ -23,13 +22,13 @@ def test_single_node_placement():
 
 
 def test_total_energy_all_normal():
-    config = ScenarioConfig(n_nodes=100, advanced_fraction=0.0)
+    config = ScenarioConfig(nodes=100, advanced_fraction=0.0)
     nodes = place_nodes(config, np.random.default_rng(5))
     assert math.fsum(nodes.energy) == pytest.approx(50.0, rel=1e-12)
 
 
 def test_placement_deterministic():
-    config = ScenarioConfig(n_nodes=100)
+    config = ScenarioConfig(nodes=100)
     first = place_nodes(config, np.random.default_rng(123))
     second = place_nodes(config, np.random.default_rng(123))
     names = [field.name for field in fields(Nodes)]
@@ -39,7 +38,7 @@ def test_placement_deterministic():
 
 
 def test_positions_inside_field():
-    config = ScenarioConfig(n_nodes=250, field_width=30.0, field_height=7.5)
+    config = ScenarioConfig(nodes=250, field_width=30.0, field_height=7.5)
     nodes = place_nodes(config, np.random.default_rng(9))
     assert np.all((0.0 <= nodes.x) & (nodes.x <= 30.0))
     assert np.all((0.0 <= nodes.y) & (nodes.y <= 7.5))
@@ -49,7 +48,7 @@ def test_positions_inside_field():
 
 def test_advanced_split_energy_bookkeeping():
     config = ScenarioConfig(
-        n_nodes=100, advanced_fraction=0.25, advanced_energy_factor=1.0
+        nodes=100, advanced_fraction=0.25, advanced_energy_factor=1.0
     )
     nodes = place_nodes(config, np.random.default_rng(2))
     advanced, normal = nodes.energy[:25], nodes.energy[25:]
@@ -67,24 +66,23 @@ class TestConfigValidation:
             ScenarioConfig(field_height=-3.0)
 
     def test_probability_bounds(self):
-        with pytest.raises(ValueError, match="ch_probability"):
-            ScenarioConfig(ch_probability=0.0)
-        with pytest.raises(ValueError, match="ch_probability"):
-            ScenarioConfig(ch_probability=1.5)
-        ScenarioConfig(ch_probability=1.0)  # boundary is allowed
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\]"):
+            ScenarioConfig(p=0.0)
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\]"):
+            ScenarioConfig(p=1.5)
+        ScenarioConfig(p=1.0)  # boundary is allowed
 
     def test_uniform_cluster_count_bounds(self):
-        with pytest.raises(ValueError, match="cluster_count"):
-            ScenarioConfig(clustering="uniform", cluster_count=0)
-        with pytest.raises(ValueError, match="cluster_count"):
-            ScenarioConfig(clustering="uniform", n_nodes=5, cluster_count=6)
-        # unused cluster_count is not range-checked in nonuniform mode
-        ScenarioConfig(clustering="nonuniform", n_nodes=5, cluster_count=6)
+        with pytest.raises(ValueError, match=r"^k must be in \[1, nodes\]"):
+            ScenarioConfig(clustering="uniform", k=0)
+        with pytest.raises(ValueError, match=r"^k must be in \[1, nodes\]"):
+            ScenarioConfig(clustering="uniform", nodes=5, k=6)
+        # unused k is not range-checked in nonuniform mode
+        ScenarioConfig(clustering="nonuniform", nodes=5, k=6)
 
     def test_uniform_needs_expected_head(self):
-        with pytest.raises(ValueError, match="ch_probability"):
-            ScenarioConfig(clustering="uniform", n_nodes=5, ch_probability=0.1,
-                           cluster_count=1)
+        with pytest.raises(ValueError, match=r"^p \* nodes must be >= 1"):
+            ScenarioConfig(clustering="uniform", nodes=5, p=0.1, k=1)
 
     def test_protocol_and_clustering_names(self):
         with pytest.raises(ValueError, match="protocol"):
@@ -93,15 +91,16 @@ class TestConfigValidation:
             ScenarioConfig(clustering="fixed")
 
     def test_seed_non_negative_without_upper_bound(self):
-        with pytest.raises(ValueError, match="rng_seed"):
-            ScenarioConfig(rng_seed=-1)
-        ScenarioConfig(rng_seed=0)
-        ScenarioConfig(rng_seed=2**70)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0"):
+            ScenarioConfig(seed=-1)
+        ScenarioConfig(seed=0)
+        ScenarioConfig(seed=2**70)
 
     @pytest.mark.parametrize("x, y", [(math.nan, 50.0), (50.0, math.inf), (-math.inf, 0.0)])
     def test_fusion_centre_finite(self, x, y):
-        with pytest.raises(ValueError, match="fc_position"):
-            ScenarioConfig(fc_position=Position(x, y))
+        key = "fc_y" if math.isfinite(x) else "fc_x"
+        with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+            ScenarioConfig(fc_x=x, fc_y=y)
 
     @pytest.mark.parametrize("factor", [math.inf, math.nan, -0.5])
     def test_advanced_energy_factor_finite_non_negative(self, factor):
@@ -111,11 +110,11 @@ class TestConfigValidation:
     def test_total_initial_energy_finite(self):
         # each battery is finite, but the field's total is not
         with pytest.raises(ValueError, match="initial_energy"):
-            ScenarioConfig(n_nodes=2, energy=EnergyParams(initial_energy=1e308))
+            ScenarioConfig(nodes=2, energy=EnergyParams(initial_energy=1e308))
         with pytest.raises(ValueError, match="initial_energy"):
-            ScenarioConfig(n_nodes=1, advanced_fraction=1.0, advanced_energy_factor=1.0,
+            ScenarioConfig(nodes=1, advanced_fraction=1.0, advanced_energy_factor=1.0,
                            energy=EnergyParams(initial_energy=1e308))
-        ScenarioConfig(n_nodes=1, energy=EnergyParams(initial_energy=1e308))
+        ScenarioConfig(nodes=1, energy=EnergyParams(initial_energy=1e308))
 
     def test_positive_energy_constants(self):
         with pytest.raises(ValueError, match="e_fs"):
