@@ -18,7 +18,6 @@ from .clustering import (
     assign_members,
     elect_cluster_heads,
     election_threshold,
-    eligible_mask,
     epoch_length,
 )
 from .routing import prim_mst
@@ -48,7 +47,6 @@ __all__ = [
     "assign_members",
     "elect_cluster_heads",
     "election_threshold",
-    "eligible_mask",
     "epoch_length",
     "link_cost",
     "parse_config",

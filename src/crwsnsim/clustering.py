@@ -2,10 +2,11 @@
 
 Election follows the rotating-threshold rule: each alive node draws a
 uniform value and claims cluster-head duty when the draw falls below a
-threshold that rises over the epoch. A node serves at most once per
-``round(1/p)``-round epoch while it stays alive, and exactly once when the
-last round's threshold reaches 1 (as at p = 0.1). The uniform mode then ranks
-the alive nodes to keep a fixed head count.
+threshold that rises over the epoch. In non-uniform mode a node serves at
+most once per ``round(1/p)``-round epoch while it stays alive, and exactly
+once when the last round's threshold reaches 1 (as at p = 0.1). The uniform
+mode then ranks the alive nodes to keep a fixed head count, so it re-elects
+nodes that already served once fewer than k eligible nodes remain.
 """
 
 from __future__ import annotations
@@ -19,59 +20,53 @@ from .model import CLUSTERING_UNIFORM, Nodes, check_probability
 _CHUNK = 1 << 18  # candidates held at once by assign_members
 
 
-def epoch_length(ch_probability: float) -> int:
-    """Rounds per election epoch, ``round(1/p)`` and at least 1."""
-    check_probability(ch_probability)
-    return max(1, round(1.0 / ch_probability))
+def epoch_length(p: float) -> int:
+    """Rounds per election epoch, ``round(1/p)``."""
+    check_probability(p)
+    return round(1.0 / p)
 
 
-def election_threshold(ch_probability: float, round_index: int) -> float:
+def election_threshold(p: float, round_index: int) -> float:
     """Probability that an eligible node claims head duty this round.
 
     Evaluates ``p / (1 - p * (r mod round(1/p)))`` clamped to 1.
     """
-    offset = round_index % epoch_length(ch_probability)  # checks the probability first
+    offset = round_index % epoch_length(p)  # checks p first
     if round_index < 0:
         raise ValueError(f"round_index must be >= 0, got {round_index}")
-    denominator = 1.0 - ch_probability * offset
-    if denominator <= 0.0:
-        return 1.0
-    return min(1.0, ch_probability / denominator)
-
-
-def eligible_mask(nodes: Nodes, ch_probability: float, round_index: int) -> np.ndarray:
-    """Eligible set: alive nodes that have not served in the current epoch."""
-    epoch = epoch_length(ch_probability)
-    return (nodes.energy > 0) & (nodes.last_ch_round < (round_index // epoch) * epoch)
+    denominator = 1.0 - p * offset
+    return p / denominator if denominator > p else 1.0
 
 
 def elect_cluster_heads(
     nodes: Nodes,
-    ch_probability: float,
+    p: float,
     round_index: int,
     clustering: str,
-    cluster_count: int,
+    k: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Run one round's election; returns head ids in ascending order.
 
-    Non-uniform mode keeps whatever the independent draws produce, including
-    zero heads. Uniform mode ranks the alive nodes elected first, then
-    eligible, then by descending energy and ascending id, and keeps the first
-    ``cluster_count``: an over-election keeps its highest-energy heads, an
-    under-election keeps them all and fills up from the rest. Every head
-    enters the cooldown via ``last_ch_round``.
+    An alive node is eligible unless it served in the current epoch. Non-uniform
+    mode keeps whatever the independent draws produce, including zero heads.
+    Uniform mode ranks the alive nodes elected first, then eligible, then by
+    descending energy and ascending id, and keeps the first ``k``: an
+    over-election keeps its highest-energy heads, an under-election keeps them
+    all and fills up from the rest. Every head enters the cooldown via
+    ``last_ch_round``.
     """
     alive = np.flatnonzero(nodes.energy > 0)
     if not alive.size:
         raise ValueError("election requires at least one alive node")
-    eligible = eligible_mask(nodes, ch_probability, round_index)[alive]
+    epoch = epoch_length(p)
+    eligible = nodes.last_ch_round[alive] < round_index // epoch * epoch
     draws = rng.random(alive.size)
-    elected = (draws < election_threshold(ch_probability, round_index)) & eligible
+    elected = (draws < election_threshold(p, round_index)) & eligible
     heads = alive[elected]
     if clustering == CLUSTERING_UNIFORM:
         rank = np.lexsort((alive, -nodes.energy[alive], ~eligible, ~elected))
-        heads = alive[rank[:cluster_count]]
+        heads = alive[rank[:k]]
     nodes.last_ch_round[heads] = round_index
     return np.sort(heads)
 

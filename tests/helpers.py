@@ -3,9 +3,10 @@ comparison of round records, a page-fault counter, and the oracles each
 independent of the code under test:
 
 - a brute-force spanning tree enumeration, for the greedy tree's weight;
-- the original triple-loop Prim, for its tie rule;
-- the original distance-matrix Prim, for the points form;
-- the original trim-or-promote uniform election, for the ranking;
+- Prim by exhaustive scan of the distance matrix, for the tree and its tie
+  rule;
+- the election one node at a time, with the original trim-or-promote branches
+  of uniform clustering, for the eligibility test and the ranking;
 - the original dense nearest-head search, for member assignment;
 - the original scalar link cost and per-head route decision, for the array
   cost kernel, and the loop head phase built on them, for the head phase;
@@ -27,7 +28,7 @@ from crwsnsim import (
     Nodes,
     RoundOutcome,
     election_threshold,
-    eligible_mask,
+    epoch_length,
     prim_mst,
     rx_energy,
 )
@@ -128,84 +129,48 @@ def prim_edges(xs, ys, start=0):
             for p, j in zip(parent[order[1:]], order[1:])]
 
 
-def matrix_prim(adj, start=0):
-    """Dense Prim reading one row of a full distance matrix per added vertex.
-
-    Returns edges as (tree-side index, added index, weight). Weight ties
-    break toward the lower tree-side index, then the lower outside index.
-    """
-    adj = np.asarray(adj, dtype=float)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got shape {adj.shape}")
-    n = adj.shape[0]
-    if not (0 <= start < n):
-        raise ValueError(f"start must index a vertex, got {start}")
-    outside = np.ones(n, dtype=bool)
-    outside[start] = False
-    key = adj[start].copy()
-    key[start] = math.inf  # tree vertices keep an infinite key, so argmin skips them
-    parent = np.full(n, start)
-    edges = []
-    for _ in range(n - 1):
-        j = int(key.argmin())  # first minimum: lowest j
-        w = key[j]
-        lightest = key == w
-        if w == math.inf or np.count_nonzero(lightest) > 1:  # a tie: lowest parent first
-            lightest = np.flatnonzero(outside & lightest)
-            j = int(lightest[np.argmin(parent[lightest])])
-        edges.append((int(parent[j]), j, float(w)))
-        outside[j] = False
-        key[j] = math.inf
-        row = adj[j]
-        better = outside & ((row < key) | ((row == key) & (parent > j)))
-        key[better] = row[better]
-        parent[better] = j
-    return edges
-
-
-def triple_loop_prim(adj, start=0):
+def scan_prim(adj, start=0):
     """Prim by exhaustive scan: each step takes the lightest (tree, outside)
-    pair, ties to the lower tree index, then the lower outside index."""
-    n = len(adj)
-    in_tree = [False] * n
+    entry of the distance matrix, the first in row-major order of ascending
+    tree ids, then ascending outside ids. Returns edges as (tree-side index,
+    added index, weight) in insertion order."""
+    adj = np.asarray(adj, dtype=float)
+    in_tree = np.zeros(len(adj), dtype=bool)
     in_tree[start] = True
     edges = []
-    for _ in range(n - 1):
-        best = None
-        for i in range(n):
-            if not in_tree[i]:
-                continue
-            for j in range(n):
-                if in_tree[j]:
-                    continue
-                w = adj[i][j]
-                if best is None or w < best[2]:
-                    best = (i, j, float(w))
-        edges.append(best)
-        in_tree[best[1]] = True
+    for _ in range(len(adj) - 1):
+        tree, outside = np.flatnonzero(in_tree), np.flatnonzero(~in_tree)
+        block = adj[np.ix_(tree, outside)]
+        i, j = np.unravel_index(block.argmin(), block.shape)  # first minimum
+        edges.append((int(tree[i]), int(outside[j]), float(block[i, j])))
+        in_tree[outside[j]] = True
     return edges
 
 
-def trim_promote_election(nodes, ch_probability, round_index, cluster_count, rng):
-    """Uniform election in two branches: an over-election is trimmed to the
-    highest-energy elected heads, an under-election is filled from the rest,
-    eligible first, by descending energy; ties go to the lower id. Same
-    arguments, draws, cooldown writes and return value as
-    ``elect_cluster_heads`` in uniform mode."""
-    alive = np.flatnonzero(nodes.energy > 0)
-    eligible = eligible_mask(nodes, ch_probability, round_index)[alive]
-    draws = rng.random(alive.size)
-    elected = (draws < election_threshold(ch_probability, round_index)) & eligible
-    heads = alive[elected]
-    target = min(cluster_count, alive.size)
-    if heads.size > target:
-        heads = heads[np.lexsort((heads, -nodes.energy[heads]))[:target]]
-    elif heads.size < target:
-        pool, pool_eligible = alive[~elected], eligible[~elected]
-        order = np.lexsort((pool, -nodes.energy[pool], ~pool_eligible))
-        heads = np.concatenate((heads, pool[order[: target - heads.size]]))
+def loop_election(nodes, p, round_index, clustering, k, rng):
+    """The election one node at a time: same arguments, draws, cooldown writes
+    and return value as ``elect_cluster_heads``. An alive node is eligible if
+    it last served before the epoch's first round, and elected if eligible and
+    its draw falls below the threshold. Uniform clustering then trims an
+    over-election to the highest-energy elected heads, or fills an
+    under-election from the rest, eligible first, by descending energy; ties
+    go to the lower id."""
+    energy, served = nodes.energy.tolist(), nodes.last_ch_round.tolist()
+    alive = [i for i in range(len(energy)) if energy[i] > 0]
+    epoch_start = round_index - round_index % epoch_length(p)
+    eligible = {i for i in alive if served[i] < epoch_start}
+    draws = rng.random(len(alive)).tolist()
+    threshold = election_threshold(p, round_index)
+    heads = [i for i, draw in zip(alive, draws) if i in eligible and draw < threshold]
+    if clustering == CLUSTERING_UNIFORM:
+        target = min(k, len(alive))
+        if len(heads) > target:
+            heads = sorted(heads, key=lambda i: (-energy[i], i))[:target]
+        else:
+            pool = sorted(set(alive) - set(heads), key=lambda i: (i not in eligible, -energy[i], i))
+            heads += pool[: target - len(heads)]
     nodes.last_ch_round[heads] = round_index
-    return np.sort(heads)
+    return np.array(sorted(heads), dtype=np.intp)
 
 
 def dense_assign_members(nodes, cluster_heads):
@@ -263,7 +228,7 @@ def loop_head_phase(nodes, heads, tree, config):
     m_bits = 1
     if tree:
         root = min(order, key=lambda i: (fc_dists[i], i))
-        edges = matrix_prim(distance_matrix(nodes.x[heads], nodes.y[heads]), start=root)
+        edges = scan_prim(distance_matrix(nodes.x[heads], nodes.y[heads]), start=root)
         order = [j for _, j, _ in reversed(edges)] + [root]
         m_bits = len(heads)
     uplink = {j: (i, w) for i, j, w in edges}
@@ -291,15 +256,14 @@ def loop_head_phase(nodes, heads, tree, config):
 
 def reference_run(config, nodes):
     """``run_simulation(config, nodes).outcomes`` by plain loops: the same
-    draws, the election oracles (``trim_promote_election`` for uniform
-    clustering, a per-node threshold test for nonuniform),
-    ``dense_assign_members`` and ``loop_head_phase``. Each member pays its
-    ``scalar_link_cost`` and its head the reception plus aggregation of its
-    bit, in member-id order; then the head phase charges each sender and the
-    parent it relays to; then every battery is floored at zero and the
-    empty ones die. Mutates ``nodes`` as the engine does."""
+    draws, ``loop_election``, ``dense_assign_members`` and
+    ``loop_head_phase``. Each member pays its ``scalar_link_cost`` and its
+    head the reception plus aggregation of its bit, in member-id order; then
+    the head phase charges each sender and the parent it relays to; then
+    every battery is floored at zero and the empty ones die. Mutates
+    ``nodes`` as the engine does."""
     rng = np.random.default_rng(config.seed)
-    params, energy, p = config.energy, nodes.energy, config.p
+    params, energy = config.energy, nodes.energy
     outcomes = []
     for r in range(config.rounds):
         alive = [i for i in range(energy.size) if energy[i] > 0]
@@ -307,13 +271,7 @@ def reference_run(config, nodes):
             break
         start = [float(energy[i]) for i in alive]
         rng.integers(0, 2, size=len(alive))  # the engine's unread sensing draw
-        if config.clustering == CLUSTERING_UNIFORM:
-            heads = trim_promote_election(nodes, p, r, config.k, rng).tolist()
-        else:
-            eligible, threshold = eligible_mask(nodes, p, r), election_threshold(p, r)
-            draws = rng.random(len(alive)).tolist()
-            heads = [i for i, draw in zip(alive, draws) if eligible[i] and draw < threshold]
-            nodes.last_ch_round[heads] = r
+        heads = loop_election(nodes, config.p, r, config.clustering, config.k, rng).tolist()
         with np.errstate(over="ignore"):  # a drained battery may reach -inf
             if heads:
                 members, member_head = dense_assign_members(nodes, np.array(heads))

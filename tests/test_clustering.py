@@ -1,8 +1,10 @@
+import inspect
 import math
 import multiprocessing
 import resource
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,19 +15,14 @@ from crwsnsim import (
     assign_members,
     elect_cluster_heads,
     election_threshold,
-    eligible_mask,
     epoch_length,
 )
 
-from helpers import dense_assign_members, minor_faults, nodes_at, trim_promote_election
+from helpers import dense_assign_members, loop_election, minor_faults, nodes_at
 
 
 def make_nodes(count, energy=0.5, spacing=1.0):
     return nodes_at(spacing * np.arange(count), np.zeros(count), energy)
-
-
-def eligible(nodes, ch_probability, round_index):
-    return frozenset(np.flatnonzero(eligible_mask(nodes, ch_probability, round_index)).tolist())
 
 
 def member_of(nodes, cluster_heads):
@@ -41,6 +38,25 @@ class FixedDraws:
 
     def random(self, size):
         return np.full(size, self.value)
+
+
+def eligible(nodes, p, round_index):
+    """The eligible set: on a copy of the nodes, a non-uniform election in
+    which every draw is 0.0 elects exactly the eligible nodes."""
+    trial = replace(nodes, last_ch_round=nodes.last_ch_round.copy())
+    heads = elect_cluster_heads(trial, p, round_index, "nonuniform", 1, FixedDraws(0.0))
+    return frozenset(heads.tolist())
+
+
+def test_election_parameters_are_p_and_k():
+    for function, names in (
+        (epoch_length, ["p"]),
+        (election_threshold, ["p", "round_index"]),
+        (elect_cluster_heads, ["nodes", "p", "round_index", "clustering", "k", "rng"]),
+    ):
+        assert list(inspect.signature(function).parameters) == names
+    with pytest.raises(ValueError, match=r"^p must be in"):
+        epoch_length(p=0.0)
 
 
 class TestElectionThreshold:
@@ -78,8 +94,9 @@ class TestElectionThreshold:
         assert epoch_length(0.3) == 3
 
 
-class TestElectionState:
-    """The eligible set of one round's election, as ``eligible_mask`` gives it."""
+class TestEligibility:
+    """The eligible set of one round's election: the alive nodes that have
+    not served in the current epoch."""
 
     def test_all_eligible_initially(self):
         nodes = make_nodes(5)
@@ -142,6 +159,11 @@ class TestElectClusterHeads:
         assert heads.tolist() == [0, 2, 3]
         assert all(nodes.last_ch_round[i] == 5 for i in heads)
         assert nodes.last_ch_round[1] == 2
+        # k equals the alive count: node 1, served this epoch, is promoted again
+        nodes.last_ch_round[:] = [-1, 2, -1, -1]
+        heads = elect_cluster_heads(nodes, 0.1, 5, "uniform", 4, FixedDraws(0.999))
+        assert heads.tolist() == [0, 1, 2, 3]
+        assert nodes.last_ch_round.tolist() == [5, 5, 5, 5]
 
     def test_uniform_count_capped_by_alive(self):
         nodes = make_nodes(3)
@@ -197,6 +219,7 @@ class TestElectClusterHeads:
             assert len(heads) == 5
             assert len(set(heads)) == 5
 
+    @pytest.mark.parametrize("clustering", ["uniform", "nonuniform"])
     @settings(max_examples=300, deadline=None)
     @given(
         layout=st.integers(1, 60).flatmap(lambda n: st.tuples(
@@ -204,23 +227,22 @@ class TestElectClusterHeads:
             st.lists(st.integers(-1, 59), min_size=n, max_size=n),
             st.integers(1, n + 2),
         )),
-        ch_probability=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
+        p=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
         round_index=st.integers(0, 60),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_uniform_ranking_equals_trim_and_promote(self, layout, ch_probability,
-                                                     round_index, seed):
+    def test_equals_loop_election(self, clustering, layout, p, round_index, seed):
         # energies from a small set, so ties occur, and 0.0 is a dead node;
         # each node last served in this epoch, an earlier one, or never (-1)
-        energies, served, cluster_count = layout
+        energies, served, k = layout
         assume(any(energies))
         ours, oracle = (make_nodes(len(energies), energies) for _ in range(2))
         for nodes in (ours, oracle):
             nodes.last_ch_round[:] = np.minimum(served, round_index - 1)
-        heads = elect_cluster_heads(ours, ch_probability, round_index, "uniform",
-                                    cluster_count, np.random.default_rng(seed))
-        expected = trim_promote_election(oracle, ch_probability, round_index,
-                                         cluster_count, np.random.default_rng(seed))
+        heads = elect_cluster_heads(ours, p, round_index, clustering, k,
+                                    np.random.default_rng(seed))
+        expected = loop_election(oracle, p, round_index, clustering, k,
+                                 np.random.default_rng(seed))
         assert heads.dtype == expected.dtype
         assert heads.tolist() == expected.tolist()
         assert ours.last_ch_round.tolist() == oracle.last_ch_round.tolist()
@@ -567,10 +589,10 @@ def _steady_strip_faults():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestAssignMembersWorkspace:
-    """The ring pass writes its candidates into one buffer per chunk; no
-    result may depend on an earlier call, and a steady call takes no page
-    faults on its candidates."""
+class TestAssignMembersChunks:
+    """The ring pass works in chunks of at most ``_CHUNK`` candidates, each
+    written into one buffer; no result may depend on a chunk's size or on an
+    earlier call, and a steady call takes no page faults on its candidates."""
 
     @pytest.mark.parametrize("chunk", [1, 64, 512])
     @pytest.mark.parametrize("kind", ["lattice", "hole", "crowded"])

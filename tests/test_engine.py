@@ -449,7 +449,7 @@ class TestEmptyBattery:
                 assert isinstance(ids, np.ndarray) and ids.dtype == np.intp
 
 
-class TestNoChFallback:
+class TestZeroHeadRound:
     """A round that elects no head: every alive node sends its own bit
     straight to the fusion centre, with no tree, under either protocol."""
 

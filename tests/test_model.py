@@ -72,7 +72,7 @@ class TestConfigValidation:
             ScenarioConfig(p=1.5)
         ScenarioConfig(p=1.0)  # boundary is allowed
 
-    def test_uniform_cluster_count_bounds(self):
+    def test_uniform_k_bounds(self):
         with pytest.raises(ValueError, match=r"^k must be in \[1, nodes\]"):
             ScenarioConfig(clustering="uniform", k=0)
         with pytest.raises(ValueError, match=r"^k must be in \[1, nodes\]"):

@@ -10,31 +10,12 @@ from crwsnsim import prim_mst
 
 from helpers import (
     distance_matrix,
-    matrix_prim,
     min_spanning_weight,
     prim_edges,
     random_points,
+    scan_prim,
     spanning_tree_weights,
-    triple_loop_prim,
 )
-
-
-class TestBuildAdjacency:
-    """The layouts that the deleted ``build_adjacency`` was tested on: the
-    tree ``prim_mst`` grows on each, edge by edge with exact weights."""
-
-    def test_single_vertex(self):
-        assert prim_edges([4.0], [2.0]) == []
-
-    def test_pythagorean_pair(self):
-        assert prim_edges([0, 3], [0, 4], start=1) == [(1, 0, 5.0)]
-
-    def test_three_vertices(self):
-        # legs of 10 m from vertex 0, a 10*sqrt(2) m hypotenuse between 1 and 2
-        xs, ys = [0, 10, 0], [0, 0, 10]
-        assert prim_edges(xs, ys, 0) == [(0, 1, 10.0), (0, 2, 10.0)]
-        assert prim_edges(xs, ys, 1) == [(1, 0, 10.0), (0, 2, 10.0)]
-        assert prim_edges(xs, ys, 2) == [(2, 0, 10.0), (0, 1, 10.0)]
 
 
 class TestPrimMst:
@@ -47,6 +28,16 @@ class TestPrimMst:
     def test_two_vertices(self):
         assert prim_edges([0.0, 7.0], [0.0, 0.0]) == [(0, 1, 7.0)]
         assert prim_edges([0, 3], [0, 4]) == [(0, 1, 5.0)]
+
+    def test_pythagorean_pair(self):
+        assert prim_edges([0, 3], [0, 4], start=1) == [(1, 0, 5.0)]
+
+    def test_three_vertices(self):
+        # legs of 10 m from vertex 0, a 10*sqrt(2) m hypotenuse between 1 and 2
+        xs, ys = [0, 10, 0], [0, 0, 10]
+        assert prim_edges(xs, ys, 0) == [(0, 1, 10.0), (0, 2, 10.0)]
+        assert prim_edges(xs, ys, 1) == [(1, 0, 10.0), (0, 2, 10.0)]
+        assert prim_edges(xs, ys, 2) == [(2, 0, 10.0), (0, 1, 10.0)]
 
     def test_returns_insertion_order_and_parents(self):
         # start at 2; vertex 1 joins first (30 m), then 0 hangs off it (10 m)
@@ -148,7 +139,7 @@ class TestPrimMst:
             else:
                 xs, ys = random_points(rng, size)
             start = int(rng.integers(0, size))
-            assert prim_edges(xs, ys, start) == triple_loop_prim(distance_matrix(xs, ys), start)
+            assert prim_edges(xs, ys, start) == scan_prim(distance_matrix(xs, ys), start)
 
 
 @st.composite
@@ -178,7 +169,7 @@ class TestPrimOnPointsMatchesMatrix:
     def test_equals_matrix_oracle(self, case):
         xs, ys, start = case
         order, parent = prim_mst(xs, ys, start)
-        edges = matrix_prim(distance_matrix(xs, ys), start)
+        edges = scan_prim(distance_matrix(xs, ys), start)
         assert order.tolist() == [start] + [j for _, j, _ in edges]
         want = np.full(xs.size, start)
         for i, j, _ in edges:
@@ -187,9 +178,9 @@ class TestPrimOnPointsMatchesMatrix:
         assert prim_edges(xs, ys, start) == edges  # the weights too, bit for bit
 
 
-def assert_equals_matrix_prim(xs, ys, start):
+def assert_equals_scan_prim(xs, ys, start):
     order, parent = prim_mst(xs, ys, start)
-    edges = matrix_prim(distance_matrix(xs, ys), start)
+    edges = scan_prim(distance_matrix(xs, ys), start)
     assert order.tolist() == [start] + [j for _, j, _ in edges]
     assert parent[order].tolist() == [start] + [i for i, _, _ in edges]
     assert prim_edges(xs, ys, start) == edges
@@ -205,20 +196,20 @@ class TestPrimFrontier:
     @given(point_sets(kinds=("far",)))
     def test_overflowing_distances(self, case):
         with np.errstate(over="ignore"):
-            assert_equals_matrix_prim(*case)
+            assert_equals_scan_prim(*case)
 
     @pytest.mark.parametrize("size", [31, 32, 33, 64, 65, 100, 300])
     def test_engine_sized_random_layouts(self, size):
         rng = np.random.default_rng(size)
         xs, ys = random_points(rng, size)
         for start in (0, size // 2, size - 1, int(rng.integers(0, size))):
-            assert_equals_matrix_prim(xs, ys, start)
+            assert_equals_scan_prim(xs, ys, start)
 
     def test_lattice_with_duplicates(self):
         xs, ys = np.random.default_rng(20).integers(0, 20, size=(2, 400)).astype(float)
         assert len(set(zip(xs, ys))) < 400  # coincident points and many exact ties
         for start in (0, 123, 399):
-            assert_equals_matrix_prim(xs, ys, start)
+            assert_equals_scan_prim(xs, ys, start)
 
     def test_inputs_stay_unchanged(self):
         xs, ys = random_points(np.random.default_rng(8), 60)  # strided column views
