@@ -13,7 +13,7 @@ from .model import (
     ScenarioConfig,
     place_nodes,
 )
-from .energy import link_cost, rx_energy
+from .energy import link_cost
 from .clustering import (
     assign_members,
     elect_cluster_heads,
@@ -54,5 +54,4 @@ __all__ = [
     "prim_mst",
     "run_round",
     "run_simulation",
-    "rx_energy",
 ]

@@ -65,7 +65,8 @@ def elect_cluster_heads(
     elected = (draws < election_threshold(p, round_index)) & eligible
     heads = alive[elected]
     if clustering == CLUSTERING_UNIFORM:
-        rank = np.lexsort((alive, -nodes.energy[alive], ~eligible, ~elected))
+        # lexsort is stable and alive ascends, so full ties go to the lower id
+        rank = np.lexsort((-nodes.energy[alive], ~eligible, ~elected))
         heads = alive[rank[:k]]
     nodes.last_ch_round[heads] = round_index
     return np.sort(heads)

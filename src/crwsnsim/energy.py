@@ -1,8 +1,9 @@
-"""Radio energy arithmetic: two-branch link cost and reception.
+"""Radio energy arithmetic: the two-branch per-bit link cost.
 
 The link cost charges the transmit electronics plus aggregation per bit and
 an amplifier term that switches from a d^2 law to a d^4 law at the crossover
-distance, the unique point where the two branches agree.
+distance, the unique point where the two branches agree. A k-bit send costs
+k times it, and a k-bit reception ``k * e_rx``.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ import numpy as np
 from .model import EnergyParams
 
 
-def link_cost(params: EnergyParams, m_bits: int, d: float | np.ndarray) -> float | np.ndarray:
-    """Energy (J) to send ``m_bits`` over distance ``d`` metres.
+def link_cost(params: EnergyParams, d: float | np.ndarray) -> float | np.ndarray:
+    """Energy (J) to send one bit over distance ``d`` metres.
 
     Free-space (d^2) amplifier up to ``params.crossover_distance``, multipath
-    (d^4) beyond it. Computed per bit and scaled, so the cost is exactly
-    linear in ``m_bits``. A float gives a float and an array (0-d too) an
-    array of costs, each bit for bit the value for that distance alone.
+    (d^4) beyond it. A float gives a float and an array (0-d too) an array of
+    costs, each bit for bit the value for that distance alone.
     """
-    if m_bits < 1:
-        raise ValueError(f"m_bits must be >= 1, got {m_bits}")
     dist = np.asarray(d, dtype=float)
     bad = dist[~((dist >= 0.0) & (dist < math.inf))]
     if bad.size:
@@ -37,12 +35,4 @@ def link_cost(params: EnergyParams, m_bits: int, d: float | np.ndarray) -> float
         except OverflowError:  # name the distance, not the errno tuple
             raise OverflowError(f"d^4 overflows for a {float(dist.max())!r} m link") from None
         cost[far] = per_bit + params.e_mp * quartic
-    cost *= m_bits
     return cost if isinstance(d, np.ndarray) else float(cost)
-
-
-def rx_energy(params: EnergyParams, m_bits: int) -> float:
-    """Reception energy (J) for ``m_bits``: receive electronics only."""
-    if m_bits < 1:
-        raise ValueError(f"m_bits must be >= 1, got {m_bits}")
-    return params.e_rx * m_bits

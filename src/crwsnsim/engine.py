@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
-from .energy import link_cost, rx_energy
+from .energy import link_cost
 from .clustering import assign_members, elect_cluster_heads
 from .routing import prim_mst
 
@@ -79,42 +79,33 @@ def _check_nodes(nodes: Nodes, config: ScenarioConfig) -> None:
 
 def _head_phase(
     nodes: Nodes, ids: np.ndarray, tree: bool, config: ScenarioConfig
-) -> tuple[np.ndarray, ...]:
-    """Every sender in ``ids`` delivers its table to the fusion centre,
-    children first.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The delivery tree of the senders ``ids``, children first.
 
     Without ``tree`` (baseline heads, or every alive node in a zero-head
     round) each sender sends one bit directly, in ascending id. With it, the
     heads form Prim's tree grown from the head nearest the fusion centre
     (ties: lower index) and transmit in reverse insertion order, each with
-    the full table width (one bit per head); a head relays when the link to
-    its parent is strictly cheaper. Reads positions only and charges no one.
-    Returns, in transmission order, the senders, their tree parents and
-    relay targets (-1 for none) and their direct and uplink costs.
+    the full table width (one bit per head). Reads positions only. Returns,
+    in transmission order, the senders, their tree parents (-1 for none),
+    their metres to the fusion centre and to their parent (to the fusion
+    centre again without one), then the table width in bits.
     """
     xs, ys = nodes.x[ids], nodes.y[ids]
     fc_dists = np.hypot(xs - config.fc_x, ys - config.fc_y)
     order = parent = np.arange(ids.size)  # a sender without a parent is its own
-    m_bits = 1
+    width = 1
     if tree:
         root = int(fc_dists.argmin())  # first minimum: distance ties to the lower index
         inserted, parent = prim_mst(xs, ys, root)
-        order, m_bits = inserted[::-1], ids.size
+        order, width = inserted[::-1], ids.size
     parent = parent[order]
     orphan = parent == order
     # metres to the parent, else to the fusion centre; hypot ignores the sign
     # of the exactly negated differences, so these are the tree's own weights
     uplink = np.where(orphan, fc_dists[order],
                       np.hypot(xs[order] - xs[parent], ys[order] - ys[parent]))
-    # one cost call: every sender's direct link, then its uplink, in order; a
-    # sender without a parent prices its direct link twice, so it goes direct
-    costs = link_cost(config.energy, m_bits, np.concatenate((fc_dists[order], uplink)))
-    direct, relay = costs[:ids.size], costs[ids.size:]
-    relays = relay < direct  # cost ties favour the direct link
-    if (relays & orphan).any():  # bits relayed to no one are lost
-        raise RuntimeError("convergecast did not deliver every head's bit")
-    parents = np.where(orphan, -1, ids[parent])
-    return ids[order], parents, np.where(relays, parents, -1), direct, relay
+    return ids[order], np.where(orphan, -1, ids[parent]), fc_dists[order], uplink, width
 
 
 def run_round(
@@ -125,10 +116,10 @@ def run_round(
 ) -> RoundOutcome:
     """Execute one full round, mutating node state in place.
 
-    One block charges the round, receptions first, then one send per alive
-    node. Charges are not floored as they land: a node drained mid-round
-    still receives, transmits and relays, and ends the round at 0.0 before
-    the death sweep.
+    One per-bit cost call prices every link of the round; one block charges
+    it, receptions first, then one send per alive node. Charges are not
+    floored as they land: a node drained mid-round still receives, transmits
+    and relays, and ends the round at 0.0 before the death sweep.
     """
     _check_nodes(nodes, config)
     alive = np.flatnonzero(nodes.energy > 0)
@@ -141,23 +132,31 @@ def run_round(
         nodes, config.p, round_index, config.clustering, config.k, rng,
     )
 
-    params, energy = config.energy, nodes.energy
+    params, energy, x, y = config.energy, nodes.energy, nodes.x, nodes.y
     tree = heads.size > 0 and config.protocol != PROTOCOL_BASELINE
+    members = member_head = alive[:0]
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
-        # with no head elected, every alive node sends its own bit directly
-        routes = _head_phase(nodes, heads if heads.size else alive, tree, config)
-        senders, _, relay_to, direct, relay = routes
-        relays = relay_to >= 0
-        # receptions: each member's bit plus aggregation to its head in member-id
-        # order, then each relayed table (one bit per sender) in transmission order
         if heads.size:
             members, member_head = assign_members(nodes, heads)
-            np.subtract.at(energy, member_head, rx_energy(params, 1) + params.e_aggregation)
-        np.subtract.at(energy, relay_to[relays], rx_energy(params, senders.size))
+        # with no head elected, every alive node sends its own bit directly
+        senders, parents, fc_metres, uplink, width = _head_phase(
+            nodes, heads if heads.size else alive, tree, config)
+        # one bit per member to its head; each sender's table direct, then uplink
+        costs = link_cost(params, np.concatenate((
+            np.hypot(x[members] - x[member_head], y[members] - y[member_head]), fc_metres, uplink)))
+        priced = costs[members.size:] * width
+        direct, relay = priced[:senders.size], priced[senders.size:]
+        # cost ties favour the direct link, so a sender without a parent goes direct
+        relays = relay < direct
+        if (relays & (parents < 0)).any():  # bits relayed to no one are lost
+            raise RuntimeError("convergecast did not deliver every head's bit")
+        relay_to = np.where(relays, parents, -1)
+        # receptions: each member's bit plus aggregation to its head in member-id
+        # order, then each relayed table in transmission order
+        np.subtract.at(energy, member_head, params.e_rx + params.e_aggregation)
+        np.subtract.at(energy, relay_to[relays], params.e_rx * width)
         # then each alive node's one send: members to their heads, senders onward
-        if heads.size:
-            energy[members] -= link_cost(params, 1, np.hypot(
-                nodes.x[members] - nodes.x[member_head], nodes.y[members] - nodes.y[member_head]))
+        energy[members] -= costs[:members.size]
         energy[senders] -= np.where(relays, relay, direct)
 
     np.maximum(energy, 0.0, out=energy)
@@ -165,7 +164,7 @@ def run_round(
     spent = math.fsum((start_energy - end_energy).tolist())
     deaths = alive[end_energy <= 0.0]
     return RoundOutcome(  # the dead read +0.0, which adds nothing to the residual
-        round_index, heads, *routes, spent, deaths,
+        round_index, heads, senders, parents, relay_to, direct, relay, spent, deaths,
         math.fsum(end_energy.tolist()), alive.size - deaths.size,
     )
 

@@ -27,10 +27,7 @@ from crwsnsim import (
     PROTOCOL_BASELINE,
     Nodes,
     RoundOutcome,
-    election_threshold,
-    epoch_length,
     prim_mst,
-    rx_energy,
 )
 
 
@@ -151,16 +148,17 @@ def loop_election(nodes, p, round_index, clustering, k, rng):
     """The election one node at a time: same arguments, draws, cooldown writes
     and return value as ``elect_cluster_heads``. An alive node is eligible if
     it last served before the epoch's first round, and elected if eligible and
-    its draw falls below the threshold. Uniform clustering then trims an
-    over-election to the highest-energy elected heads, or fills an
-    under-election from the rest, eligible first, by descending energy; ties
-    go to the lower id."""
+    its draw falls below ``p / (1 - p * (r mod round(1/p)))`` clamped to 1.
+    Uniform clustering then trims an over-election to the highest-energy
+    elected heads, or fills an under-election from the rest, eligible first,
+    by descending energy; ties go to the lower id. Epoch and threshold are
+    computed here, not imported."""
     energy, served = nodes.energy.tolist(), nodes.last_ch_round.tolist()
     alive = [i for i in range(len(energy)) if energy[i] > 0]
-    epoch_start = round_index - round_index % epoch_length(p)
-    eligible = {i for i in alive if served[i] < epoch_start}
+    epoch = round(1 / p)
+    eligible = {i for i in alive if served[i] < round_index - round_index % epoch}
     draws = rng.random(len(alive)).tolist()
-    threshold = election_threshold(p, round_index)
+    threshold = min(1.0, p / (1 - p * (round_index % epoch)))
     heads = [i for i, draw in zip(alive, draws) if i in eligible and draw < threshold]
     if clustering == CLUSTERING_UNIFORM:
         target = min(k, len(alive))
@@ -218,9 +216,10 @@ def route_decision(params, m_bits, d_fc, d_parent, parent_id):
 
 def loop_head_phase(nodes, heads, tree, config):
     """The head phase one sender at a time, two scalar costs per sender:
-    same arguments and return value as ``engine._head_phase``. Unlike it,
-    each sender also pays its send, and the parent it relays to the
-    reception, in transmission order."""
+    same arguments as ``engine._head_phase``, and returns the five route
+    arrays a round records, ``senders`` to ``relay_cost``. Each sender also
+    pays its send, and the parent it relays to the reception, in
+    transmission order."""
     params = config.energy
     fc_dists = np.hypot(nodes.x[heads] - config.fc_x, nodes.y[heads] - config.fc_y).tolist()
     edges = []
@@ -247,7 +246,7 @@ def loop_head_phase(nodes, heads, tree, config):
             delivered += carried[idx]
         else:
             nodes.energy[heads[idx]] -= relay
-            nodes.energy[relay_to] -= rx_energy(params, m_bits)
+            nodes.energy[relay_to] -= params.e_rx * m_bits
             carried[parent] += carried[idx]
     if delivered != len(heads):
         raise RuntimeError("convergecast did not deliver every head's bit")
@@ -278,7 +277,7 @@ def reference_run(config, nodes):
                 for m, h in zip(members.tolist(), member_head.tolist()):
                     d = float(np.hypot(nodes.x[m] - nodes.x[h], nodes.y[m] - nodes.y[h]))
                     energy[m] -= scalar_link_cost(params, 1, d)
-                    energy[h] -= rx_energy(params, 1) + params.e_aggregation
+                    energy[h] -= params.e_rx + params.e_aggregation
             tree = bool(heads) and config.protocol != PROTOCOL_BASELINE
             routes = loop_head_phase(nodes, np.array(heads or alive), tree, config)
         for i in alive:

@@ -191,15 +191,15 @@ def test_criterion_6_link_cost_units():
     params = EnergyParams()
     d_o = params.crossover_distance
     checks = [
-        (link_cost(params, 10, 0.0), 5.5e-7),
-        (link_cost(params, 1, 100.0), 1.85e-7),
-        (link_cost(params, 1, d_o), 55e-9 + 10e-12 * (10e-12 / 0.0013e-12)),
+        (10 * link_cost(params, 0.0), 5.5e-7),
+        (link_cost(params, 100.0), 1.85e-7),
+        (link_cost(params, d_o), 55e-9 + 10e-12 * (10e-12 / 0.0013e-12)),
     ]
     unit_ok = all(
         math.isclose(got, expected, rel_tol=1e-12) for got, expected in checks
     )
-    below = link_cost(params, 1, d_o - 1e-6)
-    above = link_cost(params, 1, d_o + 1e-6)
+    below = link_cost(params, d_o - 1e-6)
+    above = link_cost(params, d_o + 1e-6)
     continuity_ok = math.isclose(below, above, rel_tol=1e-6)
     ok = unit_ok and continuity_ok
     report(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crwsnsim import EnergyParams, link_cost, rx_energy
+from crwsnsim import EnergyParams, link_cost
 
 from helpers import scalar_link_cost
 
@@ -28,32 +28,30 @@ class TestCrossoverDistance:
 
 class TestLinkCost:
     def test_zero_distance_kills_amplifier(self):
-        assert link_cost(PARAMS, 10, 0.0) == pytest.approx(5.5e-7, rel=1e-12)
+        assert 10 * link_cost(PARAMS, 0.0) == pytest.approx(5.5e-7, rel=1e-12)
 
     def test_multipath_branch(self):
         # 55e-9 + 0.0013e-12 * 100^4
-        assert link_cost(PARAMS, 1, 100.0) == pytest.approx(1.85e-7, rel=1e-12)
+        assert link_cost(PARAMS, 100.0) == pytest.approx(1.85e-7, rel=1e-12)
 
     def test_branches_agree_at_crossover(self):
         d_o = PARAMS.crossover_distance
         expected = 55e-9 + 10e-12 * (10e-12 / 0.0013e-12)  # 1.319230769230769e-07
-        assert link_cost(PARAMS, 1, d_o) == pytest.approx(expected, rel=1e-12)
+        assert link_cost(PARAMS, d_o) == pytest.approx(expected, rel=1e-12)
 
     def test_continuity_at_crossover(self):
         d_o = PARAMS.crossover_distance
-        below = link_cost(PARAMS, 1, d_o - 1e-6)
-        above = link_cost(PARAMS, 1, d_o + 1e-6)
+        below = link_cost(PARAMS, d_o - 1e-6)
+        above = link_cost(PARAMS, d_o + 1e-6)
         assert below == pytest.approx(above, rel=1e-6)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            link_cost(PARAMS, 0, 10.0)
+            link_cost(PARAMS, float("nan"))
         with pytest.raises(ValueError):
-            link_cost(PARAMS, 1, float("nan"))
+            link_cost(PARAMS, float("inf"))
         with pytest.raises(ValueError):
-            link_cost(PARAMS, 1, float("inf"))
-        with pytest.raises(ValueError):
-            link_cost(PARAMS, 1, -5.0)
+            link_cost(PARAMS, -5.0)
 
     @given(
         st.floats(min_value=0.0, max_value=500.0),
@@ -61,22 +59,7 @@ class TestLinkCost:
         st.integers(min_value=1, max_value=1000),
     )
     def test_strictly_increasing_in_distance(self, d1, gap, m):
-        assert link_cost(PARAMS, m, d1 + gap) > link_cost(PARAMS, m, d1)
-
-    @given(
-        st.floats(min_value=0.0, max_value=500.0),
-        st.integers(min_value=1, max_value=1000),
-        st.integers(min_value=1, max_value=1000),
-    )
-    def test_strictly_increasing_in_bits(self, d, m1, extra):
-        assert link_cost(PARAMS, m1 + extra, d) > link_cost(PARAMS, m1, d)
-
-    @given(
-        st.floats(min_value=0.0, max_value=500.0),
-        st.integers(min_value=1, max_value=10000),
-    )
-    def test_exactly_linear_in_bits(self, d, m):
-        assert link_cost(PARAMS, m, d) == m * link_cost(PARAMS, 1, d)
+        assert m * link_cost(PARAMS, d1 + gap) > m * link_cost(PARAMS, d1)
 
     @given(st.floats(min_value=0.1, max_value=500.0))
     def test_amplifier_curves_cross_at_crossover(self, d):
@@ -105,7 +88,7 @@ class TestCrossoverBranch:
         free_space = (p.e_tx + p.e_aggregation) + p.e_fs * d_o * d_o
         multipath = (p.e_tx + p.e_aggregation) + p.e_mp * d_o ** 4
         assert free_space != multipath
-        cost = link_cost(p, 1, np.array([d_o]))[0] if as_array else link_cost(p, 1, d_o)
+        cost = link_cost(p, np.array([d_o]))[0] if as_array else link_cost(p, d_o)
         assert cost == free_space
 
 
@@ -119,24 +102,24 @@ class TestArrayLinkCost:
         rng = np.random.default_rng(m_bits)
         d = np.concatenate((rng.uniform(0.0, 400.0, 200_000),
                             [0.0, -0.0, params.crossover_distance]))
-        got = link_cost(params, m_bits, d)
+        got = m_bits * link_cost(params, d)
         want = np.array([scalar_link_cost(params, m_bits, v) for v in d.tolist()])
         assert got.dtype == np.float64 and got.shape == d.shape
         assert got.tobytes() == want.tobytes()
 
     def test_float_gives_float(self):
         for d in (0.0, 50.0, 100.0):
-            cost = link_cost(PARAMS, 3, d)
+            cost = 3 * link_cost(PARAMS, d)
             assert type(cost) is float and cost == scalar_link_cost(PARAMS, 3, d)
 
     @pytest.mark.parametrize("d", [50.0, 100.0])  # free space, multipath
     def test_zero_dimensional_array(self, d):
-        cost = link_cost(PARAMS, 1, np.array(d))
+        cost = link_cost(PARAMS, np.array(d))
         assert isinstance(cost, np.ndarray) and cost.shape == ()
         assert float(cost) == scalar_link_cost(PARAMS, 1, d)
 
     def test_empty_array(self):
-        assert link_cost(PARAMS, 1, np.array([])).size == 0
+        assert link_cost(PARAMS, np.array([])).size == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
     def test_bad_distance_raises_the_scalar_error(self, bad):
@@ -144,25 +127,6 @@ class TestArrayLinkCost:
             scalar_link_cost(PARAMS, 1, bad)
         for d in (bad, np.array([10.0, bad, 20.0])):
             with pytest.raises(ValueError) as error:
-                link_cost(PARAMS, 1, d)
+                link_cost(PARAMS, d)
             assert str(error.value) == str(scalar.value)
 
-    def test_zero_bits_raises_the_scalar_error(self):
-        with pytest.raises(ValueError) as scalar:
-            scalar_link_cost(PARAMS, 0, 10.0)
-        for d in (10.0, np.array([10.0])):
-            with pytest.raises(ValueError) as error:
-                link_cost(PARAMS, 0, d)
-            assert str(error.value) == str(scalar.value)
-
-
-class TestRxEnergy:
-    def test_single_bit(self):
-        assert rx_energy(PARAMS, 1) == pytest.approx(5.0e-8, rel=1e-12)
-
-    def test_linear_in_bits(self):
-        assert rx_energy(PARAMS, 10) == pytest.approx(5.0e-7, rel=1e-12)
-
-    def test_rejects_zero_bits(self):
-        with pytest.raises(ValueError):
-            rx_energy(PARAMS, 0)

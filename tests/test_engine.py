@@ -188,7 +188,7 @@ class TestHeadPhase:
         # fusion centre, so relaying costs exactly what sending direct does
         outcome = all_heads_round([48.0, 24.0], [0.0, 70.0], (0.0, 0.0))
         assert tree_edges(outcome) == [(0, 1)]
-        assert outcome.relay_cost[0] == link_cost(EnergyParams(), 2, 74.0)
+        assert outcome.relay_cost[0] == 2 * link_cost(EnergyParams(), 74.0)
         assert (outcome.senders[0], outcome.relay_to[0]) == (1, -1)
         assert outcome.direct_cost[0] == outcome.relay_cost[0]
 
@@ -211,8 +211,8 @@ class TestHeadPhase:
         for head, direct, relay in zip(outcome.senders.tolist(), outcome.direct_cost,
                                        outcome.relay_cost):
             d_fc = np.hypot(xs[head] - fc[0], ys[head] - fc[1])
-            assert direct == link_cost(params, 5, d_fc)
-            assert relay == link_cost(params, 5, uplink.get(head, d_fc))
+            assert direct == 5 * link_cost(params, d_fc)
+            assert relay == 5 * link_cost(params, uplink.get(head, d_fc))
         assert (outcome.relay_to >= 0).any()
 
     def test_choice_invariant_under_cost_scaling(self):
@@ -233,9 +233,11 @@ class TestHeadPhase:
 
     def test_relay_from_a_parentless_sender_is_an_error(self):
         # with every relay cheaper than its direct link, the root relays too,
-        # but it has no parent, so the bits of the whole tree would be lost
-        def cheap_relays(params, m_bits, d):
-            cost = link_cost(params, m_bits, d)
+        # but it has no parent, so the bits of the whole tree would be lost;
+        # every node heads, so the one cost call holds no member link, only
+        # each sender's direct link and then its uplink
+        def cheap_relays(params, d):
+            cost = link_cost(params, d)
             direct = cost[:cost.size // 2]
             cost[cost.size // 2:] = direct / 2
             return cost
@@ -260,9 +262,9 @@ def _scenario(kind, rng, count):
 
 
 class TestHeadPhaseMatchesLoop:
-    """The array head phase builds the tree, prices and decides exactly as
-    the scalar loop, one sender and two scalar costs at a time, and reads
-    the nodes without writing them."""
+    """The head phase reads the nodes without writing them, and the round
+    built on it records the route arrays of the scalar loop, which builds
+    the tree, prices and decides one sender and two scalar costs at a time."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -284,10 +286,16 @@ class TestHeadPhaseMatchesLoop:
         tree = protocol == "proposed" and kind != "zero-head"
         nodes = nodes_at(xs, ys)
         before = [array.copy() for array in vars(nodes).values()]
-        got = engine._head_phase(nodes, ids, tree, config)
+        engine._head_phase(nodes, ids, tree, config)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(vars(nodes).values(), before))
-        want = loop_head_phase(nodes, ids, tree, config)
-        assert len(got) == len(want) == 5
+        want = loop_head_phase(nodes_at(xs, ys), ids, tree, config)
+        # the round elects exactly ``ids``, or no one in a zero-head round
+        heads = ids[:0] if kind == "zero-head" else ids
+        with mock.patch.object(engine, "elect_cluster_heads", return_value=heads):
+            outcome = run_round(nodes, config, 0, np.random.default_rng(seed))
+        got = (outcome.senders, outcome.parent, outcome.relay_to, outcome.direct_cost,
+               outcome.relay_cost)
+        assert len(want) == 5
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -478,7 +486,7 @@ class TestZeroHeadRound:
         assert outcome.relay_to.tolist() == [-1] * 4
         for node, direct in zip(outcome.senders.tolist(), outcome.direct_cost):
             d_fc = np.hypot(xs[node] - fc[0], ys[node] - fc[1])
-            cost = link_cost(config.energy, 1, d_fc)  # one bit, not a four-bit table
+            cost = link_cost(config.energy, d_fc)  # one bit, not a four-bit table
             assert direct == cost
             assert nodes.energy[node] == before[node] - cost
         assert nodes.energy[3] == before[3]
@@ -517,13 +525,13 @@ def test_distance_kernel_is_hypot():
         dx, dy = rng.uniform(70.0, 100.0, (2, 1000))
         metres = np.hypot(dx, dy)
         scalar = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
-        moved = np.flatnonzero(link_cost(params, 1, metres) != link_cost(params, 1, scalar))
+        moved = np.flatnonzero(link_cost(params, metres) != link_cost(params, scalar))
         if moved.size:
             break
     else:
         pytest.skip("math.hypot and np.hypot price every sampled offset alike here")
     i = int(moved[0])
-    dx, dy, cost = float(dx[i]), float(dy[i]), link_cost(params, 1, float(metres[i]))
+    dx, dy, cost = float(dx[i]), float(dy[i]), link_cost(params, float(metres[i]))
     # a battery of twice the cost drops to exactly the cost (Sterbenz), and to
     # another value under any other cost; head 0 sits at the origin, member 1
     # at the offset, and at round 5 with p = 0.5 node 1 sat out the epoch
