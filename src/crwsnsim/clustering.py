@@ -72,6 +72,35 @@ def elect_cluster_heads(
     return np.sort(heads)
 
 
+def elect_block(nodes: Nodes, p: float, first_round: int, draws: np.ndarray) -> np.ndarray:
+    """Non-uniform ``elect_cluster_heads`` for rounds ``first_round`` on, in one
+    epoch, from a row of ``draws`` (over the alive nodes) each: a node heads in
+    the first round it would. Returns the (round, alive node) mask of heads."""
+    alive, epoch = np.flatnonzero(nodes.energy > 0), epoch_length(p)
+    rounds = range(first_round, first_round + len(draws))
+    hit = (draws < np.array([election_threshold(p, r) for r in rounds])[:, None]) & (
+        nodes.last_ch_round[alive] < first_round // epoch * epoch)
+    elected = hit & (hit.cumsum(axis=0) == 1)
+    rows, cols = np.nonzero(elected)
+    nodes.last_ch_round[alive[cols]] = first_round + rows
+    return elected
+
+
+def nearest_heads(mx: np.ndarray, my: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """Index along the next-to-last axis of each member's nearest head (+inf
+    pads) by ``np.hypot``, ties to the lower index. Squares rank; ``np.hypot``
+    settles a near tie (within ``assign_members``' bound) or a nan."""
+    with np.errstate(over="ignore"):  # an inf least square keeps every candidate
+        dx, dy = mx - hx, my - hy
+        sq = dx * dx + dy * dy
+        near = sq <= sq.min(axis=-2, keepdims=True) * (1 + 2.0**-40) + 2.0**-1000
+    best = near.argmax(axis=-2)
+    if np.count_nonzero(near) != best.size:
+        tied = np.nonzero(near.sum(axis=-2) != 1)
+        best[tied] = np.hypot(*(np.moveaxis(d, -2, -1)[tied] for d in (dx, dy))).argmin(axis=-1)
+    return best
+
+
 def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Attach every alive non-head node to its nearest head.
 
@@ -153,5 +182,5 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
             pending, ring = np.concatenate(rejected), ring + 1
     step = max(1, _CHUNK // k)
     for rows in (pending[i : i + step] for i in range(0, pending.size, step)):  # argmin: lowest id
-        nearest[rows] = np.hypot(mx[rows, None] - hx, my[rows, None] - hy).argmin(axis=1)
+        nearest[rows] = nearest_heads(mx[rows], my[rows], hx[:, None], hy[:, None])
     return members, heads[nearest]

@@ -56,3 +56,29 @@ def prim_mst(xs: np.ndarray, ys: np.ndarray, start: int = 0) -> tuple[np.ndarray
         via.fill(j)
         np.fmin(key, row, out=key)
     return order, parent
+
+
+def prim_rows(z: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prim_mst`` of each row of complex points ``z`` (nan: no vertex) from
+    ``start[row]``, a join per row a step on flat views: per row, the vertices
+    in insertion order and their parents, arbitrary past its vertex count."""
+    rows, n = z.shape
+    joined, at = complex(math.inf, math.inf), np.arange(rows)[:, None]
+    key, ids = np.full(z.shape, joined), np.tile(np.arange(n), (rows, 1))
+    key[at[:, 0], start] = 1j * start
+    order, parent = np.empty((n, rows), dtype=np.intp), np.empty((n, rows))
+    for t in range(n):
+        if not t % _COMPACT:  # drop joined slots; the rest keep their order (t = 0: copy z)
+            live = np.argsort(key == joined, axis=1, kind="stable")[:, :n - t]
+            z, key, ids = z[at, live], key[at, live], ids[at, live]
+            flat, diff, row = at[:, 0] * (n - t), *np.empty((2, rows, n - t), dtype=complex)
+            zf, kf, idf = z.reshape(-1), key.reshape(-1), ids.reshape(-1)
+        s = key.argmin(axis=1) + flat
+        order[t], parent[t], p = idf.take(s), kf.take(s).imag, zf.take(s)
+        zf.put(s, math.nan)
+        kf.put(s, joined)
+        np.subtract(p[:, None], z, out=diff)
+        np.hypot(diff.real, diff.imag, out=row.real)
+        np.copyto(row.imag, order[t][:, None])
+        np.fmin(key, row, out=key)
+    return order.T, np.where(parent.T < n, parent.T, -1).astype(np.intp)

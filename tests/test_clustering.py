@@ -18,6 +18,8 @@ from crwsnsim import (
     epoch_length,
 )
 
+from crwsnsim.clustering import nearest_heads
+
 from helpers import dense_assign_members, loop_election, minor_faults, nodes_at
 
 
@@ -227,7 +229,7 @@ class TestElectClusterHeads:
             st.lists(st.integers(-1, 59), min_size=n, max_size=n),
             st.integers(1, n + 2),
         )),
-        p=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
+        p=st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.5, 1.0]),
         round_index=st.integers(0, 60),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -322,6 +324,23 @@ class TestDrainedBattery:
         assert heads.tolist() == list(range(23, 30))
 
 
+def square_near_tie():
+    """A member (px, py) and heads a and b (ax, ay) 3 m from it whose squared
+    metres tie or put a first while np.hypot puts a strictly farther, from a
+    seeded search. With the lower id, a wins any ranking by squares alone; b
+    is the nearest."""
+    rng = np.random.default_rng(0)
+    while True:
+        px, py = rng.uniform(40.0, 50.0, 2)
+        angle = rng.uniform(0.0, 2.0 * math.pi, (2, 1000))
+        ax, ay = px + 3.0 * np.cos(angle), py + 3.0 * np.sin(angle)
+        dx, dy = px - ax, py - ay
+        dists, squares = np.hypot(dx, dy), dx * dx + dy * dy
+        found = np.flatnonzero((dists[0] > dists[1]) & (squares[0] <= squares[1]))
+        if found.size:
+            return px, py, ax[:, found[0]], ay[:, found[0]]
+
+
 def assert_matches_dense(nodes, cluster_heads):
     members, heads = assign_members(nodes, cluster_heads)
     want_members, want_heads = dense_assign_members(nodes, cluster_heads)
@@ -407,23 +426,9 @@ class TestAssignMembersMatchesDense:
                              list(range(hx.size)))
 
     def test_square_near_tie_is_settled_by_hypot(self):
-        # A seeded search for heads a and b 3 m from a member whose squared
-        # metres tie or put a first while np.hypot puts a strictly farther. With
-        # the lower id, a wins any ranking by squares alone; b is the nearest.
-        rng = np.random.default_rng(0)
-        while True:
-            px, py = rng.uniform(40.0, 50.0, 2)
-            angle = rng.uniform(0.0, 2.0 * math.pi, (2, 1000))
-            ax, ay = px + 3.0 * np.cos(angle), py + 3.0 * np.sin(angle)
-            dx, dy = px - ax, py - ay
-            dists, squares = np.hypot(dx, dy), dx * dx + dy * dy
-            found = np.flatnonzero((dists[0] > dists[1]) & (squares[0] <= squares[1]))
-            if found.size:
-                break
-        pair = found[0]
+        px, py, ax, ay = square_near_tie()
         hx, hy = self._holed_lattice(4)  # 84 heads, 10 m cells, none within 20 m
-        nodes = nodes_at(np.concatenate((hx, ax[:, pair], [px])),
-                         np.concatenate((hy, ay[:, pair], [py])))
+        nodes = nodes_at(np.concatenate((hx, ax, [px])), np.concatenate((hy, ay, [py])))
         members, heads = assign_members(nodes, list(range(hx.size + 2)))
         assert members.tolist() == [hx.size + 2] and heads.tolist() == [hx.size + 1]
         assert_matches_dense(nodes, list(range(hx.size + 2)))
@@ -452,6 +457,54 @@ class TestAssignMembersMatchesDense:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def assert_stack_matches_dense(nodes, rounds):
+    """``nearest_heads`` on every alive node against each round's heads,
+    padded with +inf heads into one stack, then on each round alone, gives
+    the dense oracle's member heads."""
+    x, y = nodes.x, nodes.y
+    hx = np.full((len(rounds), max(map(len, rounds)), 1), math.inf)
+    hy = hx.copy()
+    for r, heads in enumerate(rounds):
+        hx[r, :len(heads), 0], hy[r, :len(heads), 0] = x[heads], y[heads]
+    stacked = nearest_heads(x, y, hx, hy)
+    for r, heads in enumerate(rounds):
+        members, want = dense_assign_members(nodes, heads)
+        alone = nearest_heads(x[members], y[members], x[heads][:, None], y[heads][:, None])
+        assert heads[stacked[r, members]].tolist() == heads[alone].tolist() == want.tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNearestHeads:
+    """The one dense nearest-head kernel, on one round and on a stack of
+    rounds, equals the dense search by np.hypot."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["random", "lattice", "coincident", "strip", "huge", "tiny"]),
+        st.lists(st.integers(min_value=1, max_value=80), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stack_equals_dense_oracle(self, kind, head_counts, member_count, seed):
+        rng = np.random.default_rng(seed)
+        count = max(head_counts) + member_count
+        nodes = nodes_at(*_layout(kind, rng, count))
+        assert_stack_matches_dense(
+            nodes, [np.sort(rng.choice(count, k, replace=False)) for k in head_counts])
+
+    def test_square_near_tie_in_one_row_of_a_stack(self):
+        # row 1 holds the tied heads a and b beside far heads; rows 0 and 2 others
+        px, py, ax, ay = square_near_tie()
+        rng = np.random.default_rng(4)
+        xs, ys = rng.uniform(0.0, 100.0, (2, 30))
+        nodes = nodes_at(np.concatenate((ax, [px], xs)), np.concatenate((ay, [py], ys)))
+        tied = np.array([0, 1, *np.flatnonzero(np.hypot(xs - px, ys - py) > 20.0)[:5] + 3])
+        rounds = [np.arange(3, 13), tied, np.array([0, 2, 20])]
+        assert_stack_matches_dense(nodes, rounds)
+        members, heads = dense_assign_members(nodes, tied)
+        assert heads[members.tolist().index(2)] == 1  # b, though its square is not below a's
 
 
 def _grid_depth(hx, hy):

@@ -315,9 +315,10 @@ def _reference_scenario(kind, protocol, clustering, seed):
         n, p, rounds = int(rng.integers(1, 12)), 0.1, int(rng.integers(10, 40))
     elif kind == "depletion":  # deaths mid-round, heads drained in their own round
         battery = float(rng.choice([2e-7, 1e-6, 5e-6]))
-        p, rounds = float(rng.choice([0.1, 0.3])), int(rng.integers(10, 40))
+        p, rounds = float(rng.choice([0.1, 0.15, 0.3])), int(rng.integers(10, 40))
     else:  # "lattice" (20 m grid points: distance and cost ties) or "mixed"
-        p, battery = float(rng.choice([0.05, 0.1, 0.3, 1.0])), float(rng.choice([0.5, 5e-6, 2e-7]))
+        p = float(rng.choice([0.05, 0.1, 0.15, 0.3, 1.0]))
+        battery = float(rng.choice([0.5, 5e-6, 2e-7]))
         if kind == "lattice":
             n = int(rng.integers(1, 150))
             # batteries differ, so a charge moved to another node moves the sums' last bits
@@ -378,6 +379,51 @@ class TestRunMatchesReference:
                 assert x == y, (a.round_index, name)
         for name, array in vars(got_nodes).items():  # every node's battery and last head round
             assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
+
+    # A non-uniform run plans each epoch's rounds as one block and replans
+    # after a death; each scenario crosses the seam it is named after.
+    @pytest.mark.parametrize("seam, kind, protocol, seed", [
+        ("first-death-inside-an-epoch", "depletion", "baseline", 2),
+        ("two-deaths-in-one-epoch", "depletion", "proposed", 1),
+        ("zero-head-round-inside-a-block", "zero-head", "proposed", 0),
+        ("rounds-end-mid-epoch", "mixed", "baseline", 0),
+        ("one-round-epochs", "lattice", "proposed", 2),
+        ("epoch-of-seven-at-p-0.15", "lattice", "proposed", 0),
+        ("passed-nodes-with-one-empty-battery", "mixed", "proposed", 0),
+    ])
+    def test_block_seams_equal_reference_run(self, seam, kind, protocol, seed):
+        config, (xs, ys, energy) = _reference_scenario(kind, protocol, "nonuniform", seed)
+        if seam == "passed-nodes-with-one-empty-battery":
+            energy = np.where(np.arange(energy.size) == energy.size // 2, 0.0, energy)
+        got_nodes, want_nodes = nodes_at(xs, ys, energy), nodes_at(xs, ys, energy)
+        got = run_simulation(config, got_nodes).outcomes
+        assert seam in _block_seams(config, energy, got)
+        want = reference_run(config, want_nodes)
+        assert len(got) == len(want) and all(map(same_outcome, got, want))
+        for name, array in vars(got_nodes).items():
+            assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
+
+
+def _block_seams(config, energy, outcomes):
+    """The seams of the epoch blocks that a non-uniform run crosses."""
+    epoch = round(1 / config.p)
+    deaths = [o.round_index for o in outcomes if o.deaths.size]
+    seams = {
+        "first-death-inside-an-epoch": deaths[:1] and deaths[0] % epoch < epoch - 1
+        and deaths[0] < len(outcomes) - 1,
+        "two-deaths-in-one-epoch": any(
+            a // epoch == b // epoch and a % epoch < epoch - 1 for a, b in zip(deaths, deaths[1:])),
+        "zero-head-round-inside-a-block": any(
+            not o.cluster_heads.size and o.round_index % epoch
+            and not any(o.round_index - o.round_index % epoch <= d < o.round_index for d in deaths)
+            for o in outcomes),
+        "rounds-end-mid-epoch": len(outcomes) == config.rounds and config.rounds % epoch,
+        "one-round-epochs": epoch == 1 and len(outcomes) > 1,
+        "epoch-of-seven-at-p-0.15": config.p == 0.15 and epoch == 7 and len(outcomes) > 7,
+        "passed-nodes-with-one-empty-battery": np.count_nonzero(energy == 0.0) == 1
+        and outcomes[0].alive + outcomes[0].deaths.size == energy.size - 1,
+    }
+    return {name for name, crossed in seams.items() if crossed}
 
 
 class TestDrainedHead:
@@ -677,6 +723,34 @@ class TestRunSimulation:
         assert len(long.outcomes) == 90
         assert len(repr(short)) == len(repr(long)) < 1000
         assert "RoundOutcome" not in repr(long)
+
+
+class TestRoundLoopMatchesRun:
+    """Driving ``run_round`` for rounds 0, 1, ... on nodes placed from the
+    same generator is the run ``run_simulation`` records, whichever way it
+    runs its rounds: every outcome and the final node state."""
+
+    @pytest.mark.parametrize("battery", [0.5, 2e-5], ids=["full", "depleting"])
+    @pytest.mark.parametrize("clustering", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_round_loop_equals_run_simulation(self, protocol, clustering, battery):
+        config = ScenarioConfig(protocol=protocol, clustering=clustering, nodes=60, rounds=80,
+                                fc_y=250.0, seed=9, energy=EnergyParams(initial_energy=battery))
+        placed = []
+        with mock.patch.object(engine, "place_nodes",
+                               lambda *args: placed.append(place_nodes(*args)) or placed[-1]):
+            result = run_simulation(config)
+        rng = np.random.default_rng(config.seed)
+        nodes, outcomes = place_nodes(config, rng), []
+        for r in range(config.rounds):
+            if not (nodes.energy > 0).any():
+                break
+            outcomes.append(run_round(nodes, config, r, rng))
+        assert len(outcomes) == len(result.outcomes)
+        assert all(map(same_outcome, outcomes, result.outcomes))
+        assert (battery < 0.5) == any(o.deaths.size for o in outcomes)
+        for name, array in vars(nodes).items():
+            assert array.tobytes() == getattr(placed[0], name).tobytes(), name
 
 
 @pytest.mark.parametrize("count", [1000, 100], ids=["ring-search", "dense-search"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crwsnsim import prim_mst
+from crwsnsim.routing import prim_rows
 
 from helpers import (
     distance_matrix,
@@ -238,6 +239,50 @@ class TestPrimFrontier:
         near = 1 if hp[i] < hq[i] else 2
         order, _ = prim_mst([0.0, px[i], qx[i]], [0.0, py[i], qy[i]], 0)
         assert order.tolist() == [0, near, 3 - near]
+
+
+def assert_rows_equal_prim_mst(rows):
+    """``prim_rows`` on the ``(xs, ys, start)`` rows, stacked with nan points
+    after each row's own, grows each row's ``prim_mst`` and ``scan_prim`` tree."""
+    z = np.full((len(rows), max(xs.size for xs, _, _ in rows)), complex(math.nan, math.nan))
+    for r, (xs, ys, _) in enumerate(rows):
+        z.real[r, :xs.size], z.imag[r, :xs.size] = xs, ys
+    before = z.tobytes()
+    order, parent = prim_rows(z, np.array([start for *_, start in rows]))
+    assert z.tobytes() == before
+    for r, (xs, ys, start) in enumerate(rows):
+        want_order, want_parent = prim_mst(xs, ys, start)
+        edges = scan_prim(distance_matrix(xs, ys), start)
+        assert order[r, :xs.size].tolist() == want_order.tolist()
+        assert want_order[1:].tolist() == [j for _, j, _ in edges]
+        assert parent[r, :xs.size].tolist() == want_parent[want_order].tolist()
+        assert parent[r, 1:xs.size].tolist() == [i for i, _, _ in edges]
+
+
+class TestPrimRows:
+    """Prim over a stack of ragged rows, one join per row a step, builds
+    each row's ``prim_mst`` tree: the same insertion order and parents."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(point_sets(kinds=("random", "lattice", "coincident", "far")),
+                    min_size=1, max_size=6))
+    def test_each_row_equals_prim_mst(self, rows):
+        with np.errstate(over="ignore"):  # far rows: 2e308 m overflows to inf
+            assert_rows_equal_prim_mst([(np.asarray(xs, float), np.asarray(ys, float), start)
+                                        for xs, ys, start in rows])
+
+    @pytest.mark.parametrize("sizes", [(31, 32, 33), (64, 65), (65, 1, 33, 64)])
+    def test_rows_around_the_compaction(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        assert_rows_equal_prim_mst([(*random_points(rng, size), int(rng.integers(size)))
+                                    for size in sizes])
+
+    def test_lattice_ties_and_duplicate_points(self):
+        rng = np.random.default_rng(21)
+        rows = [(*(10.0 * rng.integers(0, 5, (2, size))), int(rng.integers(size)))
+                for size in (80, 3, 40, 1, 66)]
+        assert all(len(set(zip(xs, ys))) < xs.size for xs, ys, _ in rows if xs.size > 25)
+        assert_rows_equal_prim_mst(rows)
 
 
 def test_memory_is_linear_in_the_points():
