@@ -73,16 +73,21 @@ def elect_cluster_heads(
 
 
 def elect_block(nodes: Nodes, p: float, first_round: int, draws: np.ndarray) -> np.ndarray:
-    """Non-uniform ``elect_cluster_heads`` for rounds ``first_round`` on, in one
-    epoch, from a row of ``draws`` (over the alive nodes) each: a node heads in
-    the first round it would. Returns the (round, alive node) mask of heads."""
-    alive, epoch = np.flatnonzero(nodes.energy > 0), epoch_length(p)
-    rounds = range(first_round, first_round + len(draws))
-    hit = (draws < np.array([election_threshold(p, r) for r in rounds])[:, None]) & (
-        nodes.last_ch_round[alive] < first_round // epoch * epoch)
-    elected = hit & (hit.cumsum(axis=0) == 1)
-    rows, cols = np.nonzero(elected)
-    nodes.last_ch_round[alive[cols]] = first_round + rows
+    """Non-uniform ``elect_cluster_heads`` for rounds ``first_round`` on, a row of
+    ``draws`` (over the alive nodes) each, no death among them: in each epoch, a
+    node that last served before it heads in the first round it would. Returns
+    the (round, alive node) mask of heads; ``last_ch_round`` takes the last."""
+    alive, epoch, size = np.flatnonzero(nodes.energy > 0), epoch_length(p), len(draws)
+    served, rounds = nodes.last_ch_round[alive], np.arange(first_round, first_round + size)
+    thresholds = np.array([election_threshold(p, r) for r in rounds[:epoch].tolist()])  # offsets
+    opens = rounds // epoch * epoch  # each round's epoch's first round
+    hit = (draws < thresholds[(rounds - first_round) % epoch, None]) & (served < opens[:, None])
+    count = hit.cumsum(axis=0)
+    if size > epoch - first_round % epoch:  # count a later epoch's hits from its first row
+        start = np.maximum(opens - first_round, 0)
+        count -= np.where(start[:, None] > 0, count[start - 1], 0)
+    elected = hit & (count == 1)
+    nodes.last_ch_round[alive] = np.where(elected, rounds[:, None], served).max(axis=0)
     return elected
 
 

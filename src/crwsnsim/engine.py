@@ -7,12 +7,14 @@ then one send per alive node; then batteries are floored at zero, and a node
 at 0 is dead.
 
 ``run_round`` runs one round. ``run_simulation`` runs uniform clustering
-round by round, as it ranks the energies each round leaves, and plans each
-epoch of non-uniform rounds (whose heads, members and trees read no energy) as
-one block, then charges it round by round with ``run_round``'s code. A block
-ends after a round that leaves a battery at zero: the generator goes back to
-its state after that round's draws, later heads leave the cooldown, and the
-next block starts on the new alive set.
+round by round, as it ranks the energies each round leaves, and plans
+non-uniform rounds (whose heads, members and trees read no energy) in blocks:
+to the end of an epoch, or on through later epochs while a bound on a round's
+spend proves no battery can empty; it charges them round by round with
+``run_round``'s code. A block ends after a round that leaves a battery at
+zero: the generator goes back to its state after that round's draws, each
+head's cooldown to its last round so far, and the next block starts on the
+new alive set.
 """
 
 from __future__ import annotations
@@ -167,14 +169,32 @@ def run_round(
                        np.concatenate((members, route[0])), np.concatenate((member_cost, cost)))
 
 
+def _round_bound(nodes: Nodes, config: ScenarioConfig) -> float:
+    """Most joules a node spends in a round, plus 2^-20, or inf: for n = ``config.nodes``
+    >= k heads, n - 1 member bits, k-bit tables from k - 1 children and a k-bit
+    send over the diagonal of the box that holds the nodes and fusion centre."""
+    n, e = config.nodes, config.energy
+    with np.errstate(over="ignore", invalid="ignore"):  # no finite box or send: no bound
+        try:
+            send = link_cost(e, math.hypot(np.ptp(np.append(nodes.x, config.fc_x)),
+                                           np.ptp(np.append(nodes.y, config.fc_y))))
+        except (ValueError, OverflowError):
+            return math.inf
+    return ((n - 1) * (e.e_rx + e.e_aggregation) + n * (n - 1) * e.e_rx + n * send) * (1 + 2**-20)
+
+
 def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
-               rng: np.random.Generator) -> list[RoundOutcome]:
-    """The rounds from ``first`` to the end of their epoch, planned as one
-    block and charged round by round; if a link cannot be priced, the first
-    round runs alone through ``run_round``, to raise the error it raises."""
+               rng: np.random.Generator, bound: float) -> list[RoundOutcome]:
+    """The rounds from ``first`` to the end of their epoch, or on while the
+    least alive battery outlasts ``bound`` joules a round, planned as one block
+    and charged round by round; if a link cannot be priced, the first round
+    runs alone through ``run_round``, to raise the error it raises."""
     alive, served, params = np.flatnonzero(nodes.energy > 0), nodes.last_ch_round, config.energy
     n, epoch, restart = alive.size, epoch_length(config.p), rng.bit_generator.state
-    size = min(first // epoch * epoch + epoch, config.rounds, first + max(1, _CHUNK // n)) - first
+    most = min(config.rounds, first + max(1, _CHUNK // n)) - first  # rounds, _CHUNK draws
+    size, low = min(first // epoch * epoch + epoch - first, most), float(nodes.energy[alive].min())
+    if bound < math.inf:  # on past the epoch while no battery can empty
+        size = max(size, int(min(low / bound, most)))
     table, states, before = np.empty((size, n)), [], served[alive]  # draws, later sends
     for row in table:
         rng.integers(0, 2, size=n)  # sensed bits: drawn to keep the RNG stream, never read
@@ -197,12 +217,15 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
                       for r in (rows, mrow, srow))  # where each round's entries start and end
         # one dense search, but assign_members' own from 64 heads or a chunk a round
         solo, near = (k >= 64) | (k * n > _CHUNK), np.zeros((size, n), dtype=np.int8)
-        dense = np.flatnonzero((k > 0) & ~solo)
-        slots = grid[dense, :k[dense].max(initial=1), None]
-        hx, hy = np.append(xa, math.inf)[slots], np.append(ya, math.inf)[slots]
-        step = max(1, _CHUNK // (slots.shape[1] * n))
-        for i in range(0, dense.size, step):
-            near[dense[i:i + step]] = nearest_heads(xa, ya, hx[i:i + step], hy[i:i + step])
+        dense, budget = np.flatnonzero((k > 0) & ~solo), _CHUNK >> 5  # candidates a call
+        if k[dense].max(initial=0) * dense.size * n > budget:  # widest rows first, so that
+            dense = dense[np.argsort(-k[dense], kind="stable")]  # each call pads to its own
+        px, py, i = np.append(xa, math.inf), np.append(ya, math.inf), 0
+        while i < dense.size:
+            wide = k[dense[i:]].max()
+            slots = grid[dense[i:i + max(1, budget // (wide * n))], :wide, None]
+            near[dense[i:i + slots.shape[0]]] = nearest_heads(xa, ya, px[slots], py[slots])
+            i += slots.shape[0]
         member_head = alive[grid[mrow, near[member]]] if dense.size else np.empty_like(mcol)
         for t in np.flatnonzero(solo).tolist():
             member_head[mb[t]:mb[t + 1]] = assign_members(nodes, alive[grid[t, :k[t]]])[1]
@@ -228,7 +251,8 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
                 alive, table[t]))
             if outcomes[-1].deaths.size:  # replan from the next round on the new alive set
                 rng.bit_generator.state = states[t]
-                served[alive[cols[hb[t + 1]:]]] = before[cols[hb[t + 1]:]]
+                served[alive] = np.where(  # each node's last head round so far
+                    elected[:t + 1], np.arange(first, first + t + 1)[:, None], before).max(axis=0)
                 break
     return outcomes
 
@@ -246,9 +270,10 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
     initial, alive = math.fsum(nodes.energy.tolist()), int(np.count_nonzero(nodes.energy > 0))
 
     outcomes: list[RoundOutcome] = []
+    bound = _round_bound(nodes, config) if config.clustering != CLUSTERING_UNIFORM else math.inf
     while len(outcomes) < config.rounds and (nodes.energy > 0).any():
         if config.clustering == CLUSTERING_UNIFORM:
             outcomes.append(run_round(nodes, config, len(outcomes), rng))
         else:
-            outcomes += _run_block(nodes, config, len(outcomes), rng)
+            outcomes += _run_block(nodes, config, len(outcomes), rng, bound)
     return SimulationResult(config, outcomes, initial, alive)

@@ -18,7 +18,7 @@ from crwsnsim import (
     epoch_length,
 )
 
-from crwsnsim.clustering import nearest_heads
+from crwsnsim.clustering import elect_block, nearest_heads
 
 from helpers import dense_assign_members, loop_election, minor_faults, nodes_at
 
@@ -247,6 +247,36 @@ class TestElectClusterHeads:
                                  np.random.default_rng(seed))
         assert heads.dtype == expected.dtype
         assert heads.tolist() == expected.tolist()
+        assert ours.last_ch_round.tolist() == oracle.last_ch_round.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout=st.integers(1, 40).flatmap(lambda n: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.1, 0.5]), min_size=n, max_size=n),
+            st.lists(st.integers(-1, 90), min_size=n, max_size=n),
+        )),
+        p=st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.5, 1.0]),
+        first_round=st.integers(0, 60),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_over_epochs_equals_loop_election(self, layout, p, first_round, rows, seed):
+        # a block of up to 40 rounds crosses up to 40 epoch seams (p = 1); a node
+        # last served before the block, in its first epoch, or after it starts
+        energies, served = layout
+        assume(any(energies))
+        ours, oracle = (make_nodes(len(energies), energies) for _ in range(2))
+        for nodes in (ours, oracle):
+            nodes.last_ch_round[:] = served
+        alive = np.flatnonzero(ours.energy > 0)
+        rng = np.random.default_rng(seed)
+        elected = elect_block(ours, p, first_round, np.array([rng.random(alive.size)
+                                                             for _ in range(rows)]))
+        assert elected.shape == (rows, alive.size)
+        rng = np.random.default_rng(seed)
+        for row, r in zip(elected, range(first_round, first_round + rows)):
+            heads = loop_election(oracle, p, r, "nonuniform", 1, rng)
+            assert alive[row].tolist() == heads.tolist(), r
         assert ours.last_ch_round.tolist() == oracle.last_ch_round.tolist()
 
     def test_same_seed_same_sequence(self):

@@ -380,8 +380,9 @@ class TestRunMatchesReference:
         for name, array in vars(got_nodes).items():  # every node's battery and last head round
             assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
 
-    # A non-uniform run plans each epoch's rounds as one block and replans
-    # after a death; each scenario crosses the seam it is named after.
+    # A non-uniform run plans its rounds in blocks: to the end of an epoch, or on
+    # through later epochs while no battery can empty, and replans after a
+    # death; each scenario crosses the seam it is named after.
     @pytest.mark.parametrize("seam, kind, protocol, seed", [
         ("first-death-inside-an-epoch", "depletion", "baseline", 2),
         ("two-deaths-in-one-epoch", "depletion", "proposed", 1),
@@ -390,24 +391,33 @@ class TestRunMatchesReference:
         ("one-round-epochs", "lattice", "proposed", 2),
         ("epoch-of-seven-at-p-0.15", "lattice", "proposed", 0),
         ("passed-nodes-with-one-empty-battery", "mixed", "proposed", 0),
+        ("a-block-spans-epochs-and-rounds-end-mid-epoch", "zero-head", "baseline", 0),
+        ("a-block-spans-epochs-of-seven", "mixed", "proposed", 11),
+        ("no-horizon-deaths-after-an-epoch-seam", "depletion", "proposed", 2),
     ])
-    def test_block_seams_equal_reference_run(self, seam, kind, protocol, seed):
+    def test_block_seams_equal_reference_run(self, monkeypatch, seam, kind, protocol, seed):
         config, (xs, ys, energy) = _reference_scenario(kind, protocol, "nonuniform", seed)
         if seam == "passed-nodes-with-one-empty-battery":
             energy = np.where(np.arange(energy.size) == energy.size // 2, 0.0, energy)
+        if seam.startswith("no-horizon"):  # every block runs on to `rounds` or a death
+            monkeypatch.setattr(engine, "_round_bound", lambda nodes, config: 5e-324)
+        blocks, run_block = [], engine._run_block
+        monkeypatch.setattr(engine, "_run_block",
+                            lambda *args: blocks.append(run_block(*args)) or blocks[-1])
         got_nodes, want_nodes = nodes_at(xs, ys, energy), nodes_at(xs, ys, energy)
         got = run_simulation(config, got_nodes).outcomes
-        assert seam in _block_seams(config, energy, got)
+        assert seam in _block_seams(config, energy, got, blocks)
         want = reference_run(config, want_nodes)
         assert len(got) == len(want) and all(map(same_outcome, got, want))
         for name, array in vars(got_nodes).items():
             assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
 
 
-def _block_seams(config, energy, outcomes):
-    """The seams of the epoch blocks that a non-uniform run crosses."""
+def _block_seams(config, energy, outcomes, blocks):
+    """The seams that a non-uniform run crosses; ``blocks`` holds each block's outcomes."""
     epoch = round(1 / config.p)
     deaths = [o.round_index for o in outcomes if o.deaths.size]
+    spans = [(b[0].round_index // epoch, b[-1].round_index // epoch, b[-1]) for b in blocks]
     seams = {
         "first-death-inside-an-epoch": deaths[:1] and deaths[0] % epoch < epoch - 1
         and deaths[0] < len(outcomes) - 1,
@@ -422,8 +432,87 @@ def _block_seams(config, energy, outcomes):
         "epoch-of-seven-at-p-0.15": config.p == 0.15 and epoch == 7 and len(outcomes) > 7,
         "passed-nodes-with-one-empty-battery": np.count_nonzero(energy == 0.0) == 1
         and outcomes[0].alive + outcomes[0].deaths.size == energy.size - 1,
+        "a-block-spans-epochs-and-rounds-end-mid-epoch": config.rounds % epoch and any(
+            first + 2 <= last and end.round_index == config.rounds - 1
+            for first, last, end in spans),
+        "a-block-spans-epochs-of-seven": epoch == 7 and any(
+            first < last for first, last, _ in spans),
+        "no-horizon-deaths-after-an-epoch-seam": any(
+            first < last and end.deaths.size for first, last, end in spans),
     }
     return {name for name, crossed in seams.items() if crossed}
+
+
+class TestRoundBound:
+    """``_round_bound`` is a proof: no node spends more than it in any round,
+    so a block planned past the end of its epoch never ends in a death."""
+
+    @staticmethod
+    def run_in_blocks(config, nodes):
+        """``run_simulation``'s outcomes, and each non-uniform block's first
+        round, planned round count and outcomes."""
+        planned, blocks, elect, run_block = [], [], engine.elect_block, engine._run_block
+        with mock.patch.object(engine, "elect_block", lambda nodes, p, first, draws: planned.append(
+                (first, len(draws))) or elect(nodes, p, first, draws)), \
+                mock.patch.object(engine, "_run_block", lambda *args: blocks.append(
+                    run_block(*args)) or blocks[-1]):
+            outcomes = run_simulation(config, nodes).outcomes
+        return outcomes, [(*plan, block) for plan, block in zip(planned, blocks, strict=True)]
+
+    @staticmethod
+    def assert_no_extended_block_dies(config, blocks):
+        epoch = round(1 / config.p)
+        for first, size, block in blocks:
+            if first + size > first // epoch * epoch + epoch:
+                assert len(block) == size and not any(o.deaths.size for o in block), first
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["ring", "zero-head", "depletion", "lattice", "mixed"]),
+        st.sampled_from(["baseline", "proposed"]),
+        st.sampled_from(["uniform", "nonuniform"]),
+        st.floats(0.5, 40.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_no_round_spends_more_and_no_extended_block_dies(
+            self, kind, protocol, clustering, horizon, seed):
+        config, (xs, ys, energy) = _reference_scenario(kind, protocol, clustering, seed)
+        bound = engine._round_bound(nodes_at(xs, ys, energy), config)
+        assert 0.0 < bound < math.inf
+        # a joule more in each battery: no node is floored, so a drop is a spend
+        nodes, rng = nodes_at(xs, ys, energy + 1.0), np.random.default_rng(config.seed)
+        for r in range(config.rounds):
+            before = nodes.energy.copy()
+            run_round(nodes, config, r, rng)
+            assert (before - nodes.energy).max() <= bound, r
+        if clustering == "nonuniform":  # the smallest battery outlasts `horizon` bounds
+            energy = energy * (horizon * bound / energy.min())
+            _, blocks = self.run_in_blocks(config, nodes_at(xs, ys, energy))
+            self.assert_no_extended_block_dies(config, blocks)
+
+    def test_a_hub_that_receives_every_table_meets_the_bound(self):
+        # twenty heads at one point 1 m from the fusion centre: Prim hangs them
+        # all on the root, and each relays its 20-bit table there, at 0 m
+        config = ScenarioConfig(nodes=20, p=1.0, protocol="proposed", fc_x=1.0, fc_y=0.0)
+        nodes = nodes_at(np.zeros(20), np.zeros(20))
+        bound = engine._round_bound(nodes, config)
+        outcome = run_round(nodes, config, 0, np.random.default_rng(0))
+        assert outcome.relay_to.tolist().count(0) == 19
+        assert 0.9 * bound < (0.5 - nodes.energy).max() <= bound
+
+    @pytest.mark.parametrize("sends", [1, 9, 10, 11, 19, 20, 21, 25, 40])
+    def test_a_lone_node_at_the_box_corner_meets_the_bound(self, sends):
+        # one node spends one direct bit over the box diagonal every round, the
+        # bound less its rounding margin; its battery holds `sends` of them
+        config = ScenarioConfig(nodes=1, rounds=60, fc_x=0.0, fc_y=250.0, seed=3)
+        nodes = place_nodes(config, np.random.default_rng(config.seed))
+        cost = link_cost(config.energy, math.hypot(nodes.x[0], nodes.y[0] - 250.0))
+        assert engine._round_bound(nodes, config) == pytest.approx(cost, rel=2e-6)
+        nodes.energy[0] = sends * cost
+        outcomes, blocks = self.run_in_blocks(config, nodes)
+        assert len(outcomes) in (sends, sends + 1) and outcomes[-1].deaths.tolist() == [0]
+        self.assert_no_extended_block_dies(config, blocks)
+        assert sends < 19 or any(size > 10 for _, size, _ in blocks)  # planned past an epoch
 
 
 class TestDrainedHead:
