@@ -18,6 +18,7 @@ import numpy as np
 from .model import CLUSTERING_UNIFORM, Nodes, check_probability
 
 _CHUNK = 1 << 18  # candidates held at once by assign_members
+_DENSE = _CHUNK >> 5  # candidates a dense nearest_heads call: each costs ~2.5x more at _CHUNK
 
 
 def epoch_length(p: float) -> int:
@@ -60,11 +61,20 @@ def elect_cluster_heads(
     if not alive.size:
         raise ValueError("election requires at least one alive node")
     epoch = epoch_length(p)
-    eligible = nodes.last_ch_round[alive] < round_index // epoch * epoch
-    draws = rng.random(alive.size)
-    elected = (draws < election_threshold(p, round_index)) & eligible
+    return elect_alive(nodes, alive, round_index, round_index // epoch * epoch,
+                       election_threshold(p, round_index),
+                       k if clustering == CLUSTERING_UNIFORM else None, rng)
+
+
+def elect_alive(nodes: Nodes, alive: np.ndarray, round_index: int, opens: int,
+                threshold: float, k: int | None, rng: np.random.Generator) -> np.ndarray:
+    """``elect_cluster_heads`` over the ``alive`` ids, given the round's epoch's
+    first round ``opens`` and its ``threshold``: the draws' heads if ``k`` is
+    None (non-uniform), else the first ``k`` in uniform mode's ranking."""
+    eligible = nodes.last_ch_round[alive] < opens
+    elected = (rng.random(alive.size) < threshold) & eligible
     heads = alive[elected]
-    if clustering == CLUSTERING_UNIFORM:
+    if k is not None:
         # lexsort is stable and alive ascends, so full ties go to the lower id
         rank = np.lexsort((-nodes.energy[alive], ~eligible, ~elected))
         heads = alive[rank[:k]]
@@ -185,7 +195,7 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
                 nearest[rows[ok]] = key.imag[ok]
                 rejected.append(rows[~ok])
             pending, ring = np.concatenate(rejected), ring + 1
-    step = max(1, _CHUNK // k)
+    step = max(1, _DENSE // k)
     for rows in (pending[i : i + step] for i in range(0, pending.size, step)):  # argmin: lowest id
         nearest[rows] = nearest_heads(mx[rows], my[rows], hx[:, None], hy[:, None])
     return members, heads[nearest]

@@ -7,14 +7,18 @@ then one send per alive node; then batteries are floored at zero, and a node
 at 0 is dead.
 
 ``run_round`` runs one round. ``run_simulation`` runs uniform clustering
-round by round, as it ranks the energies each round leaves, and plans
-non-uniform rounds (whose heads, members and trees read no energy) in blocks:
-to the end of an epoch, or on through later epochs while a bound on a round's
-spend proves no battery can empty; it charges them round by round with
-``run_round``'s code. A block ends after a round that leaves a battery at
-zero: the generator goes back to its state after that round's draws, each
-head's cooldown to its last round so far, and the next block starts on the
-new alive set.
+round by round, as its election ranks the energies each round leaves. Up to
+512 nodes (``_CHUNK`` pairs) it first builds one table of every pair's and
+every fusion-centre link's metres and per-bit cost (2 MiB each at 512 nodes),
+as positions never move, and each round's nearest heads, tree and prices come
+from it; above that, or if some link cannot be priced, it calls ``run_round``,
+which then raises what it raises. It plans non-uniform rounds (whose heads,
+members and trees read no energy) in blocks: to the end of an epoch, or on
+through later epochs while a bound on a round's spend proves no battery can
+empty; it charges them round by round with ``run_round``'s code. A block
+ends after a round that leaves a battery at zero: the generator goes back to
+its state after that round's draws, each head's cooldown to its last round so
+far, and the next block starts on the new alive set.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ import numpy as np
 from .model import CLUSTERING_UNIFORM, PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
 from .energy import link_cost
 from .clustering import (
-    _CHUNK, assign_members, elect_block, elect_cluster_heads, epoch_length, nearest_heads,
+    _CHUNK, _DENSE, assign_members, elect_alive, elect_block, elect_cluster_heads,
+    election_threshold, epoch_length, nearest_heads,
 )
-from .routing import prim_mst, prim_rows
+from .routing import prim_matrix, prim_mst, prim_rows
 
 
 @dataclass(eq=False)
@@ -101,20 +106,28 @@ def _head_phase(
 def _price(nodes, params, members, member_head, ids, sent, up, fc, width):
     """One per-bit cost call for a round or block: members to their heads, then
     senders ``ids[sent]`` direct (``fc``) and to parents ``ids[up]`` (none if
-    ``up == sent``), times ``width``; ties go direct. Returns ``RoundOutcome``'s
-    route arrays, the members' costs and the senders'."""
+    ``up == sent``). Returns ``_route``'s route arrays, the members' costs and
+    the senders'."""
     x, y, m, s = nodes.x, nodes.y, members.size, sent.size
     senders, uplinked, orphan = ids[sent], ids[up], sent == up
     # hypot ignores the sign of the exactly negated differences: the tree's own weights
     costs = link_cost(params, np.concatenate((
         np.hypot(x[members] - x[member_head], y[members] - y[member_head]), fc[sent],
         np.where(orphan, fc[sent], np.hypot(x[senders] - x[uplinked], y[senders] - y[uplinked])))))
-    direct, relay = costs[m:m + s] * width, costs[m + s:] * width
-    parents, relays = np.where(orphan, -1, uplinked), relay < direct
+    route, cost = _route(ids, sent, up, costs[m:m + s], costs[m + s:], width)
+    return route, costs[:m], cost
+
+
+def _route(ids, sent, up, direct, relay, width):
+    """``RoundOutcome``'s route arrays for senders ``ids[sent]`` from their per-bit
+    ``direct`` and ``relay`` costs (to parents ``ids[up]``, none if ``up == sent``)
+    times ``width``, ties going direct; and the cost each sender pays."""
+    direct, relay, parents = direct * width, relay * width, np.where(sent == up, -1, ids[up])
+    relays = relay < direct
     if (relays & (parents < 0)).any():  # bits relayed to no one are lost
         raise RuntimeError("convergecast did not deliver every head's bit")
-    route = (senders, parents, np.where(relays, parents, -1), direct, relay)
-    return route, costs[:m], np.where(relays, relay, direct)
+    route = (ids[sent], parents, np.where(relays, parents, -1), direct, relay)
+    return route, np.where(relays, relay, direct)
 
 
 def _settle(nodes, params, round_index, alive, heads, member_head, route, width, sent_ids, sent):
@@ -217,13 +230,13 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
                       for r in (rows, mrow, srow))  # where each round's entries start and end
         # one dense search, but assign_members' own from 64 heads or a chunk a round
         solo, near = (k >= 64) | (k * n > _CHUNK), np.zeros((size, n), dtype=np.int8)
-        dense, budget = np.flatnonzero((k > 0) & ~solo), _CHUNK >> 5  # candidates a call
-        if k[dense].max(initial=0) * dense.size * n > budget:  # widest rows first, so that
+        dense = np.flatnonzero((k > 0) & ~solo)
+        if k[dense].max(initial=0) * dense.size * n > _DENSE:  # widest rows first, so that
             dense = dense[np.argsort(-k[dense], kind="stable")]  # each call pads to its own
         px, py, i = np.append(xa, math.inf), np.append(ya, math.inf), 0
         while i < dense.size:
             wide = k[dense[i:]].max()
-            slots = grid[dense[i:i + max(1, budget // (wide * n))], :wide, None]
+            slots = grid[dense[i:i + max(1, _DENSE // (wide * n))], :wide, None]
             near[dense[i:i + slots.shape[0]]] = nearest_heads(xa, ya, px[slots], py[slots])
             i += slots.shape[0]
         member_head = alive[grid[mrow, near[member]]] if dense.size else np.empty_like(mcol)
@@ -257,6 +270,55 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
     return outcomes
 
 
+def _link_table(nodes: Nodes, config: ScenarioConfig) -> tuple[np.ndarray, ...] | None:
+    """Every two nodes' ``np.hypot`` metres, as ``_price`` and ``prim_mst`` take
+    them, each node's fusion-centre metres, and the per-bit ``link_cost`` of
+    both; None if some link cannot be priced."""
+    x, y = nodes.x, nodes.y
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a round; a non-finite metre
+        metres = np.subtract.outer(x, x)                 # fails the pricing
+        np.hypot(metres, np.subtract.outer(y, y), out=metres)
+        fc = np.hypot(x - config.fc_x, y - config.fc_y)
+        try:
+            return metres, fc, link_cost(config.energy, metres), link_cost(config.energy, fc)
+        except (ValueError, OverflowError):
+            return None
+
+
+def _run_uniform(nodes: Nodes, config: ScenarioConfig, rng: np.random.Generator,
+                 table: tuple[np.ndarray, ...]) -> list[RoundOutcome]:
+    """A uniform run's rounds, one by one as ``run_round`` runs them, each
+    from ``_link_table``'s ``table``: the nearest head is the first least of
+    the heads' rows, the tree ``prim_matrix`` on theirs, every cost a gather."""
+    metres, fc, cost, fc_cost = table
+    params, k, tree = config.energy, config.k, config.protocol != PROTOCOL_BASELINE
+    epoch, outcomes = epoch_length(config.p), []
+    thresholds = [election_threshold(config.p, r) for r in range(min(epoch, config.rounds))]
+    with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
+        for r in range(config.rounds):
+            is_member = nodes.energy > 0
+            alive = np.flatnonzero(is_member)
+            if not alive.size:
+                break
+            rng.integers(0, 2, size=alive.size)  # sensed bits: drawn to keep the RNG stream
+            heads = elect_alive(nodes, alive, r, r // epoch * epoch, thresholds[r % epoch], k, rng)
+            is_member[heads] = False
+            members = np.flatnonzero(is_member)
+            member_head = heads[metres[heads[:, None], members].argmin(axis=0)]  # ties: lower id
+            sent = up = np.arange(heads.size)
+            if tree:  # heads send in reverse insertion order, root last
+                order, parent = prim_matrix(metres[heads[:, None], heads], fc[heads].argmin())
+                sent, up = order[::-1], parent[order[::-1]]
+            senders, width = heads[sent], heads.size if tree else 1
+            route, sent_cost = _route(heads, sent, up, fc_cost[senders], np.where(
+                sent == up, fc_cost[senders], cost[senders, heads[up]]), width)
+            outcomes.append(_settle(
+                nodes, params, r, alive, heads, member_head, route, width,
+                np.concatenate((members, senders)),
+                np.concatenate((cost[members, member_head], sent_cost))))
+    return outcomes
+
+
 def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> SimulationResult:
     """Run ``config.rounds`` rounds (or until extinction), deterministically.
 
@@ -270,9 +332,14 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
     initial, alive = math.fsum(nodes.energy.tolist()), int(np.count_nonzero(nodes.energy > 0))
 
     outcomes: list[RoundOutcome] = []
-    bound = _round_bound(nodes, config) if config.clustering != CLUSTERING_UNIFORM else math.inf
+    uniform = config.clustering == CLUSTERING_UNIFORM
+    # a uniform run prices from one table of every link while it holds at most _CHUNK pairs
+    table = _link_table(nodes, config) if uniform and config.nodes ** 2 <= _CHUNK else None
+    if table is not None:
+        outcomes = _run_uniform(nodes, config, rng, table)
+    bound = _round_bound(nodes, config) if not uniform else math.inf
     while len(outcomes) < config.rounds and (nodes.energy > 0).any():
-        if config.clustering == CLUSTERING_UNIFORM:
+        if uniform:
             outcomes.append(run_round(nodes, config, len(outcomes), rng))
         else:
             outcomes += _run_block(nodes, config, len(outcomes), rng, bound)

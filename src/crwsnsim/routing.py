@@ -58,6 +58,21 @@ def prim_mst(xs: np.ndarray, ys: np.ndarray, start: int = 0) -> tuple[np.ndarray
     return order, parent
 
 
+def prim_matrix(metres: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """``prim_mst`` from ``start`` on the square matrix of its vertices' finite
+    ``np.hypot`` metres, under the same keys and ties; row ``j``, plus ``1j * j``,
+    is vertex ``j``'s keys, and a joined vertex's column turns nan."""
+    n, joined = len(metres), complex(math.inf, math.inf)
+    rows, key = metres + 1j * np.arange(n)[:, None], np.full(n, joined)
+    key[start] = 1j * start
+    order, parent = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for t in range(n):
+        order[t] = j = key.argmin()
+        parent[j], key[j], rows[:, j] = key.item(j).imag, joined, math.nan
+        np.fmin(key, rows[j], out=key)
+    return order, parent
+
+
 def prim_rows(z: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``prim_mst`` of each row of complex points ``z`` (nan: no vertex) from
     ``start[row]``, a join per row a step on flat views: per row, the vertices

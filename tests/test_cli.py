@@ -424,6 +424,24 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     assert lines[0].startswith(f"error: {expected}")
 
 
+# A uniform run of at most 512 nodes prices from a table of every link, built
+# before its first round. The three-node cases stop at uniform's k <= nodes check.
+@pytest.mark.parametrize("case", sorted(
+    case for case, (argv, text, _) in ERROR_CASES.items()
+    if argv[0] == "run" and "nodes = 3\n" not in text))
+def test_bad_input_under_uniform_clustering_ends_in_the_same_error_line(tmp_path, capsys, case):
+    argv, config_text, expected = ERROR_CASES[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print a stray stderr line
+        assert _cli(tmp_path, [*argv, "--clustering", "uniform"], config_text) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {expected}")
+
+
 def test_out_of_memory_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
     def exhausted(config, nodes=None):
         raise MemoryError("Unable to allocate 673. GiB")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crwsnsim import prim_mst
-from crwsnsim.routing import prim_rows
+from crwsnsim.routing import prim_matrix, prim_rows
 
 from helpers import (
     distance_matrix,
@@ -163,7 +163,8 @@ def point_sets(draw, kinds=("random", "lattice", "coincident")):
 
 class TestPrimOnPointsMatchesMatrix:
     """Prim on the points builds exactly the tree of Prim on the full
-    distance matrix: the same insertion order and the same parents."""
+    distance matrix: the same insertion order and the same parents; so does
+    ``prim_matrix``, the engine's Prim on a table of the points' metres."""
 
     @settings(max_examples=300, deadline=None)
     @given(point_sets())
@@ -177,6 +178,9 @@ class TestPrimOnPointsMatchesMatrix:
             want[j] = i
         assert parent.tolist() == want.tolist()
         assert prim_edges(xs, ys, start) == edges  # the weights too, bit for bit
+        table_order, table_parent = prim_matrix(distance_matrix(xs, ys), start)
+        assert table_order.tolist() == order.tolist()
+        assert table_parent.tolist() == parent.tolist()
 
 
 def assert_equals_scan_prim(xs, ys, start):
