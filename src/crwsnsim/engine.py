@@ -7,18 +7,20 @@ then one send per alive node; then batteries are floored at zero, and a node
 at 0 is dead.
 
 ``run_round`` runs one round. ``run_simulation`` runs uniform clustering
-round by round, as its election ranks the energies each round leaves. Up to
-512 nodes (``_CHUNK`` pairs) it first builds one table of every pair's and
-every fusion-centre link's metres and per-bit cost (2 MiB each at 512 nodes),
-as positions never move, and each round's nearest heads, tree and prices come
-from it; above that, or if some link cannot be priced, it calls ``run_round``,
-which then raises what it raises. It plans non-uniform rounds (whose heads,
-members and trees read no energy) in blocks: to the end of an epoch, or on
-through later epochs while a bound on a round's spend proves no battery can
-empty; it charges them round by round with ``run_round``'s code. A block
-ends after a round that leaves a battery at zero: the generator goes back to
-its state after that round's draws, each head's cooldown to its last round so
-far, and the next block starts on the new alive set.
+round by round, as its election ranks the energies each round leaves. As
+positions never move, a run of at most 512 nodes (``_TABLE`` pairs, a 2 MiB
+table) and at least nodes / k rounds keeps each head's metres to every node
+from the first round it heads, and takes each round's nearest heads, tree
+and link metres from them; it prices each round's links as ``run_round``
+does, so an unpriceable link raises the same error in the same round. Other
+uniform runs call ``run_round``, as a row costs about what it saves the
+first time. It plans non-uniform rounds (whose heads, members and trees read
+no energy) in blocks: to the end of an epoch, or on through later epochs
+while a bound on a round's spend proves no battery can empty; it charges
+them round by round with ``run_round``'s code. A block ends after a round
+that leaves a battery at zero: the generator goes back to its state after
+that round's draws, each head's cooldown to its last round so far, and the
+next block starts on the new alive set.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .clustering import (
     election_threshold, epoch_length, nearest_heads,
 )
 from .routing import prim_matrix, prim_mst, prim_rows
+
+_TABLE = 1 << 18  # most pair metres a uniform run keeps (2 MiB): runs of up to 512 nodes
 
 
 @dataclass(eq=False)
@@ -104,30 +108,29 @@ def _head_phase(
 
 
 def _price(nodes, params, members, member_head, ids, sent, up, fc, width):
-    """One per-bit cost call for a round or block: members to their heads, then
-    senders ``ids[sent]`` direct (``fc``) and to parents ``ids[up]`` (none if
-    ``up == sent``). Returns ``_route``'s route arrays, the members' costs and
-    the senders'."""
-    x, y, m, s = nodes.x, nodes.y, members.size, sent.size
-    senders, uplinked, orphan = ids[sent], ids[up], sent == up
+    """``_price_links`` for senders ``ids[sent]`` and parents ``ids[up]``, over
+    the ``np.hypot`` metres of members to their heads and of senders to parents."""
+    x, y, senders, uplinked = nodes.x, nodes.y, ids[sent], ids[up]
     # hypot ignores the sign of the exactly negated differences: the tree's own weights
-    costs = link_cost(params, np.concatenate((
-        np.hypot(x[members] - x[member_head], y[members] - y[member_head]), fc[sent],
-        np.where(orphan, fc[sent], np.hypot(x[senders] - x[uplinked], y[senders] - y[uplinked])))))
-    route, cost = _route(ids, sent, up, costs[m:m + s], costs[m + s:], width)
-    return route, costs[:m], cost
+    return _price_links(
+        params, np.hypot(x[members] - x[member_head], y[members] - y[member_head]), senders,
+        uplinked, fc[sent], np.hypot(x[senders] - x[uplinked], y[senders] - y[uplinked]), width)
 
 
-def _route(ids, sent, up, direct, relay, width):
-    """``RoundOutcome``'s route arrays for senders ``ids[sent]`` from their per-bit
-    ``direct`` and ``relay`` costs (to parents ``ids[up]``, none if ``up == sent``)
-    times ``width``, ties going direct; and the cost each sender pays."""
-    direct, relay, parents = direct * width, relay * width, np.where(sent == up, -1, ids[up])
-    relays = relay < direct
+def _price_links(params, links, senders, uplinked, direct, uplinks, width):
+    """One per-bit cost call for a round or block: members over ``links`` metres,
+    then ``senders`` over ``direct`` metres to the fusion centre and ``uplinks``
+    to parents ``uplinked`` (none where a sender is its own), times ``width``;
+    ties go direct. Returns ``RoundOutcome``'s route arrays, the members'
+    costs and the senders'."""
+    m, s, orphan = links.size, senders.size, senders == uplinked
+    costs = link_cost(params, np.concatenate((links, direct, np.where(orphan, direct, uplinks))))
+    direct, relay = costs[m:m + s] * width, costs[m + s:] * width
+    parents, relays = np.where(orphan, -1, uplinked), relay < direct
     if (relays & (parents < 0)).any():  # bits relayed to no one are lost
         raise RuntimeError("convergecast did not deliver every head's bit")
-    route = (ids[sent], parents, np.where(relays, parents, -1), direct, relay)
-    return route, np.where(relays, relay, direct)
+    route = (senders, parents, np.where(relays, parents, -1), direct, relay)
+    return route, costs[:m], np.where(relays, relay, direct)
 
 
 def _settle(nodes, params, round_index, alive, heads, member_head, route, width, sent_ids, sent):
@@ -270,29 +273,18 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
     return outcomes
 
 
-def _link_table(nodes: Nodes, config: ScenarioConfig) -> tuple[np.ndarray, ...] | None:
-    """Every two nodes' ``np.hypot`` metres, as ``_price`` and ``prim_mst`` take
-    them, each node's fusion-centre metres, and the per-bit ``link_cost`` of
-    both; None if some link cannot be priced."""
-    x, y = nodes.x, nodes.y
-    with np.errstate(over="ignore", invalid="ignore"):  # as in a round; a non-finite metre
-        metres = np.subtract.outer(x, x)                 # fails the pricing
-        np.hypot(metres, np.subtract.outer(y, y), out=metres)
-        fc = np.hypot(x - config.fc_x, y - config.fc_y)
-        try:
-            return metres, fc, link_cost(config.energy, metres), link_cost(config.energy, fc)
-        except (ValueError, OverflowError):
-            return None
-
-
-def _run_uniform(nodes: Nodes, config: ScenarioConfig, rng: np.random.Generator,
-                 table: tuple[np.ndarray, ...]) -> list[RoundOutcome]:
-    """A uniform run's rounds, one by one as ``run_round`` runs them, each
-    from ``_link_table``'s ``table``: the nearest head is the first least of
-    the heads' rows, the tree ``prim_matrix`` on theirs, every cost a gather."""
-    metres, fc, cost, fc_cost = table
-    params, k, tree = config.energy, config.k, config.protocol != PROTOCOL_BASELINE
-    epoch, outcomes = epoch_length(config.p), []
+def _run_uniform(nodes: Nodes, config: ScenarioConfig,
+                 rng: np.random.Generator) -> list[RoundOutcome]:
+    """A uniform run's rounds, one by one as ``run_round`` runs them. Positions
+    never move, so a node's ``np.hypot`` metres to every node are taken once, in
+    the first round it heads: a member's head is the first least of the heads'
+    rows at its column, the tree is ``prim_matrix`` on their metres, and every
+    link's metres are read from the rows."""
+    x, y, n, params, k = nodes.x, nodes.y, config.nodes, config.energy, config.k
+    metres, kept = np.empty((n, n)), np.zeros(n, dtype=bool)  # rows filled as nodes first head
+    tree = config.protocol != PROTOCOL_BASELINE
+    finite = np.isfinite(x).all() and np.isfinite(y).all()  # else prim_mst raises, as in a round
+    fc, epoch, outcomes = np.hypot(x - config.fc_x, y - config.fc_y), epoch_length(config.p), []
     thresholds = [election_threshold(config.p, r) for r in range(min(epoch, config.rounds))]
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
         for r in range(config.rounds):
@@ -302,20 +294,27 @@ def _run_uniform(nodes: Nodes, config: ScenarioConfig, rng: np.random.Generator,
                 break
             rng.integers(0, 2, size=alive.size)  # sensed bits: drawn to keep the RNG stream
             heads = elect_alive(nodes, alive, r, r // epoch * epoch, thresholds[r % epoch], k, rng)
+            new = heads[~kept[heads]]
+            if new.size:
+                kept[new] = True
+                with np.errstate(invalid="ignore"):  # inf - inf: the nan fails the pricing
+                    metres[new] = np.hypot(x[new, None] - x, y[new, None] - y)
             is_member[heads] = False
             members = np.flatnonzero(is_member)
-            member_head = heads[metres[heads[:, None], members].argmin(axis=0)]  # ties: lower id
+            member_head = heads[metres[heads].argmin(axis=0)[members]]  # heads ascend: lower id
             sent = up = np.arange(heads.size)
             if tree:  # heads send in reverse insertion order, root last
-                order, parent = prim_matrix(metres[heads[:, None], heads], fc[heads].argmin())
+                start = int(fc[heads].argmin())
+                order, parent = (prim_matrix(metres[heads][:, heads], start) if finite
+                                 else prim_mst(x[heads], y[heads], start))
                 sent, up = order[::-1], parent[order[::-1]]
-            senders, width = heads[sent], heads.size if tree else 1
-            route, sent_cost = _route(heads, sent, up, fc_cost[senders], np.where(
-                sent == up, fc_cost[senders], cost[senders, heads[up]]), width)
+            senders, uplinked, width = heads[sent], heads[up], heads.size if tree else 1
+            route, member_cost, cost = _price_links(
+                params, metres[member_head, members], senders, uplinked, fc[senders],
+                metres[uplinked, senders], width)
             outcomes.append(_settle(
                 nodes, params, r, alive, heads, member_head, route, width,
-                np.concatenate((members, senders)),
-                np.concatenate((cost[members, member_head], sent_cost))))
+                np.concatenate((members, senders)), np.concatenate((member_cost, cost))))
     return outcomes
 
 
@@ -333,10 +332,10 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
 
     outcomes: list[RoundOutcome] = []
     uniform = config.clustering == CLUSTERING_UNIFORM
-    # a uniform run prices from one table of every link while it holds at most _CHUNK pairs
-    table = _link_table(nodes, config) if uniform and config.nodes ** 2 <= _CHUNK else None
-    if table is not None:
-        outcomes = _run_uniform(nodes, config, rng, table)
+    # a head's row of metres costs about what it saves the first time; it pays when
+    # nodes head again, about config.nodes / config.k rounds on
+    if uniform and config.nodes ** 2 <= _TABLE and config.rounds * config.k >= config.nodes:
+        outcomes = _run_uniform(nodes, config, rng)
     bound = _round_bound(nodes, config) if not uniform else math.inf
     while len(outcomes) < config.rounds and (nodes.energy > 0).any():
         if uniform:

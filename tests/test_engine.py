@@ -830,26 +830,29 @@ class TestRoundLoopMatchesRun:
     same generator is the run ``run_simulation`` records, whichever way it
     runs its rounds: every outcome and the final node state."""
 
-    # up to 512 nodes (2**18 pairs) a uniform run prices from a table of every
-    # link; from 513 on it runs round by round through run_round
-    @pytest.mark.parametrize("clustering, battery, count, rounds", [
-        ("uniform", 0.5, 60, 80), ("uniform", 2e-5, 60, 80),
-        ("nonuniform", 0.5, 60, 80), ("nonuniform", 2e-5, 60, 80),
-        ("uniform", 0.5, 512, 4), ("uniform", 0.5, 513, 4),
+    # A uniform run keeps a table of its heads' metres if it has at most 512
+    # nodes (2**18 pairs) and at least nodes / k rounds; else it runs round by
+    # round through run_round.
+    @pytest.mark.parametrize("clustering, battery, count, rounds, table", [
+        ("uniform", 0.5, 60, 80, True), ("uniform", 2e-5, 60, 80, True),
+        ("nonuniform", 0.5, 60, 80, False), ("nonuniform", 2e-5, 60, 80, False),
+        ("uniform", 0.5, 512, 52, True), ("uniform", 0.5, 513, 52, False),
+        ("uniform", 0.5, 100, 10, True), ("uniform", 0.5, 100, 9, False),
     ], ids=["uniform-full", "uniform-depleting", "nonuniform-full", "nonuniform-depleting",
-            "uniform-table-at-512-nodes", "uniform-round-by-round-at-513-nodes"])
+            "uniform-table-at-512-nodes", "uniform-round-by-round-at-513-nodes",
+            "uniform-table-at-10-rounds", "uniform-round-by-round-at-9-rounds"])
     @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
-    def test_round_loop_equals_run_simulation(self, protocol, clustering, battery, count, rounds):
+    def test_round_loop_equals_run_simulation(
+            self, protocol, clustering, battery, count, rounds, table):
         config = ScenarioConfig(protocol=protocol, clustering=clustering, nodes=count,
                                 rounds=rounds, fc_y=250.0, seed=9,
                                 energy=EnergyParams(initial_energy=battery))
-        placed, tables, run_uniform = [], [], engine._run_uniform
+        placed = []
         with mock.patch.object(engine, "place_nodes",
                                lambda *args: placed.append(place_nodes(*args)) or placed[-1]), \
-                mock.patch.object(engine, "_run_uniform",
-                                  lambda *args: tables.append(args[3]) or run_uniform(*args)):
+                mock.patch.object(engine, "_run_uniform", wraps=engine._run_uniform) as table_run:
             result = run_simulation(config)
-        assert len(tables) == (clustering == "uniform" and count <= 512)
+        assert table_run.call_count == table
         rng = np.random.default_rng(config.seed)
         nodes = place_nodes(config, rng)
         outcomes = _round_loop(config, nodes, rng)
@@ -859,11 +862,12 @@ class TestRoundLoopMatchesRun:
         for name, array in vars(nodes).items():
             assert array.tobytes() == getattr(placed[0], name).tobytes(), name
 
-    # Each layout has a link that link_cost cannot price, so no table is built and the
-    # run goes round by round: it finishes, or raises run_round's error in run_round's
-    # round, leaving the loop's node state.
+    # Each layout has a link that link_cost cannot price. The run keeps its table
+    # and prices only each round's links, as run_round does: it finishes, or raises
+    # run_round's error in run_round's round, leaving the loop's node state.
     @pytest.mark.parametrize("case", [
-        "far-pair-that-no-round-uses", "non-finite-position", "fusion-centre-links-overflow"])
+        "far-pair-that-no-round-uses", "non-finite-position", "non-finite-head-position",
+        "fusion-centre-links-overflow"])
     @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
     def test_unpriceable_links_end_as_the_round_loop_ends(self, protocol, case):
         xs, ys, fc = [0.0, 3.0, 0.0, 10.0, 20.0, 40.0], [0.0, 4.0, 5.0, 0.0, 30.0, 60.0], 0.0
@@ -871,46 +875,47 @@ class TestRoundLoopMatchesRun:
             # every node heads: the tree joins each far node to the near ones (6e76 m,
             # d^4 finite), never to the other far one (1.2e77 m, d^4 overflows)
             xs[3:5], ys[3:5] = [-6e76, 6e76], [0.0, 0.0]
-        elif case == "non-finite-position":
+        elif case != "fusion-centre-links-overflow":  # as a head, no tree can hold it
             xs[4] = math.nan
         else:  # every node's direct send is 1e80 m
             fc = 1e80
-        count = 6 if case == "far-pair-that-no-round-uses" else 2
+        count = 2 if case in ("non-finite-position", "fusion-centre-links-overflow") else 6
         config = ScenarioConfig(protocol=protocol, clustering="uniform", nodes=6, k=count,
                                 p=1.0 if count == 6 else 0.5, rounds=5, fc_x=0.0, fc_y=fc,
                                 seed=4)
         energy = np.full(6, 1e300)  # a 6e76 m send costs about 1.7e291 J a bit
         got_nodes, want_nodes = nodes_at(xs, ys, energy), nodes_at(xs, ys, energy)
-        assert engine._link_table(got_nodes, config) is None
-        try:
-            want = _round_loop(config, want_nodes, np.random.default_rng(config.seed))
-        except (ValueError, OverflowError) as err:
-            assert case != "far-pair-that-no-round-uses"
-            with pytest.raises(type(err)) as got:
-                run_simulation(config, got_nodes)
-            assert str(got.value) == str(err)
-        else:
-            assert case == "far-pair-that-no-round-uses" and len(want) == config.rounds
-            got = run_simulation(config, got_nodes).outcomes
-            assert len(got) == len(want) and all(map(same_outcome, got, want))
+        with mock.patch.object(engine, "_run_uniform", wraps=engine._run_uniform) as table_run:
+            try:
+                want = _round_loop(config, want_nodes, np.random.default_rng(config.seed))
+            except (ValueError, OverflowError) as err:
+                assert case != "far-pair-that-no-round-uses"
+                with pytest.raises(type(err)) as got:
+                    run_simulation(config, got_nodes)
+                assert str(got.value) == str(err)
+            else:
+                assert case == "far-pair-that-no-round-uses" and len(want) == config.rounds
+                got = run_simulation(config, got_nodes).outcomes
+                assert len(got) == len(want) and all(map(same_outcome, got, want))
+        assert table_run.call_count == 1
         for name, array in vars(got_nodes).items():
             assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
 
 
-# Up to 512 nodes a uniform run holds two n x n tables (metres and per-bit
-# costs), at most two more n x n arrays while building them, and under 1 MiB of
-# round temporaries and outcomes; above 512 nodes it holds no n x n float array.
+# Up to 512 nodes a uniform run holds one n x n table of metres and under 1 MiB
+# of round temporaries and outcomes; above 512 nodes it holds no n x n float array.
 @pytest.mark.parametrize("count", [512, 513, 1000])
 def test_uniform_run_memory_stays_bounded(count):
     config = ScenarioConfig(protocol="proposed", clustering="uniform", nodes=count,
-                            rounds=4, seed=3)
+                            rounds=52, seed=3)  # 52 * k >= 512: the table path
+    run_simulation(replace(config, nodes=12))  # the modules a first run imports are not counted
     tracemalloc.start()
     try:
         run_simulation(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 4 * 8 * count**2 + 2**20 if count <= 512 else 8 * count**2
+    bound = 8 * count**2 + 2**20 if count <= 512 else 8 * count**2
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
 
 
