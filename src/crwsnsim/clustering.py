@@ -63,16 +63,16 @@ def elect_cluster_heads(
     epoch = epoch_length(p)
     return elect_alive(nodes, alive, round_index, round_index // epoch * epoch,
                        election_threshold(p, round_index),
-                       k if clustering == CLUSTERING_UNIFORM else None, rng)
+                       k if clustering == CLUSTERING_UNIFORM else None, rng.random(alive.size))
 
 
 def elect_alive(nodes: Nodes, alive: np.ndarray, round_index: int, opens: int,
-                threshold: float, k: int | None, rng: np.random.Generator) -> np.ndarray:
+                threshold: float, k: int | None, draws: np.ndarray) -> np.ndarray:
     """``elect_cluster_heads`` over the ``alive`` ids, given the round's epoch's
-    first round ``opens`` and its ``threshold``: the draws' heads if ``k`` is
-    None (non-uniform), else the first ``k`` in uniform mode's ranking."""
+    first round ``opens``, its ``threshold`` and the alive nodes' ``draws``: the
+    draws' heads if ``k`` is None (non-uniform), else uniform mode's first ``k``."""
     eligible = nodes.last_ch_round[alive] < opens
-    elected = (rng.random(alive.size) < threshold) & eligible
+    elected = (draws < threshold) & eligible
     heads = alive[elected]
     if k is not None:
         # lexsort is stable and alive ascends, so full ties go to the lower id

