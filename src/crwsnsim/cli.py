@@ -9,6 +9,7 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -23,7 +24,7 @@ from .model import (
     EnergyParams,
     ScenarioConfig,
 )
-from .engine import run_simulation
+from .engine import RoundOutcome, _run_seeds
 
 CSV_HEADER = "round,protocol,clustering,seed,total_residual_j,alive,ch_count"
 
@@ -134,17 +135,18 @@ def config_echo_lines(config: ScenarioConfig, seeds: list[int]) -> list[str]:
 
 
 def render_run_csv(config: ScenarioConfig, seeds: list[int]) -> str:
-    """Run every seed and render the per-round CSV (rows grouped by seed)."""
-    configs = [replace(config, seed=seed) for seed in seeds]  # all valid before any run
-    chunks = config_echo_lines(config, seeds)
-    chunks.append(CSV_HEADER)
-    for seed_config in configs:
-        for o in run_simulation(seed_config).outcomes:
-            chunks.append(
-                f"{o.round_index + 1},{config.protocol},{config.clustering},"
-                f"{seed_config.seed},{_fmt(o.total_residual)},"
-                f"{o.alive},{len(o.cluster_heads)}"
-            )
+    """Run every seed and render the per-round CSV (rows grouped by seed, made as rounds settle)."""
+    for seed in seeds:  # all valid before any run
+        replace(config, seed=seed)
+    rows: list[list[str]] = [[] for _ in seeds]
+
+    def row(lines: list[str], seed: int) -> Callable[[RoundOutcome], None]:
+        fields = f"{config.protocol},{config.clustering},{seed}"
+        return lambda o: lines.append(f"{o.round_index + 1},{fields},{_fmt(o.total_residual)},"
+                                      f"{o.alive},{len(o.cluster_heads)}")
+
+    _run_seeds(config, seeds, [row(lines, seed) for lines, seed in zip(rows, seeds)])
+    chunks = [*config_echo_lines(config, seeds), CSV_HEADER, *(r for lines in rows for r in lines)]
     return "\n".join(chunks) + "\n"
 
 
@@ -160,6 +162,13 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else math.nan
 
 
+def _keep_last(last: list, outcome: RoundOutcome) -> None:
+    """Keep ``outcome``'s residual and alive count, and its round if it is the first death."""
+    last[:2] = outcome.total_residual, outcome.alive
+    if outcome.deaths.size and last[2] > outcome.round_index + 1:
+        last[2] = outcome.round_index + 1
+
+
 def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     """Run all three protocol variants over the seeds and render one summary
     row per variant, then the ratio rows.
@@ -167,20 +176,18 @@ def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     Runs that never lose a node contribute ``rounds + 1`` to the mean
     first-death round (right-censored).
     """
-    runs = [  # every variant and seed is valid before the first run starts
-        (name, [replace(config, protocol=protocol, clustering=clustering, seed=seed)
-                for seed in seeds])
-        for name, protocol, clustering in _COMPARE_VARIANTS
-    ]
-    chunks = config_echo_lines(config, seeds)
-    chunks.append(SUMMARY_HEADER)
-    residual, alive = {}, {}
-    for name, configs in runs:
-        finals, alives, deaths = zip(*(
-            (r.final_residual, float(r.final_alive),
-             float(r.first_death_round or config.rounds + 1))
-            for r in map(run_simulation, configs)
-        ))
+    for seed in seeds:  # every variant and seed is valid before the first run starts
+        replace(config, seed=seed)
+    variants = [(name, replace(config, protocol=protocol, clustering=clustering))
+                for name, protocol, clustering in _COMPARE_VARIANTS]
+    chunks, residual, alive = [*config_echo_lines(config, seeds), SUMMARY_HEADER], {}, {}
+    for name, variant in variants:
+        # each seed's last residual and alive count, and its first death round
+        lasts = [[None, None, config.rounds + 1] for _ in seeds]
+        starts = _run_seeds(variant, seeds, [partial(_keep_last, last) for last in lasts])
+        lasts = [[*start, last[2]] if last[0] is None else last  # no round ran
+                 for last, start in zip(lasts, starts)]
+        finals, alives, deaths = ([float(v) for v in stat] for stat in zip(*lasts))
         with np.errstate(over="ignore", invalid="ignore"):
             stats = [float(np.mean(finals)), float(np.std(finals)),
                      float(np.mean(alives)), float(np.mean(deaths))]

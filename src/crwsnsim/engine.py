@@ -6,21 +6,23 @@ every alive node sends its own bit directly. Receptions are charged first,
 then one send per alive node; then batteries are floored at zero, and a node
 at 0 is dead.
 
-``run_round`` runs one round. ``run_simulation`` runs uniform clustering
-round by round, as its election ranks the energies each round leaves. As
-positions never move, a run of at most 512 nodes (``_TABLE`` pairs, a 2 MiB
-table) and at least nodes / k rounds keeps each head's metres to every node
-from the first round it heads, and takes each round's nearest heads, tree
-and link metres from them; it prices each round's links as ``run_round``
-does, so an unpriceable link raises the same error in the same round. Other
-uniform runs call ``run_round``, as a row costs about what it saves the
-first time. It plans non-uniform rounds (whose heads, members and trees read
-no energy) in blocks: to the end of an epoch, or on through later epochs
-while a bound on a round's spend proves no battery can empty; it charges
-them round by round with ``run_round``'s code. A block ends after a round
-that leaves a battery at zero: the stream's cursor goes back to just after
-that round's draws, each head's cooldown to its last round so far, and the
-next block starts on the new alive set.
+``run_round`` runs one round. ``_run_seeds`` runs a scenario under each of
+several seeds (``run_simulation`` is its one-seed case), handing each round's
+outcome to its seed's sink as it settles, so no caller need hold an outcome
+list. Uniform clustering runs seed by seed, round by round, as its election
+ranks the energies each round leaves. A run of at most 512 nodes (``_TABLE``
+pairs, 2 MiB) and at least nodes / k rounds takes each round's nearest heads,
+tree and link metres from each head's metres to every node, kept from the
+first round it heads; other uniform runs call ``run_round``. Non-uniform
+rounds (whose heads, members and trees read no energy) are planned in blocks:
+to the end of an epoch, or on while a bound on a round's spend proves no
+battery can empty. Seeds advance together: a step plans the next block of
+each seed that fits ``_CHUNK`` draws in all, with one head grid, tree pass
+and pricing call, then charges them round by round with ``run_round``'s
+code. A block ends after a round that leaves a battery at zero: its stream's
+cursor goes back to just after that round's draws, each head's cooldown to
+its last round so far, and its next block starts on the new alive set. A link
+that cannot be priced raises ``run_round``'s error, in its seed and round.
 
 After placement a run draws from one ``_Stream``: the generator's doubles,
 drawn in refills, under a cursor (a word, a pending half). A round over ``a``
@@ -32,9 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .model import CLUSTERING_UNIFORM, PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
 from .energy import link_cost
@@ -74,7 +78,8 @@ class _Stream:
         half, steps = self.cursor[1], np.arange(count) * n
         words = self.random((count * n - half + 1) // 2 + count * n)  # their bits and doubles
         self.cursor = self.cursor[0], (count * n - half) % 2
-        return sliding_window_view(words, n)[(steps + n - half + 1) // 2 + steps]
+        return as_strided(words, (words.size - n + 1, n), words.strides * 2)[
+            (steps + n - half + 1) // 2 + steps]
 
 
 @dataclass(eq=False)
@@ -143,15 +148,14 @@ def _head_phase(
     return inserted[::-1], parent[inserted[::-1]], fc_dists, ids.size
 
 
-def _price(nodes, params, members, member_head, ids, sent, up, fc, width):
-    """``_price_links`` for senders ``ids[sent]`` and parents ``ids[up]``, over
-    the ``np.hypot`` metres of members to their heads and of senders to parents."""
-    x, y, senders, uplinked = nodes.x, nodes.y, ids[sent], ids[up]
+def _price(x, y, params, members, member_head, senders, uplinked, direct, width):
+    """``_price_links`` over the ``np.hypot`` metres, at positions ``x``, ``y``, of
+    ``members`` to their heads and of ``senders`` to parents ``uplinked``."""
     # hypot ignores the sign of the exactly negated differences: the tree's own weights
     with np.errstate(invalid="ignore"):  # inf - inf: a self-parent's nan is unread, others fail
         links, uplinks = (np.hypot(x[a] - x[b], y[a] - y[b])
                           for a, b in ((members, member_head), (senders, uplinked)))
-    return _price_links(params, links, senders, uplinked, fc[sent], uplinks, width)
+    return _price_links(params, links, senders, uplinked, direct, uplinks, width)
 
 
 def _price_links(params, links, senders, uplinked, direct, uplinks, width):
@@ -210,8 +214,8 @@ def run_round(nodes: Nodes, config: ScenarioConfig, round_index: int,
         # with no head elected, every alive node sends its own bit directly
         ids = heads if heads.size else alive
         sent, up, fc, width = _head_phase(nodes, ids, tree, config)
-        route, member_cost, cost = _price(
-            nodes, config.energy, members, member_head, ids, sent, up, fc, width)
+        route, member_cost, cost = _price(nodes.x, nodes.y, config.energy, members,
+                                          member_head, ids[sent], ids[up], fc[sent], width)
         return _settle(nodes, config.energy, round_index, alive, heads, member_head, route, width,
                        np.concatenate((members, route[0])), np.concatenate((member_cost, cost)))
 
@@ -230,49 +234,89 @@ def _round_bound(nodes: Nodes, config: ScenarioConfig) -> float:
     return ((n - 1) * (e.e_rx + e.e_aggregation) + n * (n - 1) * e.e_rx + n * send) * (1 + 2**-20)
 
 
-def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
-               stream: _Stream, bound: float) -> list[RoundOutcome]:
-    """The rounds from ``first`` to the end of their epoch, or on while the
-    least alive battery outlasts ``bound`` joules a round, planned as one block
-    from one gather of draws and charged round by round; if a link cannot be
-    priced, the first round runs alone through ``run_round``, to raise the error it raises."""
-    alive, served, params = np.flatnonzero(nodes.energy > 0), nodes.last_ch_round, config.energy
-    n, epoch, restart = alive.size, epoch_length(config.p), stream.cursor
-    most = min(config.rounds, first + max(1, _CHUNK // n)) - first  # rounds, _CHUNK draws
-    size, low = min(first // epoch * epoch + epoch - first, most), float(nodes.energy[alive].min())
-    if bound < math.inf:  # on past the epoch while no battery can empty
-        size = max(size, int(min(low / bound, most)))
-    table, before = stream.rounds(n, size), served[alive]  # draws, later sends
-    elected = elect_block(nodes, config.p, first, table)
-    rows, cols = np.nonzero(elected)
-    k = np.bincount(rows, minlength=size)  # heads a round, in slots by ascending id
-    grid = np.full((size, max(k.max(), 1)), n)
+def _flat(parts: list[np.ndarray], at: list[int] | None = None) -> np.ndarray:
+    """``parts`` end to end, each plus its offset in ``at`` (if given); one part is itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(
+        [part + a for part, a in zip(parts, at)] if at else parts)
+
+
+class _Seed:
+    """A seed's nodes, stream, ``_round_bound`` (inf if uniform), sink and rounds run."""
+
+    def __init__(self, nodes: Nodes, stream: _Stream, bound: float, sink: Callable) -> None:
+        self.nodes, self.stream, self.bound, self.sink, self.done = nodes, stream, bound, sink, 0
+
+
+def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]:
+    """Each seed's rounds from ``done`` to the end of their epoch, or on while its
+    least alive battery outlasts ``bound`` joules a round, up to ``_CHUNK`` draws,
+    as it plans them alone; the first seeds whose blocks fit ``_CHUNK`` draws in all
+    run. Each elects and finds members from one gather of its draws; they share
+    one grid of heads over their alive positions end to end, one tree pass and one
+    pricing call, then charge round by round into their sinks. Returns the outcomes;
+    if a link cannot be priced, none, or a lone seed's first round by ``run_round``."""
+    params, epoch, alive, plans, draws = config.energy, epoch_length(config.p), [], [], 0
+    for seed in seeds:
+        nodes, first, ids = seed.nodes, seed.done, np.flatnonzero(seed.nodes.energy > 0)
+        most = min(config.rounds, first + max(1, _CHUNK // ids.size)) - first  # _CHUNK draws
+        size = min(first // epoch * epoch + epoch - first, most)
+        if seed.bound < math.inf:  # on past the epoch while no battery can empty
+            size = max(size, int(min(float(nodes.energy[ids].min()) / seed.bound, most)))
+        draws += size * ids.size
+        if plans and draws > _CHUNK:  # this seed and the rest wait for a later step
+            break
+        restart, before = seed.stream.cursor, nodes.last_ch_round[ids]  # later sends
+        table = seed.stream.rounds(ids.size, size)  # draws
+        alive.append(ids)
+        plans.append((restart, before, table, elect_block(nodes, config.p, first, table)))
+    seeds = seeds[:len(plans)]
+    # each seed's rows and positions start where the last seed's end
+    start = [0, *accumulate(len(plan[3]) for plan in plans)]
+    off = [0, *accumulate(ids.size for ids in alive)]
+    hits = [np.nonzero(plan[3]) for plan in plans]
+    rows, cols = _flat([hit[0] for hit in hits], start), _flat([hit[1] for hit in hits], off)
+    k = np.bincount(rows, minlength=start[-1])  # heads a round, in slots by ascending id
+    grid = np.full((start[-1], max(k.max(), 1)), off[-1])
     grid[rows, np.arange(rows.size) - (k.cumsum() - k)[rows]] = cols
-    xa, ya = nodes.x[alive], nodes.y[alive]
+    every = _flat(alive)
+    xa, ya = (_flat([getattr(s.nodes, a)[ids] for s, ids in zip(seeds, alive)]) for a in "xy")
     fc, tree = np.hypot(xa - config.fc_x, ya - config.fc_y), config.protocol != PROTOCOL_BASELINE
     widths = np.maximum(k, 1) if tree else np.ones_like(k)  # bits a send carries, a round
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
         # members, and senders: a round's heads, or every alive node if it has none
-        member = ~elected & (k > 0)[:, None]
-        mrow, mcol = np.nonzero(member)
-        srow, sc = np.nonzero(elected | (k == 0)[:, None])
-        hb, mb, sb = ([0, *np.bincount(r, minlength=size).cumsum().tolist()]
+        masks, found = [], []
+        for j, (*_, elected) in enumerate(plans):
+            has = k[start[j]:start[j + 1], None] > 0
+            masks.append(~elected & has)
+            found.append((*np.nonzero(masks[-1]), *np.nonzero(elected | ~has)))
+        mrow, mcol, srow, sc = (_flat([f[i] for f in found], at)
+                                for i, at in enumerate((start, off) * 2))
+        hb, mb, sb = ([0, *np.bincount(r, minlength=start[-1]).cumsum().tolist()]
                       for r in (rows, mrow, srow))  # where each round's entries start and end
-        # one dense search, but assign_members' own from 64 heads or a chunk a round
-        solo, near = (k >= 64) | (k * n > _CHUNK), np.zeros((size, n), dtype=np.int8)
-        dense = np.flatnonzero((k > 0) & ~solo)
-        if k[dense].max(initial=0) * dense.size * n > _DENSE:  # widest rows first, so that
-            dense = dense[np.argsort(-k[dense], kind="stable")]  # each call pads to its own
-        px, py, i = np.append(xa, math.inf), np.append(ya, math.inf), 0
-        while i < dense.size:
-            wide = k[dense[i:]].max()
-            slots = grid[dense[i:i + max(1, _DENSE // (wide * n))], :wide, None]
-            near[dense[i:i + slots.shape[0]]] = nearest_heads(xa, ya, px[slots], py[slots])
-            i += slots.shape[0]
-        member_head = alive[grid[mrow, near[member]]] if dense.size else np.empty_like(mcol)
-        for t in np.flatnonzero(solo).tolist():
-            member_head[mb[t]:mb[t + 1]] = assign_members(nodes, alive[grid[t, :k[t]]])[1]
-        members, pc = alive[mcol], sc.copy()
+        member_head, px, py = np.empty_like(mcol), np.append(xa, math.inf), np.append(ya, math.inf)
+        for j, (seed, ids, member) in enumerate(zip(seeds, alive, masks)):
+            # one dense search, but assign_members' own from 64 heads or a chunk a round
+            kj, n, here = k[start[j]:start[j + 1]], ids.size, slice(off[j], off[j + 1])
+            solo, near = (kj >= 64) | (kj * n > _CHUNK), np.zeros(member.shape, dtype=np.int8)
+            dense = np.flatnonzero((kj > 0) & ~solo)
+            if kj[dense].max(initial=0) * dense.size * n > _DENSE:  # widest rows first, so that
+                dense = dense[np.argsort(-kj[dense], kind="stable")]  # each call pads to its own
+            i = 0
+            while i < dense.size:
+                wide = kj[dense[i:]].max()
+                slots = grid[start[j] + dense[i:i + max(1, _DENSE // (wide * n))], :wide, None]
+                near[dense[i:i + slots.shape[0]]] = nearest_heads(
+                    xa[here], ya[here], px[slots], py[slots])
+                i += slots.shape[0]
+            these = slice(mb[start[j]], mb[start[j + 1]])
+            if dense.size:
+                member_head[these] = grid[mrow[these], near[member]]
+            for t in (start[j] + np.flatnonzero(solo)).tolist():
+                pos = np.empty(seed.nodes.x.size, dtype=np.intp)  # node id -> flat position
+                pos[ids] = np.arange(off[j], off[j + 1])
+                heads = assign_members(seed.nodes, every[grid[t, :k[t]]])[1]
+                member_head[mb[t]:mb[t + 1]] = pos[heads]
+        pc = sc.copy()
         if tree:  # a tree's heads send in reverse insertion order
             z = np.append(xa + 1j * ya, complex(math.nan, math.nan))[grid]
             order, parent = prim_rows(z, np.append(fc, math.inf)[grid].argmin(axis=1))
@@ -281,38 +325,54 @@ def _run_block(nodes: Nodes, config: ScenarioConfig, first: int,
             sc[at], pc[at] = grid[rows, order[:, ::-1][back]], grid[rows, parent[:, ::-1][back]]
         try:
             route, member_cost, cost = _price(
-                nodes, params, members, member_head, alive, sc, pc, fc, widths[srow])
+                xa, ya, params, mcol, member_head, sc, pc, fc[sc], widths[srow])
         except (ValueError, OverflowError):
-            stream.cursor, served[alive] = restart, before
-            return [run_round(nodes, config, first, stream)]
-        table[member], table[srow, sc] = member_cost, cost
-        heads, outcomes = alive[cols], []
-        for t in range(size):
-            outcomes.append(_settle(
-                nodes, params, first + t, alive, heads[hb[t]:hb[t + 1]],
-                member_head[mb[t]:mb[t + 1]], [a[sb[t]:sb[t + 1]] for a in route], widths[t],
-                alive, table[t]))
-            if outcomes[-1].deaths.size:  # replan from the next round on the new alive set
-                stream.cursor = restart  # then past round t; doubles leave a pending half
-                stream.integers(0, 2, (t + 1) * n)  # alone, so the bits may all go first
-                stream.random((t + 1) * n)
-                served[alive] = np.where(  # each node's last head round so far
-                    elected[:t + 1], np.arange(first, first + t + 1)[:, None], before).max(axis=0)
-                break
+            for seed, ids, (restart, before, *_) in zip(seeds, alive, plans):
+                seed.stream.cursor, seed.nodes.last_ch_round[ids] = restart, before
+            if len(seeds) > 1:
+                return []
+            outcome = run_round(seeds[0].nodes, config, seeds[0].done, seeds[0].stream)
+            seeds[0].done += 1
+            seeds[0].sink(outcome)
+            return [outcome]
+        node = np.append(every, -1)  # flat positions back to node ids; -1 stays -1
+        route = [*(node[a] for a in route[:3]), *route[3:]]
+        heads, member_head, outcomes = every[cols], every[member_head], []
+        for j, (seed, ids, plan) in enumerate(zip(seeds, alive, plans)):
+            (restart, before, table, elected), first, a, b = plan, seed.done, start[j], start[j + 1]
+            table[masks[j]] = member_cost[mb[a]:mb[b]]
+            table[srow[sb[a]:sb[b]] - a, sc[sb[a]:sb[b]] - off[j]] = cost[sb[a]:sb[b]]
+            for t, g in enumerate(range(a, b)):
+                outcome = _settle(
+                    seed.nodes, params, first + t, ids, heads[hb[g]:hb[g + 1]],
+                    member_head[mb[g]:mb[g + 1]], [r[sb[g]:sb[g + 1]] for r in route], widths[g],
+                    ids, table[t])
+                seed.sink(outcome)
+                outcomes.append(outcome)
+                if outcome.deaths.size:  # replan from the next round on the new alive set
+                    seed.stream.cursor = restart  # then past round t; doubles leave a pending half
+                    seed.stream.integers(0, 2, (t + 1) * ids.size)  # alone: the bits may go first
+                    seed.stream.random((t + 1) * ids.size)
+                    seed.nodes.last_ch_round[ids] = np.where(  # each node's last head round so far
+                        elected[:t + 1], np.arange(first, first + t + 1)[:, None], before
+                    ).max(axis=0)
+                    break
+            seed.done = first + t + 1
     return outcomes
 
 
-def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream) -> list[RoundOutcome]:
-    """A uniform run's rounds, one by one as ``run_round`` runs them. Positions
-    never move, so a node's ``np.hypot`` metres to every node are taken once, in
-    the first round it heads: a member's head is the first least of the heads'
-    rows at its column, the tree is ``prim_matrix`` on their metres, and every
-    link's metres are read from the rows."""
+def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream,
+                 sink: Callable[[RoundOutcome], object]) -> None:
+    """A uniform run's rounds, one by one as ``run_round`` runs them, into ``sink``.
+    Positions never move, so a node's ``np.hypot`` metres to every node are taken
+    once, in the first round it heads: a member's head is the first least of the
+    heads' rows at its column, the tree is ``prim_matrix`` on their metres, and
+    every link's metres are read from the rows."""
     x, y, n, params, k = nodes.x, nodes.y, config.nodes, config.energy, config.k
     metres, kept = np.empty((n, n)), np.zeros(n, dtype=bool)  # rows filled as nodes first head
     tree = config.protocol != PROTOCOL_BASELINE
     finite = np.isfinite(x).all() and np.isfinite(y).all()  # else prim_mst raises, as in a round
-    fc, epoch, outcomes = np.hypot(x - config.fc_x, y - config.fc_y), epoch_length(config.p), []
+    fc, epoch = np.hypot(x - config.fc_x, y - config.fc_y), epoch_length(config.p)
     thresholds = [election_threshold(config.p, r) for r in range(min(epoch, config.rounds))]
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
         for r in range(config.rounds):
@@ -341,10 +401,39 @@ def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream) -> list[
             route, member_cost, cost = _price_links(
                 params, metres[member_head, members], senders, uplinked, fc[senders],
                 metres[uplinked, senders], width)
-            outcomes.append(_settle(
+            sink(_settle(
                 nodes, params, r, alive, heads, member_head, route, width,
                 np.concatenate((members, senders)), np.concatenate((member_cost, cost))))
-    return outcomes
+
+
+def _run_seeds(config: ScenarioConfig, seeds: list[int],
+               sinks: list[Callable[[RoundOutcome], object]],
+               layouts: list[Nodes | None] | None = None) -> list[tuple[float, int]]:
+    """``config`` under each of ``seeds`` (on its layout, if one is given, as
+    ``run_simulation``'s ``nodes``), each seed's outcomes into its sink in round
+    order; returns each seed's initial energy and alive count. Non-uniform seeds
+    advance a ``_run_block`` a step, one at a time once a step cannot be priced."""
+    uniform, alone, runs, starts = config.clustering == CLUSTERING_UNIFORM, False, [], []
+    for seed, sink, nodes in zip(seeds, sinks, layouts or [None] * len(seeds)):
+        rng = np.random.default_rng(seed)
+        placed = place_nodes(config, rng) if nodes is None else nodes
+        _check_nodes(placed, config)
+        starts.append((math.fsum(placed.energy.tolist()), int(np.count_nonzero(placed.energy > 0))))
+        bound = math.inf if uniform else _round_bound(placed, config)
+        runs.append(_Seed(placed, _Stream(rng), bound, sink))
+    while not uniform and (live := [run for run in runs if run.done < config.rounds
+                                    and (run.nodes.energy > 0).any()]):
+        alone = not _run_block(config, live[:1] if alone else live) or alone
+    # a head's row of metres costs about what it saves the first time; it pays when
+    # nodes head again, about config.nodes / config.k rounds on
+    table = config.nodes ** 2 <= _TABLE and config.rounds * config.k >= config.nodes
+    for run in runs if uniform else ():
+        if table:
+            _run_uniform(run.nodes, config, run.stream, run.sink)
+        while not table and run.done < config.rounds and (run.nodes.energy > 0).any():
+            run.sink(run_round(run.nodes, config, run.done, run.stream))
+            run.done += 1
+    return starts
 
 
 def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> SimulationResult:
@@ -353,23 +442,6 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
     Passed ``nodes`` (``config.nodes`` of them) replace the seeded placement and its
     RNG draws; the per-round stream then starts at the generator's origin.
     """
-    rng = np.random.default_rng(config.seed)
-    if nodes is None:
-        nodes = place_nodes(config, rng)
-    _check_nodes(nodes, config)
-    initial, alive = math.fsum(nodes.energy.tolist()), int(np.count_nonzero(nodes.energy > 0))
-    stream = _Stream(rng)
-
     outcomes: list[RoundOutcome] = []
-    uniform = config.clustering == CLUSTERING_UNIFORM
-    # a head's row of metres costs about what it saves the first time; it pays when
-    # nodes head again, about config.nodes / config.k rounds on
-    if uniform and config.nodes ** 2 <= _TABLE and config.rounds * config.k >= config.nodes:
-        outcomes = _run_uniform(nodes, config, stream)
-    bound = _round_bound(nodes, config) if not uniform else math.inf
-    while len(outcomes) < config.rounds and (nodes.energy > 0).any():
-        if uniform:
-            outcomes.append(run_round(nodes, config, len(outcomes), stream))
-        else:
-            outcomes += _run_block(nodes, config, len(outcomes), stream, bound)
+    ((initial, alive),) = _run_seeds(config, [config.seed], [outcomes.append], [nodes])
     return SimulationResult(config, outcomes, initial, alive)

@@ -424,6 +424,19 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     assert lines[0].startswith(f"error: {expected}")
 
 
+# Seeds run together; when a step's links cannot be priced they finish one at a
+# time, so the first seed raises its own error, as it would alone.
+@pytest.mark.parametrize("clustering", ["nonuniform", "uniform"])
+def test_an_unpriceable_run_over_seeds_ends_as_its_first_seed_ends(tmp_path, capsys, clustering):
+    argv, config_text, expected = ERROR_CASES["multipath-overflow"]
+    ends = []
+    for seeds in ("1", "1,2,3"):
+        code = _cli(tmp_path, [*argv, "--clustering", clustering, "--seeds", seeds], config_text)
+        ends.append((code, *capsys.readouterr()))
+    assert ends[0] == ends[1] and ends[0][:2] == (2, "")
+    assert ends[0][2] == f"error: {expected}\n"
+
+
 # A uniform run of at most 512 nodes prices from a table of every link, built
 # before its first round. The three-node cases stop at uniform's k <= nodes check.
 @pytest.mark.parametrize("case", sorted(
@@ -443,10 +456,10 @@ def test_bad_input_under_uniform_clustering_ends_in_the_same_error_line(tmp_path
 
 
 def test_out_of_memory_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
-    def exhausted(config, nodes=None):
+    def exhausted(config, seeds, sinks, layouts=None):
         raise MemoryError("Unable to allocate 673. GiB")
 
-    monkeypatch.setattr("crwsnsim.cli.run_simulation", exhausted)
+    monkeypatch.setattr("crwsnsim.cli._run_seeds", exhausted)
     assert _cli(tmp_path, ["run", "--rounds", "1"], "nodes = 1000000\n") == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,8 +1,11 @@
+import contextlib
+import hashlib
 import math
 import re
 import sys
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from unittest import mock
@@ -22,6 +25,7 @@ from crwsnsim import (
     run_simulation,
 )
 from crwsnsim import engine
+from crwsnsim.cli import render_run_csv
 
 from helpers import (
     distance_matrix,
@@ -1016,3 +1020,179 @@ class TestStream:
                 else:
                     assert stream.rounds(a, count).tolist() == np.array(want).tolist()
                 marks.append((stream.cursor, twin.bit_generator.state))
+
+
+DEPLETION = ScenarioConfig(protocol="proposed", energy=EnergyParams(initial_energy=2e-4),
+                           fc_y=250.0)  # the benchmark's depletion workload, seeds 3, 4 and 5
+
+
+def _run_together(config, seeds, layouts=None):
+    """Each seed's outcomes and final nodes from one ``_run_seeds`` call."""
+    outcomes, placed = [[] for _ in seeds], []
+    with mock.patch.object(engine, "place_nodes",
+                           lambda *args: placed.append(place_nodes(*args)) or placed[-1]):
+        engine._run_seeds(config, seeds, [kept.append for kept in outcomes], layouts)
+    return outcomes, layouts or placed
+
+
+def _run_alone(config, seeds, layouts=None):
+    """Each seed's outcomes and final nodes from its own ``run_simulation``."""
+    outcomes, placed = [], []
+    for seed, nodes in zip(seeds, layouts or [None] * len(seeds)):
+        with mock.patch.object(engine, "place_nodes",
+                               lambda *args: placed.append(place_nodes(*args)) or placed[-1]):
+            outcomes.append(run_simulation(replace(config, seed=seed), nodes).outcomes)
+        if nodes is not None:
+            placed.append(nodes)
+    return outcomes, placed
+
+
+class TestSeedsTogether:
+    """Seeds run together by ``_run_seeds`` record what each records alone:
+    every outcome of every seed, and every seed's final node state."""
+
+    @staticmethod
+    def assert_equal_alone(config, seeds, layouts=None, together=contextlib.nullcontext()):
+        """``layouts``, if given, makes each seed's passed nodes afresh; ``together``
+        is entered while the seeds run together."""
+        with together:
+            got, got_nodes = _run_together(config, seeds, layouts and layouts())
+        want, want_nodes = _run_alone(config, seeds, layouts and layouts())
+        for seed, a, b in zip(seeds, got, want):
+            assert len(a) == len(b) and all(map(same_outcome, a, b)), seed
+        for a, b in zip(got_nodes, want_nodes, strict=True):
+            for name, array in vars(a).items():
+                assert array.tobytes() == getattr(b, name).tobytes(), name
+        return got
+
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_seeds_that_die_in_different_rounds(self, protocol):
+        config = replace(DEPLETION, protocol=protocol, rounds=300,
+                         energy=EnergyParams(initial_energy=5e-5))
+        got = self.assert_equal_alone(config, [3, 4, 5])
+        deaths = [[o.round_index for o in run if o.deaths.size] for run in got]
+        assert all(deaths) and len({tuple(d) for d in deaths}) == 3
+
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_one_seed_empties_long_before_the_others(self, protocol):
+        config = replace(DEPLETION, protocol=protocol, nodes=30, rounds=1500)
+
+        def layouts():  # the first seed's batteries hold a tenth of the others'
+            placed = [place_nodes(config, np.random.default_rng(seed)) for seed in (7, 8, 9)]
+            placed[0].energy /= 10
+            return placed
+
+        got = self.assert_equal_alone(config, [7, 8, 9], layouts)
+        assert all(run[-1].alive == 0 for run in got)
+        assert 4 * len(got[0]) < min(len(got[1]), len(got[2]))
+
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_zero_head_rounds(self, protocol):
+        config = ScenarioConfig(protocol=protocol, nodes=6, rounds=60,
+                                energy=EnergyParams(initial_energy=2e-5))
+        got = self.assert_equal_alone(config, [1, 2, 3])
+        assert all(any(not o.cluster_heads.size for o in run) for run in got)
+
+    def test_rounds_end_mid_epoch_at_p_0_15(self):
+        config = replace(DEPLETION, nodes=40, p=0.15, rounds=47)  # epochs of seven rounds
+        got = self.assert_equal_alone(config, [1, 2, 3])
+        assert all(len(run) == 47 for run in got) and 47 % 7
+
+    def test_duplicate_seeds(self):
+        got = self.assert_equal_alone(replace(DEPLETION, rounds=200), [5, 5, 6, 5])
+        assert all(map(same_outcome, got[0], got[1])) and len(got[0]) == len(got[3])
+
+    def test_blocks_that_fill_the_draw_budget(self):
+        # at 0.5 J a block runs on for ~900 rounds of 100 nodes' draws, and three
+        # such blocks exceed _CHUNK: a step plans seeds' blocks while they fit
+        config = ScenarioConfig(protocol="proposed", rounds=1000)
+        steps, elect, run_block = [], engine.elect_block, engine._run_block  # live, then sizes
+        with contextlib.ExitStack() as together:
+            together.enter_context(mock.patch.object(  # a block's size is its rows of draws
+                engine, "elect_block", lambda *a: steps[-1].append(len(a[3])) or elect(*a)))
+            together.enter_context(mock.patch.object(
+                engine, "_run_block", lambda config, seeds: steps.append([len(seeds)])
+                or run_block(config, seeds)))
+            self.assert_equal_alone(config, [0, 1, 2], together=together.pop_all())
+        assert any(len(step) - 1 < step[0] for step in steps)  # a seed waited
+        assert all(sum(step[1:]) * 100 <= engine._CHUNK for step in steps if len(step) > 2)
+        assert max(size for step in steps for size in step[1:]) > 800
+
+    @pytest.mark.parametrize("count, rounds", [(40, 30), (100, 9)], ids=["table", "round-loop"])
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_uniform_seeds(self, protocol, count, rounds):
+        config = replace(DEPLETION, protocol=protocol, clustering="uniform", nodes=count,
+                         rounds=rounds, energy=EnergyParams(initial_energy=2e-6))
+        got = self.assert_equal_alone(config, [1, 2, 3])
+        assert any(o.deaths.size for run in got for o in run)
+
+    # Two far nodes 1.2e77 m apart: a round that links them cannot be priced (see
+    # TestRoundLoopMatchesRun). A step of two such layouts that cannot be priced
+    # undoes both seeds, and they finish one at a time: the first, whose far node
+    # dies before its unpriceable round, runs to the end, then the second raises
+    # the error it raises alone, in the same round, or finishes.
+    @pytest.mark.parametrize("seed, battery", [(3, 1e300), (15, 1e291)],
+                             ids=["raises", "a-death-removes-the-link"])
+    def test_an_unpriceable_step_finishes_the_seeds_one_at_a_time(self, seed, battery):
+        config = ScenarioConfig(protocol="baseline", nodes=4, p=0.5, rounds=6, fc_x=0.0, fc_y=0.0)
+
+        def layouts():
+            return [nodes_at([1.0, 0.0, -6e76, 6e76], [0.0, 1.0, 0.0, 0.0],
+                             [1e300, 1e300, b, 1e300]) for b in (1e291, battery)]
+
+        got_nodes, want_nodes, got, want = layouts(), layouts(), [[], []], [[], []]
+        steps, run_block = [], engine._run_block
+        with mock.patch.object(engine, "_run_block", lambda config, seeds: steps.append(
+                (len(seeds), run_block(config, seeds))) or steps[-1][1]):
+            engine._run_seeds(config, [15], [want[0].append], want_nodes[:1])
+            try:  # alone, through a one-seed `_run_seeds`, which keeps the rounds before an error
+                engine._run_seeds(config, [seed], [want[1].append], want_nodes[1:])
+            except OverflowError as err:
+                assert battery == 1e300
+                with pytest.raises(OverflowError, match=re.escape(str(err))):
+                    engine._run_seeds(config, [15, seed], [run.append for run in got], got_nodes)
+            else:
+                assert battery == 1e291
+                engine._run_seeds(config, [15, seed], [run.append for run in got], got_nodes)
+        assert (2, []) in steps  # a step of both seeds could not be priced
+        for a, b in zip(got, want):
+            assert len(a) == len(b) and all(map(same_outcome, a, b))
+        for a, b in zip(got_nodes, want_nodes):
+            for name, array in vars(a).items():
+                assert array.tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_a_step_grows_one_tree_and_makes_one_pricing_call():
+    # the blocks each depletion seed plans alone, as before seeds ran together
+    blocks = []
+    for seed in (3, 4, 5):
+        with mock.patch.object(engine, "prim_rows", wraps=engine.prim_rows) as trees, \
+                mock.patch.object(engine, "_price", wraps=engine._price) as prices:
+            run_simulation(replace(DEPLETION, seed=seed))
+        assert trees.call_count == prices.call_count
+        blocks.append(trees.call_count)
+    assert blocks == [165, 171, 158]
+    with mock.patch.object(engine, "prim_rows", wraps=engine.prim_rows) as trees, \
+            mock.patch.object(engine, "_price", wraps=engine._price) as prices:
+        engine._run_seeds(DEPLETION, [3, 4, 5], [lambda outcome: None] * 3)
+    assert trees.call_count == prices.call_count == max(blocks)
+
+
+def test_rendering_holds_no_outcome_past_its_step():
+    # Bound, set before measuring: when a step starts, no outcome of an earlier
+    # step is alive, so the rows alone outlive their rounds.
+    alive, alive_at_steps = weakref.WeakSet(), []
+    settle, run_block = engine._settle, engine._run_block
+
+    def settled(*args):
+        outcome = settle(*args)
+        alive.add(outcome)
+        return outcome
+
+    with mock.patch.object(engine, "_settle", settled), \
+            mock.patch.object(engine, "_run_block", lambda *args: alive_at_steps.append(
+                len(alive)) or run_block(*args)):
+        text = render_run_csv(DEPLETION, [3, 4, 5])
+    assert len(alive_at_steps) == 171 and max(alive_at_steps) == 0 and not alive
+    assert hashlib.sha256(text.encode()).hexdigest() == (  # perfbench's pinned depletion output
+        "aac4d9db0124f548a920555bb0c896d2800993a12b3abe7a147cdf55f9c96097")
