@@ -21,8 +21,8 @@ each seed that fits ``_CHUNK`` draws in all, with one head grid, tree pass
 and pricing call, then charges them round by round with ``run_round``'s
 code. A block ends after a round that leaves a battery at zero: its stream's
 cursor goes back to just after that round's draws, each head's cooldown to
-its last round so far, and its next block starts on the new alive set. A link
-that cannot be priced raises ``run_round``'s error, in its seed and round.
+its last round so far, and its next block starts on the new alive set. A
+run's rounds price every link: before them, ``_round_bound`` checks the longest.
 
 After placement a run draws from one ``_Stream``: the generator's doubles,
 drawn in refills, under a cursor (a word, a pending half). A round over ``a``
@@ -40,7 +40,8 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .model import CLUSTERING_UNIFORM, PROTOCOL_BASELINE, Nodes, ScenarioConfig, place_nodes
+from .model import (CLUSTERING_UNIFORM, PROTOCOL_BASELINE, Nodes, ScenarioConfig,
+                    _longest_link, place_nodes)
 from .energy import link_cost
 from .clustering import (
     _CHUNK, _DENSE, assign_members, elect_alive, elect_block, elect_cluster_heads,
@@ -124,13 +125,15 @@ class SimulationResult:
 
 
 def _check_nodes(nodes: Nodes, config: ScenarioConfig) -> None:
-    """Reject ``nodes`` unless each of its arrays has shape ``(config.nodes,)``."""
+    """Reject ``nodes`` unless its arrays have shape ``(config.nodes,)``, positions finite."""
     count = config.nodes
     if nodes.x.size != count:
         raise ValueError(f"nodes has {nodes.x.size} entries but config.nodes is {count}")
     for name, array in vars(nodes).items():  # the fields in order, cheaper than fields()
         if array.shape != (count,):
             raise ValueError(f"nodes.{name} has shape {array.shape}, not ({count},)")
+        if name in ("x", "y") and not np.isfinite(array).all():
+            raise ValueError(f"nodes.{name} must hold finite positions")
 
 
 def _head_phase(
@@ -152,9 +155,8 @@ def _price(x, y, params, members, member_head, senders, uplinked, direct, width)
     """``_price_links`` over the ``np.hypot`` metres, at positions ``x``, ``y``, of
     ``members`` to their heads and of ``senders`` to parents ``uplinked``."""
     # hypot ignores the sign of the exactly negated differences: the tree's own weights
-    with np.errstate(invalid="ignore"):  # inf - inf: a self-parent's nan is unread, others fail
-        links, uplinks = (np.hypot(x[a] - x[b], y[a] - y[b])
-                          for a, b in ((members, member_head), (senders, uplinked)))
+    links, uplinks = (np.hypot(x[a] - x[b], y[a] - y[b])
+                      for a, b in ((members, member_head), (senders, uplinked)))
     return _price_links(params, links, senders, uplinked, direct, uplinks, width)
 
 
@@ -221,16 +223,18 @@ def run_round(nodes: Nodes, config: ScenarioConfig, round_index: int,
 
 
 def _round_bound(nodes: Nodes, config: ScenarioConfig) -> float:
-    """Most joules a node spends in a round, plus 2^-20, or inf: for n = ``config.nodes``
+    """Most joules a node spends in a round, plus 2^-20: for n = ``config.nodes``
     >= k heads, n - 1 member bits, k-bit tables from k - 1 children and a k-bit
-    send over the diagonal of the box that holds the nodes and fusion centre."""
+    send over the diagonal of the box that holds the nodes and fusion centre. No
+    link is longer, so a ``ValueError`` names the diagonal if it cannot be priced."""
     n, e = config.nodes, config.energy
-    with np.errstate(over="ignore", invalid="ignore"):  # no finite box or send: no bound
-        try:
-            send = link_cost(e, math.hypot(np.ptp(np.append(nodes.x, config.fc_x)),
-                                           np.ptp(np.append(nodes.y, config.fc_y))))
-        except (ValueError, OverflowError):
-            return math.inf
+    span, priceable = _longest_link(e, np.append(nodes.x, config.fc_x),
+                                    np.append(nodes.y, config.fc_y))
+    if not priceable:
+        raise ValueError(f"the nodes and fusion centre span a diagonal of {span!r} m, "
+                         "a link length that link_cost cannot price")
+    with np.errstate(over="ignore"):  # a send may cost inf; so may the bound
+        send = link_cost(e, span)
     return ((n - 1) * (e.e_rx + e.e_aggregation) + n * (n - 1) * e.e_rx + n * send) * (1 + 2**-20)
 
 
@@ -241,7 +245,7 @@ def _flat(parts: list[np.ndarray], at: list[int] | None = None) -> np.ndarray:
 
 
 class _Seed:
-    """A seed's nodes, stream, ``_round_bound`` (inf if uniform), sink and rounds run."""
+    """A seed's nodes, stream, ``_round_bound``, sink and rounds run."""
 
     def __init__(self, nodes: Nodes, stream: _Stream, bound: float, sink: Callable) -> None:
         self.nodes, self.stream, self.bound, self.sink, self.done = nodes, stream, bound, sink, 0
@@ -253,8 +257,7 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]
     as it plans them alone; the first seeds whose blocks fit ``_CHUNK`` draws in all
     run. Each elects and finds members from one gather of its draws; they share
     one grid of heads over their alive positions end to end, one tree pass and one
-    pricing call, then charge round by round into their sinks. Returns the outcomes;
-    if a link cannot be priced, none, or a lone seed's first round by ``run_round``."""
+    pricing call, then charge round by round into their sinks. Returns the outcomes."""
     params, epoch, alive, plans, draws = config.energy, epoch_length(config.p), [], [], 0
     for seed in seeds:
         nodes, first, ids = seed.nodes, seed.done, np.flatnonzero(seed.nodes.energy > 0)
@@ -323,18 +326,8 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]
             back = np.arange(grid.shape[1])[::-1] < k[:, None]  # each row's steps, last first
             at = np.flatnonzero(k[srow] > 0)
             sc[at], pc[at] = grid[rows, order[:, ::-1][back]], grid[rows, parent[:, ::-1][back]]
-        try:
-            route, member_cost, cost = _price(
-                xa, ya, params, mcol, member_head, sc, pc, fc[sc], widths[srow])
-        except (ValueError, OverflowError):
-            for seed, ids, (restart, before, *_) in zip(seeds, alive, plans):
-                seed.stream.cursor, seed.nodes.last_ch_round[ids] = restart, before
-            if len(seeds) > 1:
-                return []
-            outcome = run_round(seeds[0].nodes, config, seeds[0].done, seeds[0].stream)
-            seeds[0].done += 1
-            seeds[0].sink(outcome)
-            return [outcome]
+        route, member_cost, cost = _price(
+            xa, ya, params, mcol, member_head, sc, pc, fc[sc], widths[srow])
         node = np.append(every, -1)  # flat positions back to node ids; -1 stays -1
         route = [*(node[a] for a in route[:3]), *route[3:]]
         heads, member_head, outcomes = every[cols], every[member_head], []
@@ -371,7 +364,6 @@ def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream,
     x, y, n, params, k = nodes.x, nodes.y, config.nodes, config.energy, config.k
     metres, kept = np.empty((n, n)), np.zeros(n, dtype=bool)  # rows filled as nodes first head
     tree = config.protocol != PROTOCOL_BASELINE
-    finite = np.isfinite(x).all() and np.isfinite(y).all()  # else prim_mst raises, as in a round
     fc, epoch = np.hypot(x - config.fc_x, y - config.fc_y), epoch_length(config.p)
     thresholds = [election_threshold(config.p, r) for r in range(min(epoch, config.rounds))]
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
@@ -386,16 +378,13 @@ def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream,
             new = heads[~kept[heads]]
             if new.size:
                 kept[new] = True
-                with np.errstate(invalid="ignore"):  # inf - inf: the nan fails the pricing
-                    metres[new] = np.hypot(x[new, None] - x, y[new, None] - y)
+                metres[new] = np.hypot(x[new, None] - x, y[new, None] - y)
             is_member[heads] = False
             members = np.flatnonzero(is_member)
             member_head = heads[metres[heads].argmin(axis=0)[members]]  # heads ascend: lower id
             sent = up = np.arange(heads.size)
             if tree:  # heads send in reverse insertion order, root last
-                start = int(fc[heads].argmin())
-                order, parent = (prim_matrix(metres[heads][:, heads], start) if finite
-                                 else prim_mst(x[heads], y[heads], start))
+                order, parent = prim_matrix(metres[heads][:, heads], int(fc[heads].argmin()))
                 sent, up = order[::-1], parent[order[::-1]]
             senders, uplinked, width = heads[sent], heads[up], heads.size if tree else 1
             route, member_cost, cost = _price_links(
@@ -411,19 +400,19 @@ def _run_seeds(config: ScenarioConfig, seeds: list[int],
                layouts: list[Nodes | None] | None = None) -> list[tuple[float, int]]:
     """``config`` under each of ``seeds`` (on its layout, if one is given, as
     ``run_simulation``'s ``nodes``), each seed's outcomes into its sink in round
-    order; returns each seed's initial energy and alive count. Non-uniform seeds
-    advance a ``_run_block`` a step, one at a time once a step cannot be priced."""
-    uniform, alone, runs, starts = config.clustering == CLUSTERING_UNIFORM, False, [], []
+    order; returns each seed's initial energy and alive count. Every seed's nodes
+    and longest link are checked before any seed runs a round. Non-uniform seeds
+    advance together, a ``_run_block`` a step."""
+    uniform, runs, starts = config.clustering == CLUSTERING_UNIFORM, [], []
     for seed, sink, nodes in zip(seeds, sinks, layouts or [None] * len(seeds)):
         rng = np.random.default_rng(seed)
         placed = place_nodes(config, rng) if nodes is None else nodes
         _check_nodes(placed, config)
         starts.append((math.fsum(placed.energy.tolist()), int(np.count_nonzero(placed.energy > 0))))
-        bound = math.inf if uniform else _round_bound(placed, config)
-        runs.append(_Seed(placed, _Stream(rng), bound, sink))
+        runs.append(_Seed(placed, _Stream(rng), _round_bound(placed, config), sink))
     while not uniform and (live := [run for run in runs if run.done < config.rounds
                                     and (run.nodes.energy > 0).any()]):
-        alone = not _run_block(config, live[:1] if alone else live) or alone
+        _run_block(config, live)
     # a head's row of metres costs about what it saves the first time; it pays when
     # nodes head again, about config.nodes / config.k rounds on
     table = config.nodes ** 2 <= _TABLE and config.rounds * config.k >= config.nodes

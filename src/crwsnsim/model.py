@@ -64,6 +64,18 @@ class EnergyParams:
         return math.sqrt(self.e_fs / self.e_mp)
 
 
+def _longest_link(params: EnergyParams, xs, ys) -> tuple[float, bool]:
+    """Metres across the box that holds the points (``xs``, ``ys``), which no link
+    between them exceeds, and whether ``link_cost`` prices a link that long: one
+    of finite metres, with a finite d^4 (a float power, as it takes it) past the
+    crossover distance. Both branches grow with d, so then every link is priced."""
+    d = math.hypot(*(float(np.max(v)) - float(np.min(v)) for v in (xs, ys)))
+    try:
+        return d, d < math.inf and (d <= params.crossover_distance or d ** 4 < math.inf)
+    except OverflowError:
+        return d, False
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce one simulation run.
@@ -127,18 +139,14 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        diagonal = math.hypot(self.field_width, self.field_height)
-        if not math.isfinite(diagonal):
+        sides = [(("field_width", "fc_x"), self.field_width, self.fc_x),
+                 (("field_height", "fc_y"), self.field_height, self.fc_y)]
+        span, priceable = _longest_link(self.energy, *([0.0, size, fc] for _, size, fc in sides))
+        if not priceable:  # name the wider side's fusion centre if it lies off the field
+            names, size, fc = max(sides, key=lambda s: max(0.0, s[1], s[2]) - min(0.0, s[2]))
             raise ValueError(
-                f"field_width and field_height must span a finite diagonal, got {diagonal}"
-            )
-        dx = max(abs(self.fc_x), abs(self.fc_x - self.field_width))
-        dy = max(abs(self.fc_y), abs(self.fc_y - self.field_height))
-        far = math.hypot(dx, dy)
-        if not math.isfinite(far):
-            raise ValueError(
-                f"fc_{'x' if dx >= dy else 'y'} must leave the farthest field corner "
-                f"a finite distance from the fusion centre, got {far}"
+                f"{names[not 0.0 <= fc <= size]} must keep the field and fusion centre within "
+                f"a link length that link_cost can price, got a diagonal of {span!r} m"
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

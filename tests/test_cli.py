@@ -328,6 +328,9 @@ def _cli(directory, argv, config_text):
     return main([*argv, "--config", str(config)])
 
 
+# the check on the box that holds the field and the fusion centre
+_PRICEABLE = "must keep the field and fusion centre within a link length that link_cost can price"
+
 # case -> (argv, config-file text, start of the one stderr line after "error: ")
 ERROR_CASES = {
     "negative-seed": (["run", "--seed", "-1", "--rounds", "3"], "", "seed must be >= 0"),
@@ -355,9 +358,10 @@ ERROR_CASES = {
     "compare-uniform-p": (
         ["compare", "--seeds", "1", "--rounds", "3"], "nodes = 10\np = 0.05\n", "p * nodes"
     ),
+    # a 1e80 m link has no finite d^4: the fusion centre is named, before any round
     "multipath-overflow": (
         ["run", "--rounds", "3"], "e_mp = 1e300\nfc_y = 1e80\n",
-        "arithmetic overflow in the run: d^4 overflows for a 1e+80 m link",
+        f"line 2: fc_y {_PRICEABLE}, got a diagonal of 1e+80 m",
     ),
     "compare-mean-overflow": (
         ["compare", "--seeds", "1,2", "--rounds", "2"],
@@ -367,17 +371,17 @@ ERROR_CASES = {
     "fc-corner-overflow": (
         ["run", "--rounds", "2"],
         "field_width = 1.7e308\nfc_x = -1.7e308\nnodes = 3\n",
-        "line 2: fc_x must leave the farthest field corner a finite distance",
+        f"line 2: fc_x {_PRICEABLE}, got a diagonal of inf m",
     ),
     "fc-y-corner-overflow": (
         ["run", "--rounds", "2"],
         "field_height = 1.7e308\nfc_y = -1.7e308\nnodes = 3\n",
-        "line 2: fc_y must leave the farthest field corner a finite distance",
+        f"line 2: fc_y {_PRICEABLE}, got a diagonal of inf m",
     ),
     "field-diagonal-overflow": (
         ["run", "--rounds", "2"],
         "field_width = 1.7e308\nfield_height = 1.7e308\nnodes = 3\n",
-        "line 1: field_width and field_height must span a finite diagonal",
+        f"line 1: field_width {_PRICEABLE}, got a diagonal of inf m",
     ),
     # 1 / 5e-309 overflows, so the epoch length round(1/p) cannot be formed
     "p-epoch-overflow": (
@@ -424,10 +428,10 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     assert lines[0].startswith(f"error: {expected}")
 
 
-# Seeds run together; when a step's links cannot be priced they finish one at a
-# time, so the first seed raises its own error, as it would alone.
+# Validation rejects a fusion centre whose links cannot be priced before any seed
+# runs a round, so one seed and three end in the same line, under either clustering.
 @pytest.mark.parametrize("clustering", ["nonuniform", "uniform"])
-def test_an_unpriceable_run_over_seeds_ends_as_its_first_seed_ends(tmp_path, capsys, clustering):
+def test_an_unpriceable_run_over_seeds_ends_in_one_validation_error(tmp_path, capsys, clustering):
     argv, config_text, expected = ERROR_CASES["multipath-overflow"]
     ends = []
     for seeds in ("1", "1,2,3"):
@@ -437,8 +441,8 @@ def test_an_unpriceable_run_over_seeds_ends_as_its_first_seed_ends(tmp_path, cap
     assert ends[0][2] == f"error: {expected}\n"
 
 
-# A uniform run of at most 512 nodes prices from a table of every link, built
-# before its first round. The three-node cases stop at uniform's k <= nodes check.
+# Uniform runs of at most 512 nodes take their own path, a table of metres; each case
+# still ends in the same line. The three-node cases stop at uniform's k <= nodes check.
 @pytest.mark.parametrize("case", sorted(
     case for case, (argv, text, _) in ERROR_CASES.items()
     if argv[0] == "run" and "nodes = 3\n" not in text))
@@ -537,6 +541,8 @@ _CONFIG_VALUES = st.fixed_dictionaries(
 # a head's second reception drives its battery past -1.8e308 to -inf mid-round;
 # the end-of-round floor makes it 0.0, and no overflow warning may reach stderr
 @example({"nodes": "5", "rounds": "3", "initial_energy": "1e300", "e_rx": "1.7e308"}, "run")
+# the multipath-overflow case: validation, not the run, names the 1e80 m link
+@example({"rounds": "3", "e_mp": "1e300", "fc_y": "1e80"}, "run")
 def test_any_config_runs_finite_or_ends_in_one_error_line(values, command):
     config_text = "".join(f"{key} = {value}\n" for key, value in values.items())
     out, err = io.StringIO(), io.StringIO()
@@ -559,3 +565,5 @@ def test_any_config_runs_finite_or_ends_in_one_error_line(values, command):
         assert code == 2
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        # every link is checked priceable before the first round
+        assert not lines[0].startswith("error: arithmetic overflow in the run: d^4")

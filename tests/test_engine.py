@@ -113,13 +113,21 @@ class TestRunRound:
             run_round(node, config, 0, np.random.default_rng(0))
 
     def test_infinite_sender_raises_without_a_warning(self):
-        # every node heads and sends direct, its own parent: inf - inf is never read
+        # every node would head and send direct; the position is rejected first
         config = ScenarioConfig(protocol="baseline", clustering="uniform", nodes=4, k=4, p=1.0)
         nodes = nodes_at([0.0, 10.0, 20.0, math.inf], [0.0] * 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^d must be a finite non-negative distance"):
+            with pytest.raises(ValueError, match=r"^nodes\.x must hold finite positions$"):
                 run_round(nodes, config, 0, np.random.default_rng(0))
+        assert nodes.energy.tolist() == [0.5] * 4 and nodes.last_ch_round.tolist() == [-1] * 4
+
+    def test_an_unpriceable_link_raises_as_the_round_prices_it(self):
+        # run_round checks that positions are finite, not the span: a run checks that
+        config = ScenarioConfig(nodes=2, p=1.0, rounds=1)
+        nodes = nodes_at([0.0, 1e80], [0.0, 0.0])
+        with pytest.raises(OverflowError, match=r"^d\^4 overflows for a 1e\+80 m link$"):
+            run_round(nodes, config, 0, np.random.default_rng(0))
 
     def test_proposed_records_tree_and_decisions(self):
         config = ScenarioConfig(nodes=40, protocol="proposed", clustering="uniform")
@@ -876,80 +884,93 @@ class TestRoundLoopMatchesRun:
         for name, array in vars(nodes).items():
             assert array.tobytes() == getattr(placed[0], name).tobytes(), name
 
-    # Each layout has a link that link_cost cannot price. The run keeps its table
-    # and prices only each round's links, as run_round does: it finishes, or raises
-    # run_round's error in run_round's round, leaving the loop's node state.
-    @pytest.mark.parametrize("case", [
-        "far-pair-that-no-round-uses", "non-finite-position", "non-finite-head-position",
-        "fusion-centre-links-overflow"])
-    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
-    def test_unpriceable_links_end_as_the_round_loop_ends(self, protocol, case):
-        xs, ys, fc = [0.0, 3.0, 0.0, 10.0, 20.0, 40.0], [0.0, 4.0, 5.0, 0.0, 30.0, 60.0], 0.0
-        if case == "far-pair-that-no-round-uses":
-            # every node heads: the tree joins each far node to the near ones (6e76 m,
-            # d^4 finite), never to the other far one (1.2e77 m, d^4 overflows)
-            xs[3:5], ys[3:5] = [-6e76, 6e76], [0.0, 0.0]
-        elif case != "fusion-centre-links-overflow":  # as a head, no tree can hold it
-            xs[4] = math.nan
-        else:  # every node's direct send is 1e80 m
-            fc = 1e80
-        count = 2 if case in ("non-finite-position", "fusion-centre-links-overflow") else 6
-        config = ScenarioConfig(protocol=protocol, clustering="uniform", nodes=6, k=count,
-                                p=1.0 if count == 6 else 0.5, rounds=5, fc_x=0.0, fc_y=fc,
-                                seed=4)
-        energy = np.full(6, 1e300)  # a 6e76 m send costs about 1.7e291 J a bit
-        got_nodes, want_nodes = nodes_at(xs, ys, energy), nodes_at(xs, ys, energy)
-        with mock.patch.object(engine, "_run_uniform", wraps=engine._run_uniform) as table_run:
-            try:
-                want = _round_loop(config, want_nodes, np.random.default_rng(config.seed))
-            except (ValueError, OverflowError) as err:
-                assert case != "far-pair-that-no-round-uses"
-                with pytest.raises(type(err)) as got:
-                    run_simulation(config, got_nodes)
-                assert str(got.value) == str(err)
-            else:
-                assert case == "far-pair-that-no-round-uses" and len(want) == config.rounds
-                got = run_simulation(config, got_nodes).outcomes
-                assert len(got) == len(want) and all(map(same_outcome, got, want))
-        assert table_run.call_count == 1
-        for name, array in vars(got_nodes).items():
-            assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
 
-    # Two far nodes 1.2e77 m apart: a round that links one to the other cannot be
-    # priced (d^4 overflows), a round that links each to a near node can. A block
-    # that holds such a round falls back to run_round for its first round; the
-    # run then raises the loop's error in the loop's round, or a death removes
-    # the far node (battery 1e291 J, below one 6e76 m send) before that round.
-    @pytest.mark.parametrize("case, battery, seeds, fallbacks", [
-        ("a-block-starts-with-the-unpriceable-round", 1e300, (3, 3), (1, 1)),
-        ("a-later-round-of-the-block-is-unpriceable", 1e300, (8, 0), (2, 2)),
-        ("a-death-removes-the-unpriceable-link", 1e291, (15, 0), (1, 1)),
-    ])
-    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
-    def test_unpriceable_block_ends_as_the_round_loop_ends(
-            self, protocol, case, battery, seeds, fallbacks):
-        xs, ys, energy = [1.0, 0.0, -6e76, 6e76], [0.0, 1.0, 0.0, 0.0], [1e300] * 4
-        energy[2] = battery
-        at = protocol == "proposed"
-        config = ScenarioConfig(protocol=protocol, clustering="nonuniform", nodes=4, p=0.5,
-                                rounds=6, fc_x=0.0, fc_y=0.0, seed=seeds[at])
-        got_nodes, want_nodes = nodes_at(xs, ys, energy), nodes_at(xs, ys, energy)
-        with mock.patch.object(engine, "run_round", wraps=engine.run_round) as fallback:
-            try:
-                want = _round_loop(config, want_nodes, np.random.default_rng(config.seed))
-            except OverflowError as err:
-                assert case != "a-death-removes-the-unpriceable-link"
-                with pytest.raises(OverflowError) as got:
-                    run_simulation(config, got_nodes)
-                assert str(got.value) == str(err)
-            else:
-                assert case == "a-death-removes-the-unpriceable-link"
-                got = run_simulation(config, got_nodes).outcomes
-                assert len(got) == len(want) and all(map(same_outcome, got, want))
-                assert got_nodes.energy[2] == 0.0
-        assert fallback.call_count == fallbacks[at]
-        for name, array in vars(got_nodes).items():
-            assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
+
+# Each layout holds a link that link_cost cannot price (d^4 overflows past ~1.16e77 m, or
+# the metres are not finite), though no round need use it: the run is rejected before its
+# first round, with one ValueError, no outcome, and every node as it was passed. Placed
+# fields are rejected by ScenarioConfig, which checks the box that holds the field and
+# the fusion centre.
+UNPRICEABLE = {  # case -> ({node id: the x it moves to}, start of the error)
+    "far-pair-that-no-round-need-use": (
+        {3: -6e76, 4: 6e76}, r"the nodes and fusion centre span a diagonal of 1\.2e\+77 m,"),
+    "nan-position": ({4: math.nan}, r"nodes\.x must hold finite positions$"),
+    "inf-position": ({4: math.inf}, r"nodes\.x must hold finite positions$"),
+    # the span overflows to inf, where np.ptp would warn of it
+    "full-float-span": ({3: -1.7e308, 4: 1.7e308}, r"the nodes and fusion centre span a diagonal of inf m,"),
+    "far-fusion-centre": ({}, r"fc_y must keep the field and fusion centre within a link"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPRICEABLE))
+@pytest.mark.parametrize("clustering", ["uniform", "nonuniform"])
+def test_an_unpriceable_layout_is_rejected_before_the_first_round(clustering, case):
+    moved, message = UNPRICEABLE[case]
+    xs, ys = [0.0, 3.0, 0.0, 10.0, 20.0, 40.0], [0.0, 4.0, 5.0, 0.0, 30.0, 60.0]
+    bad = [moved.get(i, x) for i, x in enumerate(xs)]
+    fc_y = 1e80 if case == "far-fusion-centre" else 0.0  # every direct send is 1e80 m
+
+    def layouts():  # the bad layout last, so that the seeds before it could run
+        return [nodes_at(xs, ys, np.full(6, 1e300)), nodes_at(bad, ys, np.full(6, 1e300))]
+
+    for run in ("run_simulation", "_run_seeds"):
+        passed, sink = layouts(), mock.Mock()
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=f"^{message}") as err:
+            warnings.simplefilter("error")
+            config = ScenarioConfig(protocol="proposed", clustering=clustering, nodes=6, k=2,
+                                    p=0.5, rounds=5, fc_x=0.0, fc_y=fc_y)
+            if run == "run_simulation":
+                run_simulation(config, passed[1])
+            engine._run_seeds(config, [1, 2], [sink, sink], passed)
+        assert type(err.value) is ValueError and sink.call_count == 0, run
+        for got, want in zip(passed, layouts()):
+            for name, array in vars(got).items():
+                assert array.tobytes() == getattr(want, name).tobytes(), (run, name)
+
+
+_FAR = st.floats(-2e77, 2e77)
+
+
+class TestPriceableByConstruction:
+    """A run that is accepted prices every link it meets: the checks before the
+    first round are never looser than ``link_cost``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(_FAR, _FAR), min_size=2, max_size=6), _FAR, _FAR,
+           st.sampled_from(["baseline", "proposed"]), st.sampled_from(["uniform", "nonuniform"]))
+    @example([(-6e76, 0.0), (6e76, 0.0), (0.0, 1.0)], 0.0, 0.0, "proposed", "nonuniform")
+    @example([(0.0, 0.0), (1.1e77, 0.0), (0.0, 1.0)], 0.0, 0.0, "baseline", "uniform")
+    def test_a_passed_layout_is_rejected_up_front_or_runs_every_round(
+            self, points, fc_x, fc_y, protocol, clustering):
+        xs, ys = (list(axis) for axis in zip(*points))
+        try:
+            config = ScenarioConfig(protocol=protocol, clustering=clustering, nodes=len(xs),
+                                    k=1, p=0.5, rounds=3, fc_x=fc_x, fc_y=fc_y)
+        except ValueError:  # the fusion centre is too far from the field
+            return
+        nodes = nodes_at(xs, ys, np.full(len(xs), 1e300))  # a send costs below 1e295 J
+        try:
+            outcomes = run_simulation(config, nodes).outcomes
+        except ValueError as err:
+            assert str(err).startswith("the nodes and fusion centre span a ")
+            assert nodes.energy.tolist() == [1e300] * len(xs)
+            assert nodes.last_ch_round.tolist() == [-1] * len(xs)
+        else:
+            assert len(outcomes) == config.rounds
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(5e-324, 2e77), st.floats(5e-324, 2e77), _FAR, _FAR)
+    @example(100.0, 100.0, 0.0, 2e77)
+    @example(1.1e77, 3e76, -7e75, 50.0)
+    def test_an_accepted_field_places_priceable_seeds(self, width, height, fc_x, fc_y):
+        try:
+            config = ScenarioConfig(nodes=2, field_width=width, field_height=height,
+                                    fc_x=fc_x, fc_y=fc_y)
+        except ValueError:
+            return
+        corners = nodes_at([0.0, width], [0.0, height])  # the widest layout a field holds
+        for nodes in (corners, *(place_nodes(config, np.random.default_rng(s)) for s in (0, 1))):
+            assert engine._round_bound(nodes, config) > 0.0
 
 
 # Up to 512 nodes a uniform run holds one n x n table of metres and under 1 MiB
@@ -1125,41 +1146,6 @@ class TestSeedsTogether:
                          rounds=rounds, energy=EnergyParams(initial_energy=2e-6))
         got = self.assert_equal_alone(config, [1, 2, 3])
         assert any(o.deaths.size for run in got for o in run)
-
-    # Two far nodes 1.2e77 m apart: a round that links them cannot be priced (see
-    # TestRoundLoopMatchesRun). A step of two such layouts that cannot be priced
-    # undoes both seeds, and they finish one at a time: the first, whose far node
-    # dies before its unpriceable round, runs to the end, then the second raises
-    # the error it raises alone, in the same round, or finishes.
-    @pytest.mark.parametrize("seed, battery", [(3, 1e300), (15, 1e291)],
-                             ids=["raises", "a-death-removes-the-link"])
-    def test_an_unpriceable_step_finishes_the_seeds_one_at_a_time(self, seed, battery):
-        config = ScenarioConfig(protocol="baseline", nodes=4, p=0.5, rounds=6, fc_x=0.0, fc_y=0.0)
-
-        def layouts():
-            return [nodes_at([1.0, 0.0, -6e76, 6e76], [0.0, 1.0, 0.0, 0.0],
-                             [1e300, 1e300, b, 1e300]) for b in (1e291, battery)]
-
-        got_nodes, want_nodes, got, want = layouts(), layouts(), [[], []], [[], []]
-        steps, run_block = [], engine._run_block
-        with mock.patch.object(engine, "_run_block", lambda config, seeds: steps.append(
-                (len(seeds), run_block(config, seeds))) or steps[-1][1]):
-            engine._run_seeds(config, [15], [want[0].append], want_nodes[:1])
-            try:  # alone, through a one-seed `_run_seeds`, which keeps the rounds before an error
-                engine._run_seeds(config, [seed], [want[1].append], want_nodes[1:])
-            except OverflowError as err:
-                assert battery == 1e300
-                with pytest.raises(OverflowError, match=re.escape(str(err))):
-                    engine._run_seeds(config, [15, seed], [run.append for run in got], got_nodes)
-            else:
-                assert battery == 1e291
-                engine._run_seeds(config, [15, seed], [run.append for run in got], got_nodes)
-        assert (2, []) in steps  # a step of both seeds could not be priced
-        for a, b in zip(got, want):
-            assert len(a) == len(b) and all(map(same_outcome, a, b))
-        for a, b in zip(got_nodes, want_nodes):
-            for name, array in vars(a).items():
-                assert array.tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_a_step_grows_one_tree_and_makes_one_pricing_call():

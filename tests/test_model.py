@@ -102,6 +102,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^{key} must be finite"):
             ScenarioConfig(fc_x=x, fc_y=y)
 
+    # The box that holds the field and the fusion centre spans the longest link a
+    # placed run can meet. The error names the fusion centre's coordinate on the
+    # box's wider side if it lies off the field there, else the field's size.
+    @pytest.mark.parametrize("changes, key", [
+        ({"fc_x": 2e77}, "fc_x"), ({"fc_y": -2e77}, "fc_y"),
+        ({"field_width": 2e77}, "field_width"), ({"field_height": 1.7e308}, "field_height"),
+        ({"field_width": 1e77, "fc_y": 9e76}, "field_width"),
+    ], ids=["fusion-centre-east", "fusion-centre-south", "wide-field", "tall-field",
+            "wide-field-fusion-centre-north"])
+    def test_field_and_fusion_centre_span_a_priceable_link(self, changes, key):
+        with pytest.raises(ValueError, match=rf"^{key} must keep the field and fusion centre "
+                                             r"within a link length that link_cost can price"):
+            ScenarioConfig(**changes)
+        ScenarioConfig(field_width=1.1e77)  # its d^4 is finite
+        # a crossover of inf metres: every finite link takes the d^2 law
+        ScenarioConfig(field_width=1e200, energy=EnergyParams(e_fs=1e3, e_mp=5e-324))
+
     @pytest.mark.parametrize("factor", [math.inf, math.nan, -0.5])
     def test_advanced_energy_factor_finite_non_negative(self, factor):
         with pytest.raises(ValueError, match="advanced_energy_factor"):
