@@ -82,12 +82,13 @@ def elect_alive(nodes: Nodes, alive: np.ndarray, round_index: int, opens: int,
     return np.sort(heads)
 
 
-def elect_block(nodes: Nodes, p: float, first_round: int, draws: np.ndarray) -> np.ndarray:
-    """Non-uniform ``elect_cluster_heads`` for rounds ``first_round`` on, a row of
-    ``draws`` (over the alive nodes) each, no death among them: in each epoch, a
-    node that last served before it heads in the first round it would. Returns
-    the (round, alive node) mask of heads; ``last_ch_round`` takes the last."""
-    alive, epoch, size = np.flatnonzero(nodes.energy > 0), epoch_length(p), len(draws)
+def elect_block(nodes: Nodes, alive: np.ndarray, p: float, first_round: int,
+                draws: np.ndarray) -> np.ndarray:
+    """Non-uniform ``elect_cluster_heads`` over the ``alive`` ids for rounds
+    ``first_round`` on, a row of ``draws`` each, no death among them: in each
+    epoch, a node that last served before it heads in the first round it would.
+    Returns the (round, alive node) mask of heads; ``last_ch_round`` takes the last."""
+    epoch, size = epoch_length(p), len(draws)
     served, rounds = nodes.last_ch_round[alive], np.arange(first_round, first_round + size)
     thresholds = np.array([election_threshold(p, r) for r in rounds[:epoch].tolist()])  # offsets
     opens = rounds // epoch * epoch  # each round's epoch's first round
@@ -104,7 +105,7 @@ def elect_block(nodes: Nodes, p: float, first_round: int, draws: np.ndarray) -> 
 def nearest_heads(mx: np.ndarray, my: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
     """Index along the next-to-last axis of each member's nearest head (+inf
     pads) by ``np.hypot``, ties to the lower index. Squares rank; ``np.hypot``
-    settles a near tie (within ``assign_members``' bound) or a nan."""
+    settles a near tie (within ``_ring_search``'s bound) or a nan."""
     with np.errstate(over="ignore"):  # an inf least square keeps every candidate
         dx, dy = mx - hx, my - hy
         sq = dx * dx + dy * dy
@@ -117,34 +118,62 @@ def nearest_heads(mx: np.ndarray, my: np.ndarray, hx: np.ndarray, hy: np.ndarray
 
 
 def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attach every alive non-head node to its nearest head.
-
-    Returns the member ids in ascending order and each member's head id.
-    Distances are the elementwise ``np.hypot`` of the coordinate differences;
-    ties break toward the lower head id. From 64 heads (8 cells a side) the
-    heads are binned into square cells of about one head each and sorted by
-    row-major cell. A member takes the nearest head in the 3x3 cells around
-    its own if it is strictly closer than one cell side, else widens the ring
-    (ring r accepts below r sides) while ``(2r+1)**2`` times the busiest cell's
-    head count stays below k; whoever is left searches every head. A ring
-    pass holds at most ``_CHUNK`` candidates: per occupied cell, one block of
-    the ring's 2r+1 row slices. A call keeps no state, so threads may run it
-    at once. As a square ``dx*dx + dy*dy`` errs by at most 2**-51 relative
-    plus 2**-1073 and ``np.hypot`` by one ulp, only squares within 2**-40
-    relative plus 2**-1000 of the least (all, if it is inf) can hold the dense
-    argmin; only those get ``np.hypot``. Squares are never negative or NaN,
-    so their bits order as integers do, and the least is taken over those.
-    """
+    """Attach every alive non-head node to its nearest head: ``nearest_in_rows``
+    on one row. Returns the member ids in ascending order and each one's head id."""
     heads = np.sort(cluster_heads)
     if not heads.size:
         raise ValueError("assign_members requires at least one cluster head")
     is_member = nodes.energy > 0
     is_member[heads] = False
     members = np.flatnonzero(is_member)
-    mx, my, hx, hy = nodes.x[members], nodes.y[members], nodes.x[heads], nodes.y[heads]
-    k, pending = heads.size, np.arange(members.size)
-    nearest = np.empty(members.size, dtype=np.intp)
-    side = max(np.ptp(hx), np.ptp(hy)) / math.isqrt(k) if k >= 64 else 0.0
+    ids = np.concatenate((members, heads))  # the columns: members, then heads
+    near = nearest_in_rows(nodes.x[ids], nodes.y[ids], np.arange(members.size, ids.size)[None],
+                           np.full(1, heads.size), np.zeros_like(members), np.arange(members.size))
+    return members, ids[near]
+
+
+def nearest_in_rows(x: np.ndarray, y: np.ndarray, grid: np.ndarray, k: np.ndarray,
+                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each member's nearest head in a stack of rounds, a row each: row t's heads are
+    columns ``grid[t, :k[t]]`` of ``x``, ``y``, ascending (entries past them at least
+    ``x.size``); its members are the ``cols`` where ``rows`` is t, ``rows`` ascending.
+    Returns the members' heads' columns. Below 64 heads a row takes ``nearest_heads``
+    on every column, in calls of at most ``_DENSE`` candidates, rows widest first and
+    a row too wide for one call by slices of columns; from 64, ``_ring_search``."""
+    # the rows of 1 to 63 heads, widest first, so that a call pads to its own widest
+    dense = np.argsort(-k, kind="stable")[np.count_nonzero(k >= 64):np.count_nonzero(k)]
+    near, i = np.zeros((k.size, x.size), dtype=np.int8), 0  # each dense row's nearest slots
+    px, py = np.append(x, math.inf), np.append(y, math.inf)  # grid's pads: +inf
+    while i < dense.size:
+        wide = k[dense[i]]
+        group = dense[i:i + max(1, _DENSE // (wide * x.size))]
+        hx, hy = (p.take(grid[group, :wide, None], mode="clip") for p in (px, py))
+        for c in range(0, x.size, step := max(1, _DENSE // wide)):
+            near[group, c:c + step] = nearest_heads(x[c:c + step], y[c:c + step], hx, hy)
+        i += group.size
+    out = grid[rows, near[rows, cols]] if dense.size else np.empty(rows.size, dtype=grid.dtype)
+    for t in np.flatnonzero(k >= 64).tolist():  # over the dense gather's placeholders
+        (at, to), heads = np.searchsorted(rows, [t, t + 1]), grid[t, :k[t]]
+        out[at:to] = heads[_ring_search(x[cols[at:to]], y[cols[at:to]], x[heads], y[heads])]
+    return out
+
+
+def _ring_search(mx: np.ndarray, my: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """Each member's nearest head from 64 or more, as its index in ``hx``, ``hy``;
+    by ``np.hypot``, ties to the lower index. The heads are binned into square
+    cells of about one head each (8 or more a side) and sorted by row-major
+    cell. A member takes the nearest head in the 3x3 cells around its own if it
+    is strictly closer than one cell side, else widens the ring (ring r accepts
+    below r sides) while ``(2r+1)**2`` times the busiest cell's head count stays
+    below k; whoever is left searches every head. A ring pass holds at most
+    ``_CHUNK`` candidates: per occupied cell, one block of the ring's 2r+1 row
+    slices. As a square ``dx*dx + dy*dy`` errs by at most 2**-51 relative plus
+    2**-1073 and ``np.hypot`` by one ulp, only squares within 2**-40 relative
+    plus 2**-1000 of the least (all, if it is inf) can hold the dense argmin;
+    only those get ``np.hypot``. Squares are never negative or NaN, so their
+    bits order as integers do, and the least is taken over those."""
+    k, pending, nearest = hx.size, np.arange(mx.size), np.empty(mx.size, dtype=np.intp)
+    side = max(np.ptp(hx), np.ptp(hy)) / math.isqrt(k)
     if 0.0 < side < math.inf:
         x0, y0 = hx.min(), hy.min()
         cx, cy = ((hx - x0) / side).astype(np.intp), ((hy - y0) / side).astype(np.intp)
@@ -198,4 +227,4 @@ def assign_members(nodes: Nodes, cluster_heads: np.ndarray) -> tuple[np.ndarray,
     step = max(1, _DENSE // k)
     for rows in (pending[i : i + step] for i in range(0, pending.size, step)):  # argmin: lowest id
         nearest[rows] = nearest_heads(mx[rows], my[rows], hx[:, None], hy[:, None])
-    return members, heads[nearest]
+    return nearest

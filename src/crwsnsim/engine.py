@@ -17,12 +17,14 @@ first round it heads; other uniform runs call ``run_round``. Non-uniform
 rounds (whose heads, members and trees read no energy) are planned in blocks:
 to the end of an epoch, or on while a bound on a round's spend proves no
 battery can empty. Seeds advance together: a step plans the next block of
-each seed that fits ``_CHUNK`` draws in all, with one head grid, tree pass
-and pricing call, then charges them round by round with ``run_round``'s
-code. A block ends after a round that leaves a battery at zero: its stream's
-cursor goes back to just after that round's draws, each head's cooldown to
-its last round so far, and its next block starts on the new alive set. A
-run's rounds price every link: before them, ``_round_bound`` checks the longest.
+each seed that fits ``_CHUNK`` draws in all, with one head grid, one
+``nearest_in_rows`` call a seed (dense or ring search by each round's heads,
+as in ``assign_members``), one tree pass and one pricing call, then charges
+them round by round; every path hands ``_settle`` members and senders apart.
+A block ends after a round that leaves a battery at zero: its stream's cursor
+goes back to just after that round's draws, each head's cooldown to its last
+round so far, and its next block starts on the new alive set. A run's rounds
+price every link: before them, ``_round_bound`` checks the longest.
 
 After placement a run draws from one ``_Stream``: the generator's doubles,
 drawn in refills, under a cursor (a word, a pending half). A round over ``a``
@@ -44,8 +46,8 @@ from .model import (CLUSTERING_UNIFORM, PROTOCOL_BASELINE, Nodes, ScenarioConfig
                     _longest_link, place_nodes)
 from .energy import link_cost
 from .clustering import (
-    _CHUNK, _DENSE, assign_members, elect_alive, elect_block, elect_cluster_heads,
-    election_threshold, epoch_length, nearest_heads,
+    _CHUNK, assign_members, elect_alive, elect_block, elect_cluster_heads, election_threshold,
+    epoch_length, nearest_in_rows,
 )
 from .routing import prim_matrix, prim_mst, prim_rows
 
@@ -176,13 +178,15 @@ def _price_links(params, links, senders, uplinked, direct, uplinks, width):
     return route, costs[:m], np.where(relays, relay, direct)
 
 
-def _settle(nodes, params, round_index, alive, heads, member_head, route, width, sent_ids, sent):
-    """Charge and record a round: receptions (member bits in member-id order,
-    then relayed tables), then each alive node's send, unfloored; then the floor."""
+def _settle(nodes, params, round_index, alive, heads, members, member_head, width,
+            route, member_cost, cost):
+    """Charge and record a round: receptions (member bits in member-id order, then relayed
+    tables), then the sends of ``members`` and senders ``route[0]``, unfloored; then the floor."""
     energy, relay_to, start = nodes.energy, route[2], nodes.energy[alive]
     np.subtract.at(energy, member_head, params.e_rx + params.e_aggregation)
     np.subtract.at(energy, relay_to[relay_to >= 0], params.e_rx * width)
-    energy[sent_ids] -= sent
+    energy[members] -= member_cost
+    energy[route[0]] -= cost
     np.maximum(energy, 0.0, out=energy)
     end = energy[alive]
     deaths = alive[end <= 0.0]
@@ -216,10 +220,9 @@ def run_round(nodes: Nodes, config: ScenarioConfig, round_index: int,
         # with no head elected, every alive node sends its own bit directly
         ids = heads if heads.size else alive
         sent, up, fc, width = _head_phase(nodes, ids, tree, config)
-        route, member_cost, cost = _price(nodes.x, nodes.y, config.energy, members,
-                                          member_head, ids[sent], ids[up], fc[sent], width)
-        return _settle(nodes, config.energy, round_index, alive, heads, member_head, route, width,
-                       np.concatenate((members, route[0])), np.concatenate((member_cost, cost)))
+        return _settle(nodes, config.energy, round_index, alive, heads, members, member_head,
+                       width, *_price(nodes.x, nodes.y, config.energy, members, member_head,
+                                      ids[sent], ids[up], fc[sent], width))
 
 
 def _round_bound(nodes: Nodes, config: ScenarioConfig) -> float:
@@ -251,13 +254,13 @@ class _Seed:
         self.nodes, self.stream, self.bound, self.sink, self.done = nodes, stream, bound, sink, 0
 
 
-def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]:
+def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> None:
     """Each seed's rounds from ``done`` to the end of their epoch, or on while its
     least alive battery outlasts ``bound`` joules a round, up to ``_CHUNK`` draws,
     as it plans them alone; the first seeds whose blocks fit ``_CHUNK`` draws in all
-    run. Each elects and finds members from one gather of its draws; they share
-    one grid of heads over their alive positions end to end, one tree pass and one
-    pricing call, then charge round by round into their sinks. Returns the outcomes."""
+    run. Each elects from one gather of its draws; they share one grid of heads over
+    their alive positions end to end, one ``nearest_in_rows`` call each, one tree pass
+    and one pricing call, then charge round by round into their sinks."""
     params, epoch, alive, plans, draws = config.energy, epoch_length(config.p), [], [], 0
     for seed in seeds:
         nodes, first, ids = seed.nodes, seed.done, np.flatnonzero(seed.nodes.energy > 0)
@@ -268,15 +271,14 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]
         draws += size * ids.size
         if plans and draws > _CHUNK:  # this seed and the rest wait for a later step
             break
-        restart, before = seed.stream.cursor, nodes.last_ch_round[ids]  # later sends
-        table = seed.stream.rounds(ids.size, size)  # draws
-        alive.append(ids)
-        plans.append((restart, before, table, elect_block(nodes, config.p, first, table)))
+        alive.append(ids)  # a plan: the cursor and cooldowns, read before the draws, then heads
+        plans.append((seed.stream.cursor, nodes.last_ch_round[ids], elect_block(
+            nodes, ids, config.p, first, seed.stream.rounds(ids.size, size))))
     seeds = seeds[:len(plans)]
     # each seed's rows and positions start where the last seed's end
-    start = [0, *accumulate(len(plan[3]) for plan in plans)]
+    start = [0, *accumulate(len(plan[2]) for plan in plans)]
     off = [0, *accumulate(ids.size for ids in alive)]
-    hits = [np.nonzero(plan[3]) for plan in plans]
+    hits = [np.nonzero(plan[2]) for plan in plans]
     rows, cols = _flat([hit[0] for hit in hits], start), _flat([hit[1] for hit in hits], off)
     k = np.bincount(rows, minlength=start[-1])  # heads a round, in slots by ascending id
     grid = np.full((start[-1], max(k.max(), 1)), off[-1])
@@ -287,38 +289,14 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]
     widths = np.maximum(k, 1) if tree else np.ones_like(k)  # bits a send carries, a round
     with np.errstate(over="ignore"):  # a drained battery may reach -inf; the floor gives 0.0
         # members, and senders: a round's heads, or every alive node if it has none
-        masks, found = [], []
-        for j, (*_, elected) in enumerate(plans):
-            has = k[start[j]:start[j + 1], None] > 0
-            masks.append(~elected & has)
-            found.append((*np.nonzero(masks[-1]), *np.nonzero(elected | ~has)))
+        masks = [~plan[2] & (k[a:b, None] > 0) for plan, a, b in zip(plans, start, start[1:])]
+        found = [(*np.nonzero(mask), *np.nonzero(~mask)) for mask in masks]
         mrow, mcol, srow, sc = (_flat([f[i] for f in found], at)
                                 for i, at in enumerate((start, off) * 2))
         hb, mb, sb = ([0, *np.bincount(r, minlength=start[-1]).cumsum().tolist()]
                       for r in (rows, mrow, srow))  # where each round's entries start and end
-        member_head, px, py = np.empty_like(mcol), np.append(xa, math.inf), np.append(ya, math.inf)
-        for j, (seed, ids, member) in enumerate(zip(seeds, alive, masks)):
-            # one dense search, but assign_members' own from 64 heads or a chunk a round
-            kj, n, here = k[start[j]:start[j + 1]], ids.size, slice(off[j], off[j + 1])
-            solo, near = (kj >= 64) | (kj * n > _CHUNK), np.zeros(member.shape, dtype=np.int8)
-            dense = np.flatnonzero((kj > 0) & ~solo)
-            if kj[dense].max(initial=0) * dense.size * n > _DENSE:  # widest rows first, so that
-                dense = dense[np.argsort(-kj[dense], kind="stable")]  # each call pads to its own
-            i = 0
-            while i < dense.size:
-                wide = kj[dense[i:]].max()
-                slots = grid[start[j] + dense[i:i + max(1, _DENSE // (wide * n))], :wide, None]
-                near[dense[i:i + slots.shape[0]]] = nearest_heads(
-                    xa[here], ya[here], px[slots], py[slots])
-                i += slots.shape[0]
-            these = slice(mb[start[j]], mb[start[j + 1]])
-            if dense.size:
-                member_head[these] = grid[mrow[these], near[member]]
-            for t in (start[j] + np.flatnonzero(solo)).tolist():
-                pos = np.empty(seed.nodes.x.size, dtype=np.intp)  # node id -> flat position
-                pos[ids] = np.arange(off[j], off[j + 1])
-                heads = assign_members(seed.nodes, every[grid[t, :k[t]]])[1]
-                member_head[mb[t]:mb[t + 1]] = pos[heads]
+        member_head = _flat([nearest_in_rows(xa[p:q], ya[p:q], grid[a:b] - p, k[a:b], *f[:2])
+                             for a, b, p, q, f in zip(start, start[1:], off, off[1:], found)], off)
         pc = sc.copy()
         if tree:  # a tree's heads send in reverse insertion order
             z = np.append(xa + 1j * ya, complex(math.nan, math.nan))[grid]
@@ -330,18 +308,14 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]
             xa, ya, params, mcol, member_head, sc, pc, fc[sc], widths[srow])
         node = np.append(every, -1)  # flat positions back to node ids; -1 stays -1
         route = [*(node[a] for a in route[:3]), *route[3:]]
-        heads, member_head, outcomes = every[cols], every[member_head], []
-        for j, (seed, ids, plan) in enumerate(zip(seeds, alive, plans)):
-            (restart, before, table, elected), first, a, b = plan, seed.done, start[j], start[j + 1]
-            table[masks[j]] = member_cost[mb[a]:mb[b]]
-            table[srow[sb[a]:sb[b]] - a, sc[sb[a]:sb[b]] - off[j]] = cost[sb[a]:sb[b]]
+        heads, members, member_head = every[cols], every[mcol], every[member_head]
+        for seed, ids, plan, a, b in zip(seeds, alive, plans, start, start[1:]):
+            (restart, before, elected), first = plan, seed.done
             for t, g in enumerate(range(a, b)):
-                outcome = _settle(
-                    seed.nodes, params, first + t, ids, heads[hb[g]:hb[g + 1]],
-                    member_head[mb[g]:mb[g + 1]], [r[sb[g]:sb[g + 1]] for r in route], widths[g],
-                    ids, table[t])
-                seed.sink(outcome)
-                outcomes.append(outcome)
+                m, s = slice(mb[g], mb[g + 1]), slice(sb[g], sb[g + 1])
+                seed.sink(outcome := _settle(
+                    seed.nodes, params, first + t, ids, heads[hb[g]:hb[g + 1]], members[m],
+                    member_head[m], widths[g], [r[s] for r in route], member_cost[m], cost[s]))
                 if outcome.deaths.size:  # replan from the next round on the new alive set
                     seed.stream.cursor = restart  # then past round t; doubles leave a pending half
                     seed.stream.integers(0, 2, (t + 1) * ids.size)  # alone: the bits may go first
@@ -351,7 +325,6 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> list[RoundOutcome]
                     ).max(axis=0)
                     break
             seed.done = first + t + 1
-    return outcomes
 
 
 def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream,
@@ -387,12 +360,9 @@ def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream,
                 order, parent = prim_matrix(metres[heads][:, heads], int(fc[heads].argmin()))
                 sent, up = order[::-1], parent[order[::-1]]
             senders, uplinked, width = heads[sent], heads[up], heads.size if tree else 1
-            route, member_cost, cost = _price_links(
+            sink(_settle(nodes, params, r, alive, heads, members, member_head, width, *_price_links(
                 params, metres[member_head, members], senders, uplinked, fc[senders],
-                metres[uplinked, senders], width)
-            sink(_settle(
-                nodes, params, r, alive, heads, member_head, route, width,
-                np.concatenate((members, senders)), np.concatenate((member_cost, cost))))
+                metres[uplinked, senders], width)))
 
 
 def _run_seeds(config: ScenarioConfig, seeds: list[int],

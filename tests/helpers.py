@@ -12,7 +12,9 @@ independent of the code under test:
   cost kernel, and the loop head phase built on them, for the head phase;
 - ``reference_run``, a whole run from the oracles above, one node at a time,
   charged by the one rule of a round: receptions first, then one send per
-  alive node.
+  alive node;
+- ``expected_round_spend``, LEACH's closed form for a baseline round's spend,
+  an oracle for the energy totals that shares no code with the model.
 """
 
 import math
@@ -291,3 +293,33 @@ def reference_run(config, nodes):
             math.fsum(end), len(alive) - len(deaths),
         ))
     return outcomes
+
+
+def fc_link_costs(config, cells=400):
+    """Per-bit cost of a direct send to the fusion centre from the midpoint of each
+    cell of a ``cells`` x ``cells`` grid over the field, by the two-branch law."""
+    e = config.energy
+    xs = (np.arange(cells) + 0.5) * (config.field_width / cells) - config.fc_x
+    ys = (np.arange(cells) + 0.5) * (config.field_height / cells) - config.fc_y
+    d2 = xs[:, None] ** 2 + ys ** 2
+    amplifier = np.where(d2 <= e.e_fs / e.e_mp, e.e_fs * d2, e.e_mp * d2 * d2)
+    return e.e_tx + e.e_aggregation + amplifier
+
+
+def expected_round_spend(config, k):
+    """Expected joules of a baseline round with ``k`` heads among ``config.nodes``
+    alive nodes, by LEACH's analysis (Heinzelman et al., IEEE TWC 2002, section IV)
+    with one-bit reports:
+
+    - each of the n - k members sends a bit to its head over a mean squared
+      distance of A / (2 pi k), A the field's area: a circular cluster of area
+      A / k with its head at the centre, every member link in free space;
+    - each head receives and aggregates its members' bits;
+    - each head sends one bit direct to the fusion centre: ``E[link_cost(d)]``,
+      d from a uniform point of the field (``fc_link_costs``' grid).
+    """
+    e, n = config.energy, config.nodes
+    area = config.field_width * config.field_height
+    members = (n - k) * (e.e_tx + e.e_aggregation + e.e_fs * area / (2 * math.pi * k))
+    receptions = (n - k) * (e.e_rx + e.e_aggregation)
+    return members + receptions + k * float(fc_link_costs(config).mean())

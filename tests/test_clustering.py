@@ -270,8 +270,8 @@ class TestElectClusterHeads:
             nodes.last_ch_round[:] = served
         alive = np.flatnonzero(ours.energy > 0)
         rng = np.random.default_rng(seed)
-        elected = elect_block(ours, p, first_round, np.array([rng.random(alive.size)
-                                                             for _ in range(rows)]))
+        elected = elect_block(ours, alive, p, first_round,
+                              np.array([rng.random(alive.size) for _ in range(rows)]))
         assert elected.shape == (rows, alive.size)
         rng = np.random.default_rng(seed)
         for row, r in zip(elected, range(first_round, first_round + rows)):

@@ -24,7 +24,7 @@ from crwsnsim import (
     run_round,
     run_simulation,
 )
-from crwsnsim import engine
+from crwsnsim import clustering, engine
 from crwsnsim.cli import render_run_csv
 
 from helpers import (
@@ -424,9 +424,10 @@ class TestRunMatchesReference:
             energy = np.where(np.arange(energy.size) == energy.size // 2, 0.0, energy)
         if seam.startswith("no-horizon"):  # every block runs on to `rounds` or a death
             monkeypatch.setattr(engine, "_round_bound", lambda nodes, config: 5e-324)
-        blocks, run_block = [], engine._run_block
-        monkeypatch.setattr(engine, "_run_block",
-                            lambda *args: blocks.append(run_block(*args)) or blocks[-1])
+        blocks, run_block, settle = [], engine._run_block, engine._settle  # a block's outcomes
+        monkeypatch.setattr(engine, "_run_block", lambda *args: blocks.append([]) or run_block(*args))
+        monkeypatch.setattr(engine, "_settle",
+                            lambda *args: blocks[-1].append(settle(*args)) or blocks[-1][-1])
         got_nodes, want_nodes = nodes_at(xs, ys, energy), nodes_at(xs, ys, energy)
         got = run_simulation(config, got_nodes).outcomes
         assert seam in _block_seams(config, energy, got, blocks)
@@ -466,6 +467,37 @@ def _block_seams(config, energy, outcomes, blocks):
     return {name for name, crossed in seams.items() if crossed}
 
 
+class TestBlockSearchMatchesReference:
+    """A planned block's member search, with ``_DENSE`` and ``_CHUNK`` made small,
+    still gives ``reference_run``'s outcomes and final node state: dense rounds
+    that take more than one ``_DENSE`` call, and rounds of fewer than 64 heads but
+    more than ``_CHUNK`` candidates, each split into slices of its members."""
+
+    @pytest.mark.parametrize("dense, chunk", [(2048, 1 << 18), (64, 256)],
+                             ids=["rounds-over-several-calls", "a-round-past-the-chunk"])
+    def test_block_equals_reference_run(self, monkeypatch, dense, chunk):
+        monkeypatch.setattr(clustering, "_DENSE", dense)
+        monkeypatch.setattr(clustering, "_CHUNK", chunk)
+        calls, search = [], clustering.nearest_heads  # (members, rounds, heads) a call
+        monkeypatch.setattr(clustering, "nearest_heads", lambda mx, my, hx, hy: calls.append(
+            (mx.size, *hx.shape[:2])) or search(mx, my, hx, hy))
+        config = replace(DEPLETION, nodes=60, rounds=60)
+        placed = place_nodes(config, np.random.default_rng(config.seed))
+        got_nodes, want_nodes = (nodes_at(placed.x, placed.y, placed.energy) for _ in range(2))
+        got = run_simulation(config, got_nodes).outcomes
+        widths = [o.cluster_heads.size * (o.alive + o.deaths.size) for o in got]
+        if chunk < 1 << 18:  # a round past the chunk, split into slices of members
+            assert any(w > chunk for w in widths) and max(o.cluster_heads.size for o in got) < 64
+            assert any(rounds == 1 and members < 60 for members, rounds, _ in calls)
+        else:  # several calls, each of several dense rounds
+            assert sum(rounds > 1 for _, rounds, _ in calls) > 1
+        assert all(members * rounds * heads <= dense for members, rounds, heads in calls)
+        want = reference_run(config, want_nodes)
+        assert len(got) == len(want) and all(map(same_outcome, got, want))
+        for name, array in vars(got_nodes).items():
+            assert array.tobytes() == getattr(want_nodes, name).tobytes(), name
+
+
 class TestRoundBound:
     """``_round_bound`` is a proof: no node spends more than it in any round,
     so a block planned past the end of its epoch never ends in a death."""
@@ -475,10 +507,14 @@ class TestRoundBound:
         """``run_simulation``'s outcomes, and each non-uniform block's first
         round, planned round count and outcomes."""
         planned, blocks, elect, run_block = [], [], engine.elect_block, engine._run_block
-        with mock.patch.object(engine, "elect_block", lambda nodes, p, first, draws: planned.append(
-                (first, len(draws))) or elect(nodes, p, first, draws)), \
-                mock.patch.object(engine, "_run_block", lambda *args: blocks.append(
-                    run_block(*args)) or blocks[-1]):
+        settle = engine._settle  # each block's outcomes, from a list begun as it starts
+        with mock.patch.object(engine, "elect_block", lambda nodes, alive, p, first, draws:
+                               planned.append((first, len(draws)))
+                               or elect(nodes, alive, p, first, draws)), \
+                mock.patch.object(engine, "_run_block", lambda *args: blocks.append([])
+                                  or run_block(*args)), \
+                mock.patch.object(engine, "_settle", lambda *args: blocks[-1].append(
+                    settle(*args)) or blocks[-1][-1]):
             outcomes = run_simulation(config, nodes).outcomes
         return outcomes, [(*plan, block) for plan, block in zip(planned, blocks, strict=True)]
 
@@ -1130,7 +1166,7 @@ class TestSeedsTogether:
         steps, elect, run_block = [], engine.elect_block, engine._run_block  # live, then sizes
         with contextlib.ExitStack() as together:
             together.enter_context(mock.patch.object(  # a block's size is its rows of draws
-                engine, "elect_block", lambda *a: steps[-1].append(len(a[3])) or elect(*a)))
+                engine, "elect_block", lambda *a: steps[-1].append(len(a[4])) or elect(*a)))
             together.enter_context(mock.patch.object(
                 engine, "_run_block", lambda config, seeds: steps.append([len(seeds)])
                 or run_block(config, seeds)))
