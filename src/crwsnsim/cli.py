@@ -9,7 +9,6 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
-from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -162,13 +161,6 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else math.nan
 
 
-def _keep_last(last: list, outcome: RoundOutcome) -> None:
-    """Keep ``outcome``'s residual and alive count, and its round if it is the first death."""
-    last[:2] = outcome.total_residual, outcome.alive
-    if outcome.deaths.size and last[2] > outcome.round_index + 1:
-        last[2] = outcome.round_index + 1
-
-
 def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     """Run all three protocol variants over the seeds and render one summary
     row per variant, then the ratio rows.
@@ -181,13 +173,10 @@ def render_compare_csv(config: ScenarioConfig, seeds: list[int]) -> str:
     variants = [(name, replace(config, protocol=protocol, clustering=clustering))
                 for name, protocol, clustering in _COMPARE_VARIANTS]
     chunks, residual, alive = [*config_echo_lines(config, seeds), SUMMARY_HEADER], {}, {}
-    for name, variant in variants:
-        # each seed's last residual and alive count, and its first death round
-        lasts = [[None, None, config.rounds + 1] for _ in seeds]
-        starts = _run_seeds(variant, seeds, [partial(_keep_last, last) for last in lasts])
-        lasts = [[*start, last[2]] if last[0] is None else last  # no round ran
-                 for last, start in zip(lasts, starts)]
-        finals, alives, deaths = ([float(v) for v in stat] for stat in zip(*lasts))
+    for name, variant in variants:  # each seed's final residual and alive count, first death
+        ends = [(final, count, died or config.rounds + 1)
+                for *_, final, count, died in _run_seeds(variant, seeds, [None] * len(seeds))]
+        finals, alives, deaths = ([float(v) for v in stat] for stat in zip(*ends))
         with np.errstate(over="ignore", invalid="ignore"):
             stats = [float(np.mean(finals)), float(np.std(finals)),
                      float(np.mean(alives)), float(np.mean(deaths))]

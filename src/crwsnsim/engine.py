@@ -8,23 +8,24 @@ at 0 is dead.
 
 ``run_round`` runs one round. ``_run_seeds`` runs a scenario under each of
 several seeds (``run_simulation`` is its one-seed case), handing each round's
-outcome to its seed's sink as it settles, so no caller need hold an outcome
-list. Uniform clustering runs seed by seed, round by round, as its election
-ranks the energies each round leaves. A run of at most 512 nodes (``_TABLE``
-pairs, 2 MiB) and at least nodes / k rounds takes each round's nearest heads,
-tree and link metres from each head's metres to every node, kept from the
-first round it heads; other uniform runs call ``run_round``. Non-uniform
-rounds (whose heads, members and trees read no energy) are planned in blocks:
-to the end of an epoch, or on while a bound on a round's spend proves no
-battery can empty. Seeds advance together: a step plans the next block of
-each seed that fits ``_CHUNK`` draws in all, with one head grid, one
-``nearest_in_rows`` call a seed (dense or ring search by each round's heads,
-as in ``assign_members``), one tree pass and one pricing call, then charges
-them round by round; every path hands ``_settle`` members and senders apart.
-A block ends after a round that leaves a battery at zero: its stream's cursor
-goes back to just after that round's draws, each head's cooldown to its last
-round so far, and its next block starts on the new alive set. A run's rounds
-price every link: before them, ``_round_bound`` checks the longest.
+outcome to its seed's sink as it settles (a seed with none is charged and
+swept, not recorded), and returns each seed's end state. Uniform clustering
+runs seed by seed, round by round, as its election ranks the energies each
+round leaves. A run of at most 512 nodes (``_TABLE`` pairs, 2 MiB) and at least
+nodes / k rounds takes each round's nearest heads, tree and link metres from
+each head's metres to every node, kept from the first round it heads; other
+uniform runs call ``run_round``. Non-uniform rounds (whose heads, members and
+trees read no energy) are planned in blocks: to the end of an epoch, or on
+while a bound on a round's spend proves no battery can empty. Seeds advance
+together: a step plans the next block of each seed that fits ``_CHUNK`` draws
+in all, with one head grid, one ``nearest_in_rows`` call a seed (dense or ring
+search by each round's heads, as in ``assign_members``), one tree pass and one
+pricing call, then charges them round by round; every path hands ``_settle``
+members and senders apart. A block ends after a round that leaves a battery at
+zero: its stream's cursor goes back to just after that round's draws, each
+head's cooldown to its last round so far, and its next block starts on the new
+alive set. A run's rounds price every link: before them, ``_round_bound``
+checks the longest.
 
 After placement a run draws from one ``_Stream``: the generator's doubles,
 drawn in refills, under a cursor (a word, a pending half). A round over ``a``
@@ -107,23 +108,15 @@ class RoundOutcome:
 
 @dataclass
 class SimulationResult:
+    """A run's outcomes, then its start and end state as ``_run_seeds`` returns them."""
+
     config: ScenarioConfig
     outcomes: list[RoundOutcome] = field(repr=False)  # keeps the repr short for any run
     initial_energy: float
     initial_alive: int
-
-    @property
-    def final_residual(self) -> float:
-        return self.outcomes[-1].total_residual if self.outcomes else self.initial_energy
-
-    @property
-    def final_alive(self) -> int:
-        return self.outcomes[-1].alive if self.outcomes else self.initial_alive
-
-    @property
-    def first_death_round(self) -> int | None:
-        """1-based round of the first death, None if no node died."""
-        return next((o.round_index + 1 for o in self.outcomes if o.deaths.size), None)
+    final_residual: float = field(repr=False)  # the repr shows a run's start only
+    final_alive: int = field(repr=False)
+    first_death_round: int | None = field(repr=False)
 
 
 def _check_nodes(nodes: Nodes, config: ScenarioConfig) -> None:
@@ -179,10 +172,11 @@ def _price_links(params, links, senders, uplinked, direct, uplinks, width):
 
 
 def _settle(nodes, params, round_index, alive, heads, members, member_head, width,
-            route, member_cost, cost):
-    """Charge and record a round: receptions (member bits in member-id order, then relayed
-    tables), then the sends of ``members`` and senders ``route[0]``, unfloored; then the floor."""
-    energy, relay_to, start = nodes.energy, route[2], nodes.energy[alive]
+            route, member_cost, cost, record=True):
+    """Charge a round: receptions (member bits in member-id order, then relayed tables),
+    then the sends of ``members`` and senders ``route[0]``, unfloored; then the floor. Returns
+    its ``RoundOutcome``, or, if not ``record``, its deaths alone (reading ``route[:3:2]``)."""
+    energy, relay_to, start = nodes.energy, route[2], nodes.energy[alive] if record else None
     np.subtract.at(energy, member_head, params.e_rx + params.e_aggregation)
     np.subtract.at(energy, relay_to[relay_to >= 0], params.e_rx * width)
     energy[members] -= member_cost
@@ -190,6 +184,8 @@ def _settle(nodes, params, round_index, alive, heads, members, member_head, widt
     np.maximum(energy, 0.0, out=energy)
     end = energy[alive]
     deaths = alive[end <= 0.0]
+    if not record:
+        return deaths
     return RoundOutcome(  # the dead read +0.0, which adds nothing to the residual
         round_index, heads, *route, math.fsum((start - end).tolist()), deaths,
         math.fsum(end.tolist()), alive.size - deaths.size)
@@ -248,10 +244,31 @@ def _flat(parts: list[np.ndarray], at: list[int] | None = None) -> np.ndarray:
 
 
 class _Seed:
-    """A seed's nodes, stream, ``_round_bound``, sink and rounds run."""
+    """A seed's nodes, stream, ``_round_bound`` and sink (None: its rounds are charged and
+    swept, not recorded); its rounds run, the last one's alive ids and its first death round."""
 
-    def __init__(self, nodes: Nodes, stream: _Stream, bound: float, sink: Callable) -> None:
-        self.nodes, self.stream, self.bound, self.sink, self.done = nodes, stream, bound, sink, 0
+    def __init__(self, nodes: Nodes, stream: _Stream, bound: float, sink: Callable | None) -> None:
+        self.nodes, self.stream, self.bound, self.sink = nodes, stream, bound, sink
+        self.done, self.last, self.died = 0, None, None
+
+    def ran(self, round_index: int, alive: np.ndarray, settled) -> np.ndarray:
+        """Count a round run over ``alive``; ``settled`` is its outcome, handed to the
+        sink, or with no sink its deaths (as ``_settle`` returns them). Returns the deaths."""
+        if self.sink is not None:
+            self.sink(settled)
+            settled = settled.deaths
+        self.done, self.last = round_index + 1, alive
+        if settled.size and self.died is None:
+            self.died = self.done
+        return settled
+
+    def end(self, start: tuple[float, int]) -> tuple[float, int, int | None]:
+        """As the last outcome holds them (``start`` if no round ran), the residual
+        and alive count; and the 1-based round of the first death, None if none."""
+        if self.last is None:
+            return (*start, None)
+        end = self.nodes.energy[self.last]  # as ``_settle`` sums and sweeps it
+        return math.fsum(end.tolist()), int(end.size - np.count_nonzero(end <= 0.0)), self.died
 
 
 def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> None:
@@ -310,13 +327,14 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> None:
         route = [*(node[a] for a in route[:3]), *route[3:]]
         heads, members, member_head = every[cols], every[mcol], every[member_head]
         for seed, ids, plan, a, b in zip(seeds, alive, plans, start, start[1:]):
-            (restart, before, elected), first = plan, seed.done
+            (restart, before, elected), first, record = plan, seed.done, seed.sink is not None
             for t, g in enumerate(range(a, b)):
                 m, s = slice(mb[g], mb[g + 1]), slice(sb[g], sb[g + 1])
-                seed.sink(outcome := _settle(
-                    seed.nodes, params, first + t, ids, heads[hb[g]:hb[g + 1]], members[m],
-                    member_head[m], widths[g], [r[s] for r in route], member_cost[m], cost[s]))
-                if outcome.deaths.size:  # replan from the next round on the new alive set
+                sends = [r[s] for r in route] if record else (route[0][s], None, route[2][s])
+                if seed.ran(first + t, ids, _settle(
+                        seed.nodes, params, first + t, ids, heads[hb[g]:hb[g + 1]], members[m],
+                        member_head[m], widths[g], sends, member_cost[m], cost[s], record)).size:
+                    # replan from the next round on the new alive set
                     seed.stream.cursor = restart  # then past round t; doubles leave a pending half
                     seed.stream.integers(0, 2, (t + 1) * ids.size)  # alone: the bits may go first
                     seed.stream.random((t + 1) * ids.size)
@@ -324,16 +342,15 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> None:
                         elected[:t + 1], np.arange(first, first + t + 1)[:, None], before
                     ).max(axis=0)
                     break
-            seed.done = first + t + 1
 
 
-def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream,
-                 sink: Callable[[RoundOutcome], object]) -> None:
-    """A uniform run's rounds, one by one as ``run_round`` runs them, into ``sink``.
+def _run_uniform(config: ScenarioConfig, seed: _Seed) -> None:
+    """A uniform seed's rounds, one by one as ``run_round`` runs them.
     Positions never move, so a node's ``np.hypot`` metres to every node are taken
     once, in the first round it heads: a member's head is the first least of the
     heads' rows at its column, the tree is ``prim_matrix`` on their metres, and
     every link's metres are read from the rows."""
+    nodes, stream = seed.nodes, seed.stream
     x, y, n, params, k = nodes.x, nodes.y, config.nodes, config.energy, config.k
     metres, kept = np.empty((n, n)), np.zeros(n, dtype=bool)  # rows filled as nodes first head
     tree = config.protocol != PROTOCOL_BASELINE
@@ -360,19 +377,23 @@ def _run_uniform(nodes: Nodes, config: ScenarioConfig, stream: _Stream,
                 order, parent = prim_matrix(metres[heads][:, heads], int(fc[heads].argmin()))
                 sent, up = order[::-1], parent[order[::-1]]
             senders, uplinked, width = heads[sent], heads[up], heads.size if tree else 1
-            sink(_settle(nodes, params, r, alive, heads, members, member_head, width, *_price_links(
+            route, member_cost, cost = _price_links(
                 params, metres[member_head, members], senders, uplinked, fc[senders],
-                metres[uplinked, senders], width)))
+                metres[uplinked, senders], width)
+            seed.ran(r, alive, _settle(nodes, params, r, alive, heads, members, member_head,
+                                       width, route, member_cost, cost, seed.sink is not None))
 
 
 def _run_seeds(config: ScenarioConfig, seeds: list[int],
-               sinks: list[Callable[[RoundOutcome], object]],
-               layouts: list[Nodes | None] | None = None) -> list[tuple[float, int]]:
+               sinks: list[Callable[[RoundOutcome], object] | None],
+               layouts: list[Nodes | None] | None = None
+               ) -> list[tuple[float, int, float, int, int | None]]:
     """``config`` under each of ``seeds`` (on its layout, if one is given, as
     ``run_simulation``'s ``nodes``), each seed's outcomes into its sink in round
-    order; returns each seed's initial energy and alive count. Every seed's nodes
-    and longest link are checked before any seed runs a round. Non-uniform seeds
-    advance together, a ``_run_block`` a step."""
+    order; a seed whose sink is None is charged and swept, not recorded. Returns
+    each seed's ``SimulationResult`` fields from ``initial_energy`` on. Every seed's
+    nodes and longest link are checked before any seed runs a round. Non-uniform
+    seeds advance together, a ``_run_block`` a step."""
     uniform, runs, starts = config.clustering == CLUSTERING_UNIFORM, [], []
     for seed, sink, nodes in zip(seeds, sinks, layouts or [None] * len(seeds)):
         rng = np.random.default_rng(seed)
@@ -388,11 +409,12 @@ def _run_seeds(config: ScenarioConfig, seeds: list[int],
     table = config.nodes ** 2 <= _TABLE and config.rounds * config.k >= config.nodes
     for run in runs if uniform else ():
         if table:
-            _run_uniform(run.nodes, config, run.stream, run.sink)
-        while not table and run.done < config.rounds and (run.nodes.energy > 0).any():
-            run.sink(run_round(run.nodes, config, run.done, run.stream))
-            run.done += 1
-    return starts
+            _run_uniform(config, run)
+        while not table and run.done < config.rounds and (
+                alive := np.flatnonzero(run.nodes.energy > 0)).size:
+            outcome = run_round(run.nodes, config, run.done, run.stream)
+            run.ran(run.done, alive, outcome if run.sink is not None else outcome.deaths)
+    return [(*start, *run.end(start)) for start, run in zip(starts, runs)]
 
 
 def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> SimulationResult:
@@ -402,5 +424,5 @@ def run_simulation(config: ScenarioConfig, nodes: Nodes | None = None) -> Simula
     RNG draws; the per-round stream then starts at the generator's origin.
     """
     outcomes: list[RoundOutcome] = []
-    ((initial, alive),) = _run_seeds(config, [config.seed], [outcomes.append], [nodes])
-    return SimulationResult(config, outcomes, initial, alive)
+    (state,) = _run_seeds(config, [config.seed], [outcomes.append], [nodes])
+    return SimulationResult(config, outcomes, *state)

@@ -1184,6 +1184,97 @@ class TestSeedsTogether:
         assert any(o.deaths.size for run in got for o in run)
 
 
+def _state(values):
+    """An end state with its floats as their bits."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestEndState:
+    """Seeds run with no sink build no outcome, yet ``_run_seeds`` returns, for each,
+    the end state that its last recorded outcome holds, and leaves its nodes as a
+    recorded run leaves them."""
+
+    @staticmethod
+    def assert_ends_as_recorded(config, seeds, path, layouts=None):
+        """``path`` is the engine function that runs the seeds' rounds (None: no round
+        runs); ``layouts``, if given, makes each seed's passed nodes afresh. Returns
+        each seed's recorded outcomes."""
+        unbuilt = mock.patch.object(engine, "RoundOutcome", side_effect=AssertionError)
+        with mock.patch.object(engine, path or "run_round", wraps=getattr(
+                engine, path or "run_round")) as reached, \
+                unbuilt if path != "run_round" else contextlib.nullcontext():
+            got, got_nodes = TestEndState.run(config, seeds, [None] * len(seeds), layouts)
+        assert reached.called == bool(path)
+        outcomes = [[] for _ in seeds]
+        want, want_nodes = TestEndState.run(
+            config, seeds, [kept.append for kept in outcomes], layouts)
+        for end, recorded, run in zip(got, want, outcomes, strict=True):
+            assert _state(end) == _state(recorded)
+            assert [type(v) for v in end[:4]] == [float, int, float, int]
+            final = (run[-1].total_residual, run[-1].alive) if run else end[:2]
+            died = next((o.round_index + 1 for o in run if o.deaths.size), None)
+            assert _state(end[2:]) == _state((*final, died))
+        for a, b in zip(got_nodes, want_nodes, strict=True):
+            for name, array in vars(a).items():
+                assert array.tobytes() == getattr(b, name).tobytes(), name
+        return outcomes
+
+    @staticmethod
+    def run(config, seeds, sinks, layouts):
+        """``_run_seeds``' states and each seed's final nodes."""
+        placed = layouts() if layouts else []
+        with mock.patch.object(engine, "place_nodes",
+                               lambda *args: placed.append(place_nodes(*args)) or placed[-1]):
+            return engine._run_seeds(config, seeds, sinks, layouts and placed), placed
+
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_blocks_with_deaths_and_zero_head_rounds(self, protocol):
+        got = self.assert_ends_as_recorded(
+            replace(DEPLETION, protocol=protocol), [3, 4, 5], "_run_block")
+        assert all(any(o.deaths.size for o in run) for run in got)
+        assert any(not o.cluster_heads.size for run in got for o in run)
+
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_uniform_table(self, protocol):
+        config = replace(DEPLETION, protocol=protocol, clustering="uniform", nodes=40,
+                         rounds=60, energy=EnergyParams(initial_energy=3e-5))
+        got = self.assert_ends_as_recorded(config, [1, 2, 3], "_run_uniform")
+        assert all(any(o.deaths.size for o in run) for run in got)
+
+    @pytest.mark.parametrize("count, rounds, battery", [(100, 9, 2e-6), (600, 30, 5e-6)],
+                             ids=["fewer-rounds-than-nodes-over-k", "more-than-512-nodes"])
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_uniform_round_loop(self, protocol, count, rounds, battery):
+        config = replace(DEPLETION, protocol=protocol, clustering="uniform", nodes=count,
+                         rounds=rounds, energy=EnergyParams(initial_energy=battery))
+        got = self.assert_ends_as_recorded(config, [1, 2], "run_round")
+        assert all(len(run) == rounds and run[-1].alive < count for run in got)
+
+    @pytest.mark.parametrize("clustering", ["nonuniform", "uniform"])
+    def test_no_round(self, clustering):
+        config = replace(DEPLETION, clustering=clustering, rounds=0)
+        assert not any(self.assert_ends_as_recorded(config, [1, 2], None))
+
+    @pytest.mark.parametrize("clustering", ["nonuniform", "uniform"])
+    def test_no_node_alive_at_the_start(self, clustering):
+        config = ScenarioConfig(nodes=3, k=1, p=0.5, clustering=clustering, rounds=5)
+
+        def layouts():  # every battery empty, one below zero
+            return [nodes_at([0.0, 10.0, 20.0], [0.0] * 3, [-1.0, 0.0, 0.0])]
+
+        assert not any(self.assert_ends_as_recorded(config, [1], None, layouts))
+        assert engine._run_seeds(config, [1], [None], layouts()) == [(-1.0, 0, -1.0, 0, None)]
+
+    @pytest.mark.parametrize("clustering, path", [("nonuniform", "_run_block"),
+                                                  ("uniform", "_run_uniform")])
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_every_node_dies(self, protocol, clustering, path):
+        config = replace(DEPLETION, protocol=protocol, clustering=clustering, nodes=30,
+                         energy=EnergyParams(initial_energy=2e-5))
+        got = self.assert_ends_as_recorded(config, [1, 2, 3], path)
+        assert all(run[-1].alive == 0 and len(run) < config.rounds for run in got)
+
+
 def test_a_step_grows_one_tree_and_makes_one_pricing_call():
     # the blocks each depletion seed plans alone, as before seeds ran together
     blocks = []

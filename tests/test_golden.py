@@ -7,9 +7,12 @@ own, with its reason written in CHANGES.md.
 """
 
 import hashlib
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from crwsnsim import engine
 from crwsnsim.cli import main
 
 VARIANTS = (
@@ -209,3 +212,48 @@ def test_compare_depletion_case_mixes_censored_and_observed_deaths(tmp_path):
     for name in ("proposed_uniform", "proposed_nonuniform"):
         assert 191.0 <= rows[name][3] <= 234.0
         assert rows[name][2] < 100.0
+
+
+# Two compare calls whose summary rows are recomputed from each variant's run
+# output; at 3 rounds (fewer than nodes / k) the uniform variant runs round by round.
+SUMMARISED = {
+    "compare-depletion": CASES["compare-depletion"],
+    "compare-3-rounds": (["compare", "--seeds", "1", "--rounds", "3"], ""),
+}
+
+
+def _first_death(rows, nodes, rounds):
+    """The first round whose alive count falls below the last one, ``rounds + 1`` if none."""
+    alive = [nodes, *(int(fields[5]) for fields in rows)]
+    return next((int(fields[0]) for fields, before, after in zip(rows, alive, alive[1:])
+                 if after < before), rounds + 1)
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARISED))
+def test_compare_rows_summarise_each_variants_run(tmp_path, case):
+    argv, text = SUMMARISED[case]
+    with mock.patch.object(engine, "run_round", wraps=engine.run_round) as loop:
+        lines = cli_output(tmp_path, argv, text).decode().splitlines()
+    assert loop.called == (case == "compare-3-rounds")
+    rounds, seeds = (argv[argv.index(flag) + 1] for flag in ("--rounds", "--seeds"))
+    nodes = int(next(line.split("=")[1] for line in lines if line.startswith("# nodes =")))
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    means = {}
+    for (name, protocol, clustering), row in zip(VARIANTS, body[1:4], strict=True):
+        runs = {}  # seed -> its rows, in round order
+        for fields in _rows(cli_output(tmp_path, ["run", "--protocol", protocol, "--clustering",
+                                                  clustering, "--seeds", seeds, "--rounds",
+                                                  rounds], text)):
+            runs.setdefault(fields[3], []).append(fields)
+        finals = [float(rows[-1][4]) for rows in runs.values()]
+        alives = [float(rows[-1][5]) for rows in runs.values()]
+        deaths = [float(_first_death(rows, nodes, int(rounds))) for rows in runs.values()]
+        means[name] = [float(np.mean(finals)), float(np.std(finals)),
+                       float(np.mean(alives)), float(np.mean(deaths))]
+        assert row[0] == name and [float(v) for v in row[1:]] == means[name]
+    b, u, n = means["baseline"], means["proposed_uniform"], means["proposed_nonuniform"]
+    assert [[fields[0], float(fields[1]), *fields[2:]] for fields in body[4:]] == [
+        ["ratio_residual_proposed_uniform_over_baseline", u[0] / b[0], "", "", ""],
+        ["ratio_residual_proposed_uniform_over_proposed_nonuniform", u[0] / n[0], "", "", ""],
+        ["ratio_alive_proposed_uniform_over_baseline", u[2] / b[2], "", "", ""],
+    ]
