@@ -6,26 +6,27 @@ every alive node sends its own bit directly. Receptions are charged first,
 then one send per alive node; then batteries are floored at zero, and a node
 at 0 is dead.
 
-``run_round`` runs one round. ``_run_seeds`` runs a scenario under each of
-several seeds (``run_simulation`` is its one-seed case), handing each round's
-outcome to its seed's sink as it settles (a seed with none is charged and
-swept, not recorded), and returns each seed's end state. Uniform clustering
-runs seed by seed, round by round, as its election ranks the energies each
+``run_round`` runs one round; ``_round`` is its unchecked core. ``_run_seeds`` runs a
+scenario under each of several seeds (``run_simulation`` is its one-seed case),
+handing each round's outcome to its seed's sink as it settles (a seed with none is
+charged and swept, not recorded), and returns each seed's end state. Uniform
+clustering runs seed by seed, round by round, as its election ranks the energies each
 round leaves. A run of at most 512 nodes (``_TABLE`` pairs, 2 MiB) and at least
-nodes / k rounds takes each round's nearest heads, tree and link metres from
-each head's metres to every node, kept from the first round it heads; other
-uniform runs call ``run_round``. Non-uniform rounds (whose heads, members and
-trees read no energy) are planned in blocks: to the end of an epoch, or on
-while a bound on a round's spend proves no battery can empty. Seeds advance
-together: a step plans the next block of each seed that fits ``_CHUNK`` draws
-in all, with one head grid, one ``nearest_in_rows`` call a seed (dense or ring
-search by each round's heads, as in ``assign_members``), one tree pass and one
-pricing call, then charges them round by round; every path hands ``_settle``
-members and senders apart. A block ends after a round that leaves a battery at
-zero: its stream's cursor goes back to just after that round's draws, each
-head's cooldown to its last round so far, and its next block starts on the new
-alive set. A run's rounds price every link: before them, ``_round_bound``
-checks the longest.
+nodes / k rounds takes each round's nearest heads, tree and link metres from each
+head's metres to every node, kept from the first round it heads; other uniform runs
+call ``_round``. Non-uniform rounds (whose heads, members and trees read no energy) are
+planned in blocks: to the end of an epoch, or on while a bound on a round's spend
+proves no battery can empty. Seeds advance together: a step plans the next block of
+each seed that fits ``_CHUNK`` draws in all, with one head grid, one
+``nearest_in_rows`` call a seed (dense or ring search by each round's heads, as in
+``assign_members``), one tree pass and one pricing call. A sink-free block the bound
+covers is charged by a few ``np.subtract.at`` calls in ``_settle``'s order, floored
+once, unswept; if a battery reaches 0 all the same, the block is put back and, as any
+other, charged round by round. Every path hands ``_settle`` members and senders apart.
+A block ends after a round that leaves a battery at zero: its stream's cursor goes
+back to just after that round's draws, each head's cooldown to its last round so far,
+and its next block starts on the new alive set. A run's rounds price every link:
+before them, ``_round_bound`` checks the longest.
 
 After placement a run draws from one ``_Stream``: the generator's doubles,
 drawn in refills, under a cursor (a word, a pending half). A round over ``a``
@@ -204,7 +205,11 @@ def run_round(nodes: Nodes, config: ScenarioConfig, round_index: int,
     alive = np.flatnonzero(nodes.energy > 0)
     if not alive.size:
         raise ValueError("run_round requires at least one alive node")
+    return _round(nodes, config, round_index, rng, alive)
 
+
+def _round(nodes, config, round_index, rng, alive, record=True):
+    """``run_round`` over the ``alive`` ids, unchecked; ``record`` as ``_settle`` takes it."""
     rng.integers(0, 2, size=alive.size)  # sensed bits: drawn to keep the RNG stream, never read
     heads = elect_cluster_heads(nodes, config.p, round_index, config.clustering, config.k, rng)
 
@@ -218,7 +223,7 @@ def run_round(nodes: Nodes, config: ScenarioConfig, round_index: int,
         sent, up, fc, width = _head_phase(nodes, ids, tree, config)
         return _settle(nodes, config.energy, round_index, alive, heads, members, member_head,
                        width, *_price(nodes.x, nodes.y, config.energy, members, member_head,
-                                      ids[sent], ids[up], fc[sent], width))
+                                      ids[sent], ids[up], fc[sent], width), record)
 
 
 def _round_bound(nodes: Nodes, config: ScenarioConfig) -> float:
@@ -272,12 +277,12 @@ class _Seed:
 
 
 def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> None:
-    """Each seed's rounds from ``done`` to the end of their epoch, or on while its
-    least alive battery outlasts ``bound`` joules a round, up to ``_CHUNK`` draws,
-    as it plans them alone; the first seeds whose blocks fit ``_CHUNK`` draws in all
-    run. Each elects from one gather of its draws; they share one grid of heads over
-    their alive positions end to end, one ``nearest_in_rows`` call each, one tree pass
-    and one pricing call, then charge round by round into their sinks."""
+    """Each seed's rounds from ``done`` to the end of their epoch, or on while its least
+    alive battery outlasts ``bound`` joules a round, up to ``_CHUNK`` draws, as it plans
+    them alone; the first seeds whose blocks fit ``_CHUNK`` draws in all run. Each elects
+    from one gather of its draws; they share one grid of heads over their alive positions
+    end to end, one ``nearest_in_rows`` call each, one tree pass and one pricing call. A
+    sink-free block the bound covers is charged in a few calls, the rest round by round."""
     params, epoch, alive, plans, draws = config.energy, epoch_length(config.p), [], [], 0
     for seed in seeds:
         nodes, first, ids = seed.nodes, seed.done, np.flatnonzero(seed.nodes.energy > 0)
@@ -290,7 +295,8 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> None:
             break
         alive.append(ids)  # a plan: the cursor and cooldowns, read before the draws, then heads
         plans.append((seed.stream.cursor, nodes.last_ch_round[ids], elect_block(
-            nodes, ids, config.p, first, seed.stream.rounds(ids.size, size))))
+            nodes, ids, config.p, first, seed.stream.rounds(ids.size, size)),
+            seed.sink is None and size * seed.bound < nodes.energy[ids].min()))  # then proved
     seeds = seeds[:len(plans)]
     # each seed's rows and positions start where the last seed's end
     start = [0, *accumulate(len(plan[2]) for plan in plans)]
@@ -327,7 +333,25 @@ def _run_block(config: ScenarioConfig, seeds: list[_Seed]) -> None:
         route = [*(node[a] for a in route[:3]), *route[3:]]
         heads, members, member_head = every[cols], every[mcol], every[member_head]
         for seed, ids, plan, a, b in zip(seeds, alive, plans, start, start[1:]):
-            (restart, before, elected), first, record = plan, seed.done, seed.sink is not None
+            (restart, before, elected, proved), first = plan, seed.done
+            record = seed.sink is not None
+            if proved:  # events before each round: member bits, relayed tables, member sends, sends
+                energy, kept, lo = seed.nodes.energy, seed.nodes.energy[ids], a
+                ev = 2 * np.array(mb) + sb + np.append(0, np.cumsum(route[2] >= 0))[sb]
+                while lo < b:  # calls of whole rounds: at most 2^11 events, or one round
+                    hi = min(b, max(lo + 1, int(np.searchsorted(ev, ev[lo] + (_CHUNK >> 7)) - 1)))
+                    m, s, lo = slice(mb[lo], mb[hi]), slice(sb[lo], sb[hi]), hi
+                    up, bit = route[2][s] >= 0, params.e_rx + params.e_aggregation
+                    to, when, by = zip(  # in _settle's order, rows ascending: a stable sort keeps it
+                        (member_head[m], mrow[m], np.full(m.stop - m.start, bit)),
+                        (route[2][s][up], srow[s][up], params.e_rx * widths[srow[s][up]]),
+                        (members[m], mrow[m], member_cost[m]), (route[0][s], srow[s], cost[s]))
+                    order = np.argsort(np.concatenate(when), kind="stable")
+                    np.subtract.at(energy, np.concatenate(to)[order], np.concatenate(by)[order])
+                if (np.maximum(energy, 0.0, out=energy)[ids] > 0).all():  # none to sweep
+                    seed.done, seed.last = first + b - a, ids
+                    continue
+                energy[ids] = kept  # the bound failed as a proof: charge round by round
             for t, g in enumerate(range(a, b)):
                 m, s = slice(mb[g], mb[g + 1]), slice(sb[g], sb[g + 1])
                 sends = [r[s] for r in route] if record else (route[0][s], None, route[2][s])
@@ -412,8 +436,8 @@ def _run_seeds(config: ScenarioConfig, seeds: list[int],
             _run_uniform(config, run)
         while not table and run.done < config.rounds and (
                 alive := np.flatnonzero(run.nodes.energy > 0)).size:
-            outcome = run_round(run.nodes, config, run.done, run.stream)
-            run.ran(run.done, alive, outcome if run.sink is not None else outcome.deaths)
+            run.ran(run.done, alive, _round(run.nodes, config, run.done, run.stream, alive,
+                                            run.sink is not None))
     return [(*start, *run.end(start)) for start, run in zip(starts, runs)]
 
 

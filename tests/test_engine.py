@@ -574,6 +574,90 @@ class TestRoundBound:
         assert sends < 19 or any(size > 10 for _, size, _ in blocks)  # planned past an epoch
 
 
+class TestProvedBlocks:
+    """A seed with no sink whose planned block ``_round_bound`` covers (the block's
+    rounds times the bound below its least alive battery) is charged by a few
+    ``np.subtract.at`` calls over the block's events, with no ``_settle`` call, and
+    ends as its recorded run, byte for byte; if a battery ends the block at or
+    below 0 all the same, the block is put back and charged round by round."""
+
+    @staticmethod
+    def run(config, seeds, sinks, layouts=None):
+        """``TestEndState.run``'s states and nodes, and each ``_settle`` call's
+        (seed's place in ``seeds``, round index)."""
+        with mock.patch.object(engine, "_settle", wraps=engine._settle) as settle:
+            states, placed = TestEndState.run(config, seeds, sinks, layouts)
+        seed_of = {id(nodes): i for i, nodes in enumerate(placed)}
+        return states, placed, [(seed_of[id(call.args[0])], call.args[2])
+                                for call in settle.call_args_list]
+
+    @staticmethod
+    def assert_ends_as_recorded(config, seeds, layouts=None):
+        """Runs ``seeds`` with no sinks, then recorded; asserts equal end states
+        and node arrays. Returns the record-free and the recorded ``_settle`` calls."""
+        got, got_nodes, settled = TestProvedBlocks.run(config, seeds, [None] * len(seeds), layouts)
+        want, want_nodes, recorded = TestProvedBlocks.run(
+            config, seeds, [lambda outcome: None] * len(seeds), layouts)
+        assert [_state(end) for end in got] == [_state(end) for end in want]
+        for a, b in zip(got_nodes, want_nodes, strict=True):
+            for name, array in vars(a).items():
+                assert array.tobytes() == getattr(b, name).tobytes(), name
+        return settled, recorded
+
+    @pytest.mark.parametrize("protocol", ["baseline", "proposed"])
+    def test_a_record_free_proved_block_makes_no_settle_call(self, protocol):
+        config = ScenarioConfig(protocol=protocol, rounds=200)
+        settled, recorded = self.assert_ends_as_recorded(config, [1, 2, 3])
+        assert not settled and sorted(recorded) == [(i, r) for i in range(3) for r in range(200)]
+
+    def test_a_step_of_a_proved_seed_and_an_unproved_one(self):
+        config = ScenarioConfig(protocol="proposed", rounds=100)
+
+        def layouts():  # the second seed's batteries, 0.25 mJ, are below one round's bound;
+            # one of the first seed's is already below 0, which a round's floor lifts to 0
+            placed = [place_nodes(config, np.random.default_rng(seed)) for seed in (1, 2)]
+            placed[0].energy[0], placed[1].energy[:] = -1.0, placed[1].energy / 2000
+            return placed
+
+        steps, run_block = [], engine._run_block
+        with mock.patch.object(engine, "_run_block", lambda config, seeds: steps.append(
+                len(seeds)) or run_block(config, seeds)):
+            settled, recorded = self.assert_ends_as_recorded(config, [1, 2], layouts)
+        assert steps[0] == 2  # both planned in the first step
+        assert settled == [call for call in recorded if call[0] == 1]  # the second seed alone
+
+    def test_a_lying_bound_falls_back_to_charging_round_by_round(self, monkeypatch):
+        # every block is planned to `rounds` or a death and taken as proved: a block
+        # with a death falls back, one after the seed's last death up to `rounds` holds
+        monkeypatch.setattr(engine, "_round_bound", lambda nodes, config: 5e-324)
+        config = replace(DEPLETION, rounds=300)
+        settled, recorded = self.assert_ends_as_recorded(config, [3, 4, 5])
+        assert settled and set(settled) < set(recorded) and len(recorded) == 900
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["ring", "zero-head", "depletion", "lattice", "mixed"]),
+        st.sampled_from(["baseline", "proposed"]),
+        st.floats(0.5, 40.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_a_block_the_bound_covers_never_falls_back(self, kind, protocol, horizon, seed):
+        config, (xs, ys, energy) = _reference_scenario(kind, protocol, "nonuniform", seed)
+        bound = engine._round_bound(nodes_at(xs, ys, energy), config)
+        energy = energy * (horizon * bound / energy.min())  # the least battery: `horizon` bounds
+        covered, elect = set(), engine.elect_block  # the rounds of blocks the bound covers
+
+        def planned(nodes, alive, p, first, draws):
+            if len(draws) * bound < nodes.energy[alive].min():
+                covered.update(range(first, first + len(draws)))
+            return elect(nodes, alive, p, first, draws)
+
+        with mock.patch.object(engine, "elect_block", planned):
+            settled, _ = self.assert_ends_as_recorded(
+                config, [config.seed], lambda: [nodes_at(xs, ys, energy)])
+        assert not covered & {r for _, r in settled}
+
+
 class TestDrainedHead:
     """A head whose battery runs out mid-round keeps every duty of the round
     and dies only in the end-of-round sweep."""
@@ -1199,10 +1283,9 @@ class TestEndState:
         """``path`` is the engine function that runs the seeds' rounds (None: no round
         runs); ``layouts``, if given, makes each seed's passed nodes afresh. Returns
         each seed's recorded outcomes."""
-        unbuilt = mock.patch.object(engine, "RoundOutcome", side_effect=AssertionError)
-        with mock.patch.object(engine, path or "run_round", wraps=getattr(
-                engine, path or "run_round")) as reached, \
-                unbuilt if path != "run_round" else contextlib.nullcontext():
+        with mock.patch.object(engine, path or "_round", wraps=getattr(
+                engine, path or "_round")) as reached, \
+                mock.patch.object(engine, "RoundOutcome", side_effect=AssertionError):
             got, got_nodes = TestEndState.run(config, seeds, [None] * len(seeds), layouts)
         assert reached.called == bool(path)
         outcomes = [[] for _ in seeds]
@@ -1247,7 +1330,7 @@ class TestEndState:
     def test_uniform_round_loop(self, protocol, count, rounds, battery):
         config = replace(DEPLETION, protocol=protocol, clustering="uniform", nodes=count,
                          rounds=rounds, energy=EnergyParams(initial_energy=battery))
-        got = self.assert_ends_as_recorded(config, [1, 2], "run_round")
+        got = self.assert_ends_as_recorded(config, [1, 2], "_round")
         assert all(len(run) == rounds and run[-1].alive < count for run in got)
 
     @pytest.mark.parametrize("clustering", ["nonuniform", "uniform"])

@@ -232,7 +232,7 @@ def _first_death(rows, nodes, rounds):
 @pytest.mark.parametrize("case", sorted(SUMMARISED))
 def test_compare_rows_summarise_each_variants_run(tmp_path, case):
     argv, text = SUMMARISED[case]
-    with mock.patch.object(engine, "run_round", wraps=engine.run_round) as loop:
+    with mock.patch.object(engine, "_round", wraps=engine._round) as loop:
         lines = cli_output(tmp_path, argv, text).decode().splitlines()
     assert loop.called == (case == "compare-3-rounds")
     rounds, seeds = (argv[argv.index(flag) + 1] for flag in ("--rounds", "--seeds"))
